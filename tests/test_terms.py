@@ -3,6 +3,7 @@ import pytest
 from ramproc import terms as T
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store
+from ramproc.syntax import parse_term
 from ramproc.terms import (
     DELTA,
     EPS,
@@ -230,3 +231,71 @@ def test_validate_ramp_rejects_shared_ops():
         ("X2", Guard(TRUE, EPS)),
     ))
     assert not T.validate_ramp(Rec("X1", spec))
+
+
+_INI1 = "X1 = True :-> RM_1 := ini:#1(RM_1) . Y1"
+_TEST_RM = "eq:#0:#0(RM) = 1 :-> RM := RM . %s + eq:#0:#0(RM) = 0 :-> RM := RM . %s"
+_TEST_RM1 = "eq:#0:#0(RM_1) = 1 :-> RM_1 := RM_1 . %s + eq:#0:#0(RM_1) = 0 :-> RM_1 := RM_1 . %s"
+
+
+@pytest.mark.parametrize("validator, text, expected", [
+    pytest.param("validate_ramp",
+                 "rec X1 {X1 = %s, X2 = True :-> eps}" % (_TEST_RM % ("X1", "X2")),
+                 True, id="ramp-jump-to-root"),
+    pytest.param("validate_ramp", "rec X1 {X1 = True :-> eps, X2 = True :-> eps}",
+                 True, id="ramp-two-halts"),
+    pytest.param("validate_ramp",
+                 "rec X2 {X1 = True :-> RM := add:0:#1:0(RM) . X2, X2 = True :-> eps}",
+                 False, id="ramp-root-not-first"),
+    pytest.param("validate_ramp",
+                 "rec X1 {X1 = True :-> RM_1 := add:0:#1:0(RM_1) . X2, X2 = True :-> eps}",
+                 False, id="ramp-op-on-private-memory"),
+    pytest.param("validate_apramp",
+                 "rec X1 {%s, Y1 = %s, Y2 = True :-> eps}" % (_INI1, _TEST_RM1 % ("X1", "Y2")),
+                 "equation Y1 jumps out of range", id="apramp-jump-to-root"),
+    pytest.param("validate_apramp",
+                 "rec X1 {%s, Y1 = True :-> eps, Y2 = True :-> RM_1 := add:0:#1:0(RM_1) . Y3,"
+                 " Y3 = True :-> eps}" % _INI1,
+                 1, id="apramp-halt-mid-program"),
+    pytest.param("validate_apramp",
+                 "rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> eps}",
+                 "component 1 carries number 2", id="apramp-misnumbered"),
+    pytest.param("validate_apramp",
+                 "rec X1 {X1 = True :-> RM_1 := add:0:#1:0(RM_1) . Y1, Y1 = True :-> eps}",
+                 "root equation X1 lacks the ini step", id="apramp-no-ini"),
+    pytest.param("validate_apramp",
+                 "rec X1 {X1 = True :-> RM_2 := ini:#1(RM_2) . Y1, Y1 = True :-> eps}",
+                 "component 1 uses private memory RM_2", id="apramp-wrong-memory"),
+    pytest.param("validate_apramp",
+                 "rec X1 {%s, Y0 = True :-> eps, Y1 = True :-> eps}" % _INI1,
+                 "root equation X1 must continue at the next equation", id="apramp-root-skips"),
+    pytest.param("validate_apramp",
+                 "rec X1 {%s, Y1 = True :-> sync . Y2, Y2 = True :-> eps}" % _INI1,
+                 "equation Y1 matches no machine shape", id="apramp-sync-step"),
+    pytest.param("validate_spramp",
+                 "rec X1 {%s, Y1 = True :-> sync . Y2, Y2 = True :-> RM_1 := add:0:0:0(RM_1) . Y3,"
+                 " Y3 = True :-> sync . Y4, Y4 = %s, Y5 = True :-> sync . Y6, Y6 = True :-> eps}"
+                 % (_INI1, _TEST_RM1 % ("Y2", "Y5")),
+                 "edge Y4 -> Y2 does not alternate with the synchronization rounds",
+                 id="spramp-work-to-work"),
+    pytest.param("validate_spramp",
+                 "rec X1 {%s, Y1 = True :-> sync . Y2, Y2 = True :-> eps, Y3 = True :-> eps,"
+                 " Y4 = True :-> sync . Y5, Y5 = True :-> eps}" % _INI1,
+                 1, id="spramp-parity-shifted"),
+    pytest.param("validate_spramp",
+                 "rec X1 {%s, Y0 = True :-> eps, Y1 = True :-> eps}" % _INI1,
+                 "root must continue at the next equation", id="spramp-root-skips"),
+    pytest.param("validate_spramp",
+                 "rec X1 {%s, Y1 = True :-> sync . Y3, Y2 = True :-> eps, Y3 = True :-> eps}"
+                 % _INI1,
+                 "sync equation Y1 must fall through to the next", id="spramp-sync-skips"),
+])
+def test_validator_verdicts(validator, text, expected):
+    t = parse_term(text)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            getattr(T, validator)(t)
+        assert str(info.value) == expected
+    else:
+        got = getattr(T, validator)(t)
+        assert type(got) is type(expected) and got == expected
