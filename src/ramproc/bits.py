@@ -9,9 +9,6 @@ doubles as the "register never written" marker, which is distinct from
 from __future__ import annotations
 
 ARITH_OPS = ("add", "sub")
-LOGIC_OPS = ("and", "or")
-UNARY_OPS = ("not", "shl", "shr", "mov")
-CMP_OPS = ("eq", "gt", "beq")
 
 
 def check_bits(w: str) -> str:
@@ -24,18 +21,13 @@ def ntob(n: int) -> str:
     """Natural number to bit string, LSB first, no leading zeros; ntob(0) = "0"."""
     if n < 0:
         raise ValueError("naturals only")
-    if n <= 1:
-        return str(n)
-    return str(n % 2) + ntob(n // 2)
+    return bin(n)[:1:-1]
 
 
 def bton(w: str) -> int:
     """Bit string to natural number.  Tolerates leading (high-index) zeros."""
     check_bits(w)
-    n = 0
-    for c in reversed(w):
-        n = 2 * n + (c == "1")
-    return n
+    return int(w[::-1] or "0", 2)
 
 
 def bin_arith(op: str, w1: str, w2: str) -> str:

@@ -20,7 +20,8 @@ from .memory import EMPTY_MEM, format_mem, load_mem_file
 
 
 def _build_term(args):
-    """Compile the positional program files per the chosen model."""
+    """Compile the positional program files per the chosen model; returns
+    the term and the parsed programs."""
     kind = machines.BBRAM if args.model == "ramp" else machines.SMBRAM
     progs = []
     for path in args.programs:
@@ -33,14 +34,14 @@ def _build_term(args):
     if args.model == "ramp":
         if len(progs) != 1:
             raise ValueError("the sequential model takes exactly one program")
-        return machines.proc_of_bbram(progs[0])
+        return machines.proc_of_bbram(progs[0]), progs
     if args.model == "apramp":
         return machines.compose_async(
             [machines.proc_of_smbram_async(i, p) for i, p in enumerate(progs, start=1)]
-        )
+        ), progs
     return machines.compose_sync(
         [machines.proc_of_smbram_sync(i, p) for i, p in enumerate(progs, start=1)]
-    )
+    ), progs
 
 
 def _valuation(term, mem_args):
@@ -72,12 +73,13 @@ def cmd_compile(args) -> int:
         prog = machines.program_of_ramp(term)
         sys.stdout.write(machines.format_program(prog))
         return 0
-    print(syntax.format_term(_build_term(args)))
+    term, _ = _build_term(args)
+    print(syntax.format_term(term))
     return 0
 
 
 def cmd_run(args) -> int:
-    term = _build_term(args)
+    term, progs = _build_term(args)
     rho = _valuation(term, args.mem)
     l = semantics.build_lts(term, rho, args.max_states)
     if args.lts:
@@ -100,10 +102,8 @@ def cmd_run(args) -> int:
         for name in rho2.names():
             print("%s: %s = %s" % (tag, name, format_mem(rho2.get(name))))
     if args.model == "ramp" and args.fuel:
-        res = machines.run_bbram(
-            machines.parse_program(open(args.programs[0]).read()), rho.get("RM"), args.fuel
-        )
-        agrees = res.halted and T.Valuation.make({"RM": res.mem}).get("RM") == finals[0].get("RM")
+        res = machines.run_bbram(progs[0], rho.get("RM"), args.fuel)
+        agrees = res.halted and res.mem == finals[0].get("RM")
         print(
             "interpreter: %s in %d steps (%s)"
             % (
@@ -115,22 +115,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-_MEASURE_MODEL = {
-    "sutm": "ramp", "swm": "ramp",
-    "aputm": "apramp", "apwm": "apramp",
-    "sputm": "spramp", "spwm": "spramp",
-}
-
-
 def cmd_measure(args) -> int:
-    if _MEASURE_MODEL[args.measure] != args.model:
-        print(
-            "error: measure %s applies to the %s model"
-            % (args.measure, _MEASURE_MODEL[args.measure]),
-            file=sys.stderr,
-        )
+    model = complexity.MEASURE_TABLE[args.measure].model
+    if model != args.model:
+        print("error: measure %s applies to the %s model" % (args.measure, model), file=sys.stderr)
         return 2
-    term = _build_term(args)
+    term, _ = _build_term(args)
     rho = _valuation(term, args.mem)
     try:
         report = complexity.MEASURES[args.measure](term, rho, args.max_states)
@@ -162,7 +152,7 @@ def _external_oracle(command):
 
 
 def cmd_check(args) -> int:
-    term = _build_term(args)
+    term, _ = _build_term(args)
     inputs = complexity.all_inputs(args.arity, args.max_len)
     if not inputs:
         print("warning: empty input enumeration; nothing to check")

@@ -56,86 +56,83 @@ def _report(name, l: Lts, value, per_component=()) -> MeasureReport:
     return MeasureReport(name, value, tuple(per_component), len(l.states), len(l.transitions))
 
 
-def sutm(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
-    """Sequential time: every non-silent step counts."""
-    l = _halting_lts(t, rho, max_states)
-    return _report("sutm", l, depth(l))
+@dataclass(frozen=True, slots=True)
+class Measure:
+    """A step-count measure: the CLI model and machine shape it is defined
+    for, and which labels count as steps (None: every non-silent one).  A
+    per-component measure counts, for each component i, the steps touching
+    RM_i, and reports the slowest component.  A measure `same_as` another
+    reports that one's value under its own name."""
+
+    model: str
+    machine: str
+    validator: object
+    counts: object
+    doc: str
+    per_component: bool = False
+    same_as: str = ""
 
 
-def swm(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
-    """Sequential work; a sequential machine does one unit per step."""
-    r = sutm(t, rho, max_states)
-    return MeasureReport("swm", r.value, (), r.states, r.transitions)
+_SYNC = T.Plain("sync")
 
-
-def aputm(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
-    """Asynchronous-parallel time: the slowest component's own steps.
-
-    A step belongs to component i when its label touches RM_i (as target or
-    inside the assigned expression).
-    """
-    n = T.validate_apramp(t)
-    l = _halting_lts(t, rho, max_states)
-    per = []
-    for i in range(1, n + 1):
-        sel = T.ActionSet.mentioning("RM_%d" % i)
-        per.append((i, depth(l, count=sel.contains_label)))
-    return _report("aputm", l, max(v for _, v in per), per)
-
-
-def apwm(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
-    """Asynchronous-parallel work: all non-silent steps along a longest run."""
-    T.validate_apramp(t)
-    l = _halting_lts(t, rho, max_states)
-    return _report("apwm", l, depth(l))
-
-
-def sputm(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
-    """Synchronous-parallel time: handshake rounds only."""
-    T.validate_spramp(t)
-    l = _halting_lts(t, rho, max_states)
-    sync = T.Plain("sync")
-    return _report("sputm", l, depth(l, count=lambda lab: lab == sync))
-
-
-def spwm(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
-    """Synchronous-parallel work: computational (non-handshake) steps."""
-    T.validate_spramp(t)
-    l = _halting_lts(t, rho, max_states)
-    sync = T.Plain("sync")
-    return _report(
-        "spwm", l, depth(l, count=lambda lab: not isinstance(lab, T.Tau) and lab != sync)
-    )
-
-
-MEASURES = {
-    "sutm": sutm,
-    "swm": swm,
-    "aputm": aputm,
-    "apwm": apwm,
-    "sputm": sputm,
-    "spwm": spwm,
+MEASURE_TABLE = {
+    "sutm": Measure(T.RAMP, "sequential machine", T.validate_ramp, None,
+                    "Sequential time: every non-silent step counts."),
+    "swm": Measure(T.RAMP, "sequential machine", T.validate_ramp, None,
+                   "Sequential work; a sequential machine does one unit per step.",
+                   same_as="sutm"),
+    "aputm": Measure(T.APRAMP, "interleaved parallel machine", T.validate_apramp, None,
+                     "Asynchronous-parallel time: the slowest component's own steps.",
+                     per_component=True),
+    "apwm": Measure(T.APRAMP, "interleaved parallel machine", T.validate_apramp, None,
+                    "Asynchronous-parallel work: all non-silent steps along a longest run."),
+    "sputm": Measure(T.SPRAMP, "lockstep parallel machine", T.validate_spramp,
+                     lambda lab: lab == _SYNC,
+                     "Synchronous-parallel time: handshake rounds only."),
+    "spwm": Measure(T.SPRAMP, "lockstep parallel machine", T.validate_spramp,
+                    lambda lab: not isinstance(lab, T.Tau) and lab != _SYNC,
+                    "Synchronous-parallel work: computational (non-handshake) steps."),
 }
 
-_MEASURE_CLASS = {
-    "sutm": ("sequential machine", T.validate_ramp),
-    "swm": ("sequential machine", T.validate_ramp),
-    "aputm": ("interleaved parallel machine", T.validate_apramp),
-    "apwm": ("interleaved parallel machine", T.validate_apramp),
-    "sputm": ("lockstep parallel machine", T.validate_spramp),
-    "spwm": ("lockstep parallel machine", T.validate_spramp),
-}
+
+def _measure_function(name, m: Measure):
+    def measure(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
+        if m.same_as:
+            r = MEASURES[m.same_as](t, rho, max_states)
+            return MeasureReport(name, r.value, (), r.states, r.transitions)
+        # the sequential measures apply to any term; the parallel ones
+        # need the machine shape, and aputm its component count
+        n = m.validator(t) if m.model != T.RAMP else None
+        l = _halting_lts(t, rho, max_states)
+        if not m.per_component:
+            return _report(name, l, depth(l, count=m.counts))
+        per = [(i, depth(l, count=T.ActionSet.mentioning("RM_%d" % i).contains_label))
+               for i in range(1, n + 1)]
+        return _report(name, l, max(v for _, v in per), per)
+
+    measure.__name__ = measure.__qualname__ = name
+    measure.__doc__ = m.doc
+    return measure
+
+
+MEASURES = {name: _measure_function(name, m) for name, m in MEASURE_TABLE.items()}
+sutm = MEASURES["sutm"]
+swm = MEASURES["swm"]
+aputm = MEASURES["aputm"]
+apwm = MEASURES["apwm"]
+sputm = MEASURES["sputm"]
+spwm = MEASURES["spwm"]
 
 
 def check_measure_class(measure: str, t):
     """Raise unless t has the machine shape the measure is defined for."""
-    kind, validator = _MEASURE_CLASS[measure]
+    m = MEASURE_TABLE[measure]
     try:
-        ok = validator(t)
+        ok = m.validator(t)
     except ValueError:
         ok = False
     if not ok:
-        raise ValueError("measure %s requires a %s term" % (measure, kind))
+        raise ValueError("measure %s requires a %s term" % (measure, m.machine))
 
 
 # ---------------------------------------------------------------------------

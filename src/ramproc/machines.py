@@ -124,13 +124,6 @@ def format_program(prog: Program) -> str:
 # ---------------------------------------------------------------------------
 # Compilers
 
-def _require_trailing_halt(prog: Program):
-    if not isinstance(prog.instrs[-1], Halt):
-        raise ValueError(
-            "last instruction must be halt: control would run past the end"
-        )
-
-
 def _op_expr(o, memvar: str):
     if isinstance(o, (Load, Store)):
         return T.Apply2(o, T.FlexVar(memvar), T.FlexVar("RM"))
@@ -153,89 +146,63 @@ def _jmp_equation(p, memvar: str, taken: str, fallthrough: str):
 _HALT_EQUATION = T.Guard(T.TRUE, T.EPS)
 
 
+def _equations(prog: Program, memvar: str, prefix: str, handshakes: bool = False):
+    """One equation per instruction over memory `memvar`, instruction j
+    named prefix + j.  With handshakes, instruction j is instead a sync
+    equation prefix + (2j-1) followed by its work equation prefix + 2j, and
+    control (fall-through and jumps alike) enters at the sync equation."""
+    if not isinstance(prog.instrs[-1], Halt):
+        raise ValueError("last instruction must be halt: control would run past the end")
+    stride = 2 if handshakes else 1
+
+    def entry(j):
+        return "%s%d" % (prefix, stride * (j - 1) + 1)
+
+    eqs = []
+    for j, ins in enumerate(prog.instrs, start=1):
+        work = "%s%d" % (prefix, stride * j)
+        if handshakes:
+            eqs.append((entry(j), T.Guard(T.TRUE, T.Seq(T.Act("sync"), T.Var(work)))))
+        if isinstance(ins, Halt):
+            eqs.append((work, _HALT_EQUATION))
+        elif isinstance(ins, Jmp):
+            eqs.append((work, _jmp_equation(ins.p, memvar, entry(ins.target), entry(j + 1))))
+        else:
+            eqs.append((work, _op_equation(ins.o, memvar, entry(j + 1))))
+    return tuple(eqs)
+
+
 def proc_of_bbram(prog: Program):
     """One equation per instruction over memory RM, starting at the first."""
     if prog.kind != BBRAM:
         raise ValueError("expected a basic program")
-    _require_trailing_halt(prog)
-    names = ["X%d" % (k + 1) for k in range(len(prog))]
-    eqs = []
-    for k, ins in enumerate(prog.instrs):
-        if isinstance(ins, Halt):
-            eqs.append((names[k], _HALT_EQUATION))
-        elif isinstance(ins, Jmp):
-            eqs.append(
-                (names[k], _jmp_equation(ins.p, "RM", names[ins.target - 1], names[k + 1]))
-            )
-        else:
-            eqs.append((names[k], _op_equation(ins.o, "RM", names[k + 1])))
-    return T.Rec(names[0], T.RecSpec(tuple(eqs)))
+    return T.Rec("X1", T.RecSpec(_equations(prog, "RM", "X")))
+
+
+def _component(i: int, prog: Program, handshakes: bool):
+    if prog.kind != SMBRAM:
+        raise ValueError("expected a shared-memory program")
+    if i < 1:
+        raise ValueError("component numbers start at 1")
+    memvar = "RM_%d" % i
+    root = "X%d" % i
+    ini_eq = T.Guard(
+        T.TRUE, T.Seq(T.Assign(memvar, T.Apply1(Ini(i), T.FlexVar(memvar))), T.Var("Y1"))
+    )
+    return T.Rec(root, T.RecSpec(((root, ini_eq),) + _equations(prog, memvar, "Y", handshakes)))
 
 
 def proc_of_smbram_async(i: int, prog: Program):
     """Component i of an interleaved shared-memory machine: an ini step on
     the private memory RM_i, then one equation per instruction."""
-    if prog.kind != SMBRAM:
-        raise ValueError("expected a shared-memory program")
-    if i < 1:
-        raise ValueError("component numbers start at 1")
-    _require_trailing_halt(prog)
-    memvar = "RM_%d" % i
-    names = ["Y%d" % (k + 1) for k in range(len(prog))]
-    root = "X%d" % i
-    ini_eq = T.Guard(
-        T.TRUE, T.Seq(T.Assign(memvar, T.Apply1(Ini(i), T.FlexVar(memvar))), T.Var(names[0]))
-    )
-    eqs = [(root, ini_eq)]
-    for k, ins in enumerate(prog.instrs):
-        if isinstance(ins, Halt):
-            eqs.append((names[k], _HALT_EQUATION))
-        elif isinstance(ins, Jmp):
-            eqs.append(
-                (names[k], _jmp_equation(ins.p, memvar, names[ins.target - 1], names[k + 1]))
-            )
-        else:
-            eqs.append((names[k], _op_equation(ins.o, memvar, names[k + 1])))
-    return T.Rec(root, T.RecSpec(tuple(eqs)))
+    return _component(i, prog, handshakes=False)
 
 
 def proc_of_smbram_sync(i: int, prog: Program):
     """Component i of a lockstep shared-memory machine: each instruction gets
     a handshake equation followed by its work equation; jumps land on the
     target's handshake."""
-    if prog.kind != SMBRAM:
-        raise ValueError("expected a shared-memory program")
-    if i < 1:
-        raise ValueError("component numbers start at 1")
-    _require_trailing_halt(prog)
-    memvar = "RM_%d" % i
-    root = "X%d" % i
-
-    def sync_name(j):  # 1-based instruction j
-        return "Y%d" % (2 * j - 1)
-
-    def work_name(j):
-        return "Y%d" % (2 * j)
-
-    ini_eq = T.Guard(
-        T.TRUE, T.Seq(T.Assign(memvar, T.Apply1(Ini(i), T.FlexVar(memvar))), T.Var(sync_name(1)))
-    )
-    eqs = [(root, ini_eq)]
-    for k, ins in enumerate(prog.instrs):
-        j = k + 1
-        eqs.append((sync_name(j), T.Guard(T.TRUE, T.Seq(T.Act("sync"), T.Var(work_name(j))))))
-        if isinstance(ins, Halt):
-            eqs.append((work_name(j), _HALT_EQUATION))
-        elif isinstance(ins, Jmp):
-            eqs.append(
-                (
-                    work_name(j),
-                    _jmp_equation(ins.p, memvar, sync_name(ins.target), sync_name(j + 1)),
-                )
-            )
-        else:
-            eqs.append((work_name(j), _op_equation(ins.o, memvar, sync_name(j + 1))))
-    return T.Rec(root, T.RecSpec(tuple(eqs)))
+    return _component(i, prog, handshakes=True)
 
 
 def compose_async(components):
@@ -267,22 +234,18 @@ def program_of_ramp(t) -> Program:
     Equation order gives instruction order, so compiling the result yields
     the input back up to consistent renaming of the equation variables.
     """
-    if not T.validate_ramp(t):
-        raise ValueError("not a sequential-machine term")
-    eqs = t.spec.equations
-    index = {name: k for k, (name, _) in enumerate(eqs)}
+    try:
+        _, steps = T.decode_component(t, T.RAMP)
+    except ValueError:
+        raise ValueError("not a sequential-machine term") from None
     instrs = []
-    for name, rhs in eqs:
-        m = T._match_op_equation(rhs, "RM")
-        if m is not None:
-            instrs.append(Op(m[0]))
-            continue
-        m = T._match_test_equation(rhs, "RM")
-        if m is not None:
-            p, taken, _ = m
-            instrs.append(Jmp(p, index[taken] + 1))
-            continue
-        instrs.append(HALT)
+    for kind, desc, succs in steps:
+        if kind == "op":
+            instrs.append(Op(desc))
+        elif kind == "test":
+            instrs.append(Jmp(desc, succs[0] + 1))
+        else:
+            instrs.append(HALT)
     return Program(tuple(instrs), BBRAM)
 
 

@@ -67,10 +67,6 @@ class MemState:
 EMPTY_MEM = MemState()
 
 
-def override(sigma: MemState, i: int, w: str) -> MemState:
-    return sigma.set(i, w)
-
-
 def initial_mem(entries) -> MemState:
     """Build a state from (register, bit string) pairs."""
     m = MemState()

@@ -21,7 +21,6 @@ from .memory import MemState, merge_n, split_n
 BIN_NAMES = ("add", "sub", "and", "or")
 UN_NAMES = ("not", "shl", "shr", "mov")
 CMP_NAMES = ("eq", "gt", "beq")
-ALL_NAMES = BIN_NAMES + UN_NAMES + CMP_NAMES + ("ini", "loa", "sto")
 
 
 @dataclass(frozen=True, slots=True)

@@ -293,7 +293,21 @@ def _check_bounded(l: Lts):
         )
 
 
-def _cyclic(l: Lts) -> bool:
+def eventually_halts(l: Lts) -> bool:
+    """True iff every maximal run is finite and ends able to terminate."""
+    _check_bounded(l)
+    if _topo_order(l) is None:
+        return False
+    for sid in range(len(l.states)):
+        if not l.out(sid) and sid not in l.success:
+            return False
+    return True
+
+
+def _topo_order(l: Lts):
+    """States in reverse-topological order (successors first), or None when
+    the graph has a cycle."""
+    order = []
     color = [0] * len(l.states)  # 0 unseen, 1 on stack, 2 done
     for start in range(len(l.states)):
         if color[start]:
@@ -304,41 +318,7 @@ def _cyclic(l: Lts) -> bool:
             node, it = stack[-1]
             for dst in it:
                 if color[dst] == 1:
-                    return True
-                if color[dst] == 0:
-                    color[dst] = 1
-                    stack.append((dst, iter([d for _, d in l.out(dst)])))
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
-
-
-def eventually_halts(l: Lts) -> bool:
-    """True iff every maximal run is finite and ends able to terminate."""
-    _check_bounded(l)
-    if _cyclic(l):
-        return False
-    for sid in range(len(l.states)):
-        if not l.out(sid) and sid not in l.success:
-            return False
-    return True
-
-
-def _topo_order(l: Lts):
-    order = []
-    color = [0] * len(l.states)
-    for start in range(len(l.states)):
-        if color[start]:
-            continue
-        stack = [(start, iter([d for _, d in l.out(start)]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            for dst in it:
-                if color[dst] == 1:
-                    raise SemanticsError("depth undefined: the graph has a cycle")
+                    return None
                 if color[dst] == 0:
                     color[dst] = 1
                     stack.append((dst, iter([d for _, d in l.out(dst)])))
@@ -347,17 +327,24 @@ def _topo_order(l: Lts):
                 color[node] = 2
                 order.append(node)
                 stack.pop()
-    return order  # reverse-topological (successors first)
+    return order
+
+
+def _dag_order(l: Lts):
+    _check_bounded(l)
+    order = _topo_order(l)
+    if order is None:
+        raise SemanticsError("depth undefined: the graph has a cycle")
+    return order
 
 
 def depth(l: Lts, count=None) -> int:
     """Longest-path length from the initial state, counting only labels
     accepted by `count` (default: everything but the silent step)."""
-    _check_bounded(l)
     if count is None:
         count = lambda lab: not isinstance(lab, Tau)
     best = {}
-    for sid in _topo_order(l):
+    for sid in _dag_order(l):
         best[sid] = max(
             ((1 if count(lab) else 0) + best[dst] for lab, dst in l.out(sid)),
             default=0,
@@ -367,9 +354,8 @@ def depth(l: Lts, count=None) -> int:
 
 def count_maximal_paths(l: Lts) -> int:
     """Number of maximal runs (ending in a state with no outgoing step)."""
-    _check_bounded(l)
     total = {}
-    for sid in _topo_order(l):
+    for sid in _dag_order(l):
         outs = l.out(sid)
         total[sid] = sum(total[d] for _, d in outs) if outs else 1
     return total[l.initial]
@@ -410,10 +396,11 @@ def normalize_basic(t, rho: Valuation | None = None, bound: int = 10000,
     """
     l = build_lts(t, rho, bound, gamma)
     _check_bounded(l)
-    if _cyclic(l):
+    order = _topo_order(l)
+    if order is None:
         raise SemanticsError("no finite basic form: the behavior loops")
     built = {}
-    for sid in _topo_order(l):
+    for sid in order:
         parts = [
             T.Guard(T.TRUE, T.Seq(_label_term(lab), built[dst])) for lab, dst in l.out(sid)
         ]

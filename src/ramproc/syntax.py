@@ -188,15 +188,20 @@ class _Parser:
             return T.Assign(text, self.expr())
         if self.peek()[0] == "(":
             self.next()
-            args = []
-            if self.peek()[0] != ")":
-                args.append(self.expr())
-                while self.peek()[0] == ",":
-                    self.next()
-                    args.append(self.expr())
-            self.expect(")")
-            return T.DataAct(text, tuple(args))
+            return T.DataAct(text, tuple(self.listing(self.expr, ")")))
         return T.Act(text)
+
+    def listing(self, item, close):
+        """A possibly empty comma-separated list of items, then `close`."""
+        return self.rest(item, close, [] if self.peek()[0] == close else [item()])
+
+    def rest(self, item, close, out):
+        """More comma-separated items after those in `out`, then `close`."""
+        while self.peek()[0] == ",":
+            self.next()
+            out.append(item())
+        self.expect(close)
+        return out
 
     def wrapped(self):
         self.expect("(")
@@ -207,18 +212,15 @@ class _Parser:
     def rec(self):
         root = self.expect_ident()
         self.expect("{")
-        eqs = []
-        while True:
-            name = self.expect_ident()
-            self.expect("=")
-            eqs.append((name, self.term()))
-            if self.peek()[0] != ",":
-                break
-            self.next()
-        self.expect("}")
+        eqs = self.rest(self.equation, "}", [self.equation()])
         names = {n for n, _ in eqs}
         fixed = tuple((n, _acts_to_vars(rhs, names)) for n, rhs in eqs)
         return T.Rec(root, T.RecSpec(fixed))
+
+    def equation(self):
+        name = self.expect_ident()
+        self.expect("=")
+        return name, self.term()
 
     # -- action sets, maps, valuations
 
@@ -237,64 +239,39 @@ class _Parser:
             self.next()
             return T.ActionSet("all")
         if first == "allbut":
-            names = [self.expect_ident()]
-            while self.peek()[0] == ",":
-                self.next()
-                names.append(self.expect_ident())
-            self.expect("}")
-            return T.ActionSet.allbut(names)
+            return T.ActionSet.allbut(self.rest(self.expect_ident, "}", [self.expect_ident()]))
         if first in ("mentioning", "notmentioning") and self.peek()[0] == "ident":
             var = self.expect_ident()
             self.expect("}")
             return T.ActionSet(first, var)
-        names = [first]
-        while self.peek()[0] == ",":
-            self.next()
-            names.append(self.expect_ident())
-        self.expect("}")
-        return T.ActionSet.labels(names)
+        return T.ActionSet.labels(self.rest(self.expect_ident, "}", [first]))
 
     def action_map(self):
         self.expect("[")
-        pairs = {}
-        if self.peek()[0] != "]":
-            while True:
-                old = self.expect_ident()
-                self.expect("->")
-                pairs[old] = self.expect_ident()
-                if self.peek()[0] != ",":
-                    break
-                self.next()
-        self.expect("]")
-        return T.ActionMap.make(pairs)
+        return T.ActionMap.make(dict(self.listing(self.renaming, "]")))
+
+    def renaming(self):
+        old = self.expect_ident()
+        self.expect("->")
+        return old, self.expect_ident()
 
     def valuation(self):
         self.expect("{")
-        entries = {}
-        if self.peek()[0] != "}":
-            while True:
-                name = self.expect_ident()
-                self.expect("=")
-                entries[name] = self.mem_literal()
-                if self.peek()[0] != ",":
-                    break
-                self.next()
-        self.expect("}")
-        return T.Valuation.make(entries)
+        return T.Valuation.make(dict(self.listing(self.binding, "}")))
+
+    def binding(self):
+        name = self.expect_ident()
+        self.expect("=")
+        return name, self.mem_literal()
 
     def mem_literal(self) -> MemState:
         self.expect("[")
-        contents = {}
-        if self.peek()[0] != "]":
-            while True:
-                idx = int(self.expect("num")[1])
-                self.expect(":")
-                contents[idx] = self.bit_string()
-                if self.peek()[0] != ",":
-                    break
-                self.next()
-        self.expect("]")
-        return MemState(contents)
+        return MemState(dict(self.listing(self.cell, "]")))
+
+    def cell(self):
+        idx = int(self.expect("num")[1])
+        self.expect(":")
+        return idx, self.bit_string()
 
     def bit_string(self) -> str:
         kind, text, off = self.next()
@@ -439,25 +416,9 @@ def _acts_to_vars(t, names):
     plain actions that name an equation into variable occurrences."""
     if isinstance(t, T.Act) and t.name in names:
         return T.Var(t.name)
-    if isinstance(t, (T.Empty, T.Dead, T.Silent, T.Act, T.DataAct, T.Assign, T.Var)):
-        return t
-    if isinstance(t, T._BINARY):
-        return type(t)(_acts_to_vars(t.l, names), _acts_to_vars(t.r, names))
-    if isinstance(t, T.Guard):
-        return T.Guard(t.cond, _acts_to_vars(t.body, names))
-    if isinstance(t, T.Encap):
-        return T.Encap(t.acts, _acts_to_vars(t.body, names))
-    if isinstance(t, T.Abstr):
-        return T.Abstr(t.acts, _acts_to_vars(t.body, names))
-    if isinstance(t, T.Eval):
-        return T.Eval(t.rho, _acts_to_vars(t.body, names))
-    if isinstance(t, T.Proj):
-        return T.Proj(t.n, _acts_to_vars(t.body, names))
-    if isinstance(t, T.Rename):
-        return T.Rename(t.f, _acts_to_vars(t.body, names))
     if isinstance(t, T.Rec):
         return t  # inner spec binds its own names
-    raise ParseError("unexpected node in recursion body: %r" % (t,))
+    return T.with_children(t, [_acts_to_vars(c, names) for c in T.children(t)])
 
 
 # ---------------------------------------------------------------------------

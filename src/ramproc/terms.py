@@ -13,6 +13,7 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .memory import MemState, format_mem
 from . import ramops
@@ -188,16 +189,6 @@ def flexvars_cond(c) -> frozenset:
     if isinstance(c, (And, Or, Implies)):
         return flexvars_cond(c.l) | flexvars_cond(c.r)
     raise ValueError("not a condition: %r" % (c,))
-
-
-def subst_data(e, rho: "Valuation"):
-    """Apply a valuation to a data expression, collapsing it to a literal."""
-    return MemLiteral(eval_data(e, rho))
-
-
-def subst_cond(c, rho: "Valuation"):
-    """Apply a valuation to a condition; collapses to the ground constant."""
-    return TRUE if eval_cond(c, rho) else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +465,6 @@ class RecSpec:
         if len(set(names)) != len(names):
             raise ValueError("duplicate equation variable")
 
-    @classmethod
-    def make(cls, pairs):
-        return cls(tuple(pairs))
-
     def rhs(self, name: str):
         for n, t in self.equations:
             if n == name:
@@ -529,8 +516,10 @@ EPS = Empty()
 DELTA = Dead()
 TAU = Silent()
 
-_BINARY = (Alt, Seq, Par, LeftMerge, CommMerge, SyncMerge)
-_UNARY_BODY = (Encap, Abstr, Guard, Eval, Proj, Rename)
+
+_BINARY = frozenset((Alt, Seq, Par, LeftMerge, CommMerge, SyncMerge))
+_UNARY_BODY = frozenset((Encap, Abstr, Guard, Eval, Proj, Rename))  # fields: head, body
+_LEAF = frozenset((Empty, Dead, Silent, Act, DataAct, Assign, Var))
 
 
 def is_atomic(t) -> bool:
@@ -542,30 +531,47 @@ def is_atomic_or_silent(t) -> bool:
     return is_atomic(t) or isinstance(t, Silent)
 
 
+# ---------------------------------------------------------------------------
+# Generic traversal
+
+def children(t) -> tuple:
+    """The process-term children of t, left to right.  A recursion constant's
+    children are its equations' right-hand sides in declaration order."""
+    cls = type(t)
+    if cls in _LEAF:
+        return ()
+    if cls in _BINARY:
+        return t.l, t.r
+    if cls in _UNARY_BODY:
+        return (t.body,)
+    if cls is Rec:
+        return tuple(rhs for _, rhs in t.spec.equations)
+    raise ValueError("not a process term: %r" % (t,))
+
+
+def with_children(t, kids):
+    """t with its children, in `children` order, replaced by kids; every
+    other field is kept."""
+    cls = type(t)
+    if cls in _LEAF:
+        return t
+    if cls in _BINARY:
+        return cls(*kids)
+    if cls in _UNARY_BODY:
+        # the head is the first declared field, the body the second
+        return cls(getattr(t, cls.__match_args__[0]), *kids)
+    return Rec(t.var, RecSpec(tuple(zip(t.spec.vars(), kids))))
+
+
 def flexvars_term(t) -> frozenset:
     """All flexible variables occurring in data positions of t (not counting
     bindings by inner valuations)."""
-    if isinstance(t, (Empty, Dead, Silent, Act, Var)):
-        return frozenset()
-    if isinstance(t, DataAct):
-        out = frozenset()
-        for e in t.args:
-            out |= flexvars_expr(e)
-        return out
-    if isinstance(t, Assign):
-        return frozenset((t.var,)) | flexvars_expr(t.e)
-    if isinstance(t, _BINARY):
-        return flexvars_term(t.l) | flexvars_term(t.r)
+    out = mentions_of(t)
     if isinstance(t, Guard):
-        return flexvars_cond(t.cond) | flexvars_term(t.body)
-    if isinstance(t, _UNARY_BODY):
-        return flexvars_term(t.body)
-    if isinstance(t, Rec):
-        out = frozenset()
-        for _, rhs in t.spec.equations:
-            out |= flexvars_term(rhs)
-        return out
-    raise ValueError("not a process term: %r" % (t,))
+        out |= flexvars_cond(t.cond)
+    for c in children(t):
+        out |= flexvars_term(c)
+    return out
 
 
 def mentions_of(t) -> frozenset:
@@ -588,26 +594,10 @@ def subst_vars(t, mapping):
     """Replace Var(X) occurrences per `mapping` (name -> ProcTerm)."""
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    if isinstance(t, (Empty, Dead, Silent, Act, DataAct, Assign)):
-        return t
-    if isinstance(t, _BINARY):
-        return type(t)(subst_vars(t.l, mapping), subst_vars(t.r, mapping))
-    if isinstance(t, Guard):
-        return Guard(t.cond, subst_vars(t.body, mapping))
-    if isinstance(t, Encap):
-        return Encap(t.acts, subst_vars(t.body, mapping))
-    if isinstance(t, Abstr):
-        return Abstr(t.acts, subst_vars(t.body, mapping))
-    if isinstance(t, Eval):
-        return Eval(t.rho, subst_vars(t.body, mapping))
-    if isinstance(t, Proj):
-        return Proj(t.n, subst_vars(t.body, mapping))
-    if isinstance(t, Rename):
-        return Rename(t.f, subst_vars(t.body, mapping))
     if isinstance(t, Rec):
         # inner specs bind their own variables; do not substitute under them
         return t
-    raise ValueError("not a process term: %r" % (t,))
+    return with_children(t, [subst_vars(c, mapping) for c in children(t)])
 
 
 def subst_rec(t, E: RecSpec):
@@ -624,57 +614,20 @@ def rename_rec_vars(t, mapping):
     """Consistently rename recursion variables (specs and occurrences)."""
     if isinstance(t, Var):
         return Var(mapping.get(t.name, t.name))
-    if isinstance(t, (Empty, Dead, Silent, Act, DataAct, Assign)):
-        return t
-    if isinstance(t, _BINARY):
-        return type(t)(rename_rec_vars(t.l, mapping), rename_rec_vars(t.r, mapping))
-    if isinstance(t, Guard):
-        return Guard(t.cond, rename_rec_vars(t.body, mapping))
-    if isinstance(t, Encap):
-        return Encap(t.acts, rename_rec_vars(t.body, mapping))
-    if isinstance(t, Abstr):
-        return Abstr(t.acts, rename_rec_vars(t.body, mapping))
-    if isinstance(t, Eval):
-        return Eval(t.rho, rename_rec_vars(t.body, mapping))
-    if isinstance(t, Proj):
-        return Proj(t.n, rename_rec_vars(t.body, mapping))
-    if isinstance(t, Rename):
-        return Rename(t.f, rename_rec_vars(t.body, mapping))
     if isinstance(t, Rec):
         eqs = tuple(
             (mapping.get(n, n), rename_rec_vars(rhs, mapping)) for n, rhs in t.spec.equations
         )
         return Rec(mapping.get(t.var, t.var), RecSpec(eqs))
-    raise ValueError("not a process term: %r" % (t,))
+    return with_children(t, [rename_rec_vars(c, mapping) for c in children(t)])
 
 
 def canonical_rename(t):
     """Rename every recursion spec's variables to V1, V2, ... in declaration
     order, so terms equal up to consistent renaming compare structurally."""
     if isinstance(t, Rec):
-        mapping = {n: "V%d" % (k + 1) for k, n in enumerate(t.spec.vars())}
-        eqs = tuple(
-            (mapping[n], canonical_rename(rename_rec_vars(rhs, mapping)))
-            for n, rhs in t.spec.equations
-        )
-        return Rec(mapping[t.var], RecSpec(eqs))
-    if isinstance(t, (Empty, Dead, Silent, Act, DataAct, Assign, Var)):
-        return t
-    if isinstance(t, _BINARY):
-        return type(t)(canonical_rename(t.l), canonical_rename(t.r))
-    if isinstance(t, Guard):
-        return Guard(t.cond, canonical_rename(t.body))
-    if isinstance(t, Encap):
-        return Encap(t.acts, canonical_rename(t.body))
-    if isinstance(t, Abstr):
-        return Abstr(t.acts, canonical_rename(t.body))
-    if isinstance(t, Eval):
-        return Eval(t.rho, canonical_rename(t.body))
-    if isinstance(t, Proj):
-        return Proj(t.n, canonical_rename(t.body))
-    if isinstance(t, Rename):
-        return Rename(t.f, canonical_rename(t.body))
-    raise ValueError("not a process term: %r" % (t,))
+        t = rename_rec_vars(t, {n: "V%d" % (k + 1) for k, n in enumerate(t.spec.vars())})
+    return with_children(t, [canonical_rename(c) for c in children(t)])
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +651,10 @@ def validate_linear(t) -> bool:
     return False
 
 
-def _linear_summands(t):
-    if isinstance(t, Alt):
-        yield from _linear_summands(t.l)
-        yield from _linear_summands(t.r)
+def _flatten(t, node):
+    if isinstance(t, node):
+        yield from _flatten(t.l, node)
+        yield from _flatten(t.r, node)
     else:
         yield t
 
@@ -715,7 +668,7 @@ def validate_guarded(E: RecSpec) -> bool:
     edges = {}
     for name, rhs in E.equations:
         outs = set()
-        for s in _linear_summands(rhs):
+        for s in _flatten(rhs, Alt):
             if (
                 isinstance(s, Guard)
                 and isinstance(s.body, Seq)
@@ -723,318 +676,164 @@ def validate_guarded(E: RecSpec) -> bool:
             ):
                 outs.add(s.body.r.name)
         edges[name] = outs
-    # cycle detection over the tau-edge graph
-    state = {}  # 0 in progress, 1 done
-
-    def visit(n):
-        if state.get(n) == 0:
-            return False
-        if state.get(n) == 1:
-            return True
-        state[n] = 0
-        for m in edges.get(n, ()):
-            if not visit(m):
-                return False
-        state[n] = 1
-        return True
-
-    return all(visit(n) for n in edges)
-
-
-def _match_op_equation(rhs, memvar):
-    """cond True, assignment memvar := o(memvar), next variable.  Returns
-    (descriptor, successor) or None."""
-    if not (isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC)):
-        return None
-    b = rhs.body
-    if not (isinstance(b, Seq) and isinstance(b.r, Var) and isinstance(b.l, Assign)):
-        return None
-    a = b.l
-    if a.var != memvar or not isinstance(a.e, Apply1):
-        return None
-    if not isinstance(a.e.op, ramops.SINGLE_MEM):
-        return None
-    if a.e.e != FlexVar(memvar):
-        return None
-    return a.e.op, b.r.name
-
-
-def _match_test_equation(rhs, memvar):
-    """Two-summand jump test over memvar.  Returns (descriptor, target-if-1,
-    target-if-0) or None."""
-    if not isinstance(rhs, Alt):
-        return None
-    summands = list(_linear_summands(rhs))
-    if len(summands) != 2:
-        return None
-
-    def read(s):
-        if not (isinstance(s, Guard) and isinstance(s.cond, PropAtom)):
-            return None
-        c = s.cond
-        if c.e != FlexVar(memvar):
-            return None
-        b = s.body
-        if not (isinstance(b, Seq) and isinstance(b.r, Var) and isinstance(b.l, Assign)):
-            return None
-        if b.l.var != memvar or b.l.e != FlexVar(memvar):
-            return None
-        return c.p, c.expected, b.r.name
-
-    r1, r2 = read(summands[0]), read(summands[1])
-    if r1 is None or r2 is None:
-        return None
-    if r1[0] != r2[0] or {r1[1], r2[1]} != {0, 1}:
-        return None
-    taken = r1[2] if r1[1] == 1 else r2[2]
-    fallthrough = r1[2] if r1[1] == 0 else r2[2]
-    return r1[0], taken, fallthrough
-
-
-def _match_halt_equation(rhs):
-    return isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC) and isinstance(rhs.body, Empty)
-
-
-def validate_ramp(t) -> bool:
-    """Single sequential machine shape: a recursion constant whose equations,
-    in declaration order, each compile from one instruction over memory RM.
-
-    Operator equations fall through to the next equation; tests fall through
-    on 0 and may jump anywhere on 1; the control flow never runs past the
-    last equation.
-    """
-    if not isinstance(t, Rec):
-        return False
-    eqs = t.spec.equations
-    if t.var != eqs[0][0]:
-        return False
-    names = [n for n, _ in eqs]
-    index = {n: k for k, n in enumerate(names)}
-    for k, (name, rhs) in enumerate(eqs):
-        m = _match_op_equation(rhs, "RM")
-        if m is not None:
-            nxt = m[1]
-            if nxt not in index or index[nxt] != k + 1:
-                return False
-            continue
-        m = _match_test_equation(rhs, "RM")
-        if m is not None:
-            _, taken, fall = m
-            if taken not in index:
-                return False
-            if fall not in index or index[fall] != k + 1:
-                return False
-            continue
-        if _match_halt_equation(rhs):
-            continue
+    try:  # the tau-edge graph has a topological order iff it has no cycle
+        TopologicalSorter(edges).prepare()
+    except CycleError:
         return False
     return True
 
 
-def _match_ini_equation(rhs):
-    """Root shape: True :-> RM_i := ini(...) . successor.  Returns (i,
-    private variable name, successor) or None."""
+# ---------------------------------------------------------------------------
+# Machine shapes
+
+RAMP, APRAMP, SPRAMP = "ramp", "apramp", "spramp"
+
+# step kinds each mode accepts after the root
+_KINDS = {
+    RAMP: ("op", "test", "halt"),
+    APRAMP: ("op", "load", "store", "test", "halt"),
+    SPRAMP: ("op", "load", "store", "test", "halt", "sync"),
+}
+
+
+def _read_step(rhs, memvar):
+    """Read one right-hand side as a machine step over memory `memvar`:
+    (kind, descriptor, successor names) with kind ini, op, load, store,
+    test, halt or sync, or None for no machine shape.  A test's successors
+    are its target on 1, then its target on 0."""
+    if isinstance(rhs, Alt):
+        return _read_test(rhs, memvar)
     if not (isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC)):
         return None
     b = rhs.body
-    if not (isinstance(b, Seq) and isinstance(b.r, Var) and isinstance(b.l, Assign)):
+    if isinstance(b, Empty):
+        return "halt", None, ()
+    if not (isinstance(b, Seq) and isinstance(b.r, Var)):
         return None
-    a = b.l
-    if not (isinstance(a.e, Apply1) and isinstance(a.e.op, Ini)):
+    nxt = (b.r.name,)
+    if b.l == Act("sync"):
+        return "sync", None, nxt
+    if not isinstance(b.l, Assign):
         return None
-    if a.e.e != FlexVar(a.var):
-        return None
-    return a.e.op.i, a.var, b.r.name
+    var, e = b.l.var, b.l.e
+    if isinstance(e, Apply1) and e.e == FlexVar(var):
+        if isinstance(e.op, Ini):
+            return "ini", (e.op.i, var), nxt
+        if var == memvar:
+            return "op", e.op, nxt
+    if isinstance(e, Apply2) and (e.e_priv, e.e_shared) == (FlexVar(memvar), FlexVar("RM")):
+        if isinstance(e.op, Load) and var == memvar:
+            return "load", e.op, nxt
+        if isinstance(e.op, Store) and var == "RM":
+            return "store", e.op, nxt
+    return None
 
 
-def _match_load_equation(rhs, memvar):
-    if not (isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC)):
+def _read_test(rhs, memvar):
+    summands = list(_flatten(rhs, Alt))
+    if len(summands) != 2:
         return None
-    b = rhs.body
-    if not (isinstance(b, Seq) and isinstance(b.r, Var) and isinstance(b.l, Assign)):
+    reads = []
+    for s in summands:
+        if not (isinstance(s, Guard) and isinstance(s.cond, PropAtom)
+                and s.cond.e == FlexVar(memvar)):
+            return None
+        b = s.body
+        if not (isinstance(b, Seq) and isinstance(b.r, Var)
+                and b.l == Assign(memvar, FlexVar(memvar))):
+            return None
+        reads.append((s.cond.p, s.cond.expected, b.r.name))
+    (p1, bit1, n1), (p2, bit2, n2) = reads
+    if p1 != p2 or {bit1, bit2} != {0, 1}:
         return None
-    a = b.l
-    if a.var != memvar or not isinstance(a.e, Apply2):
-        return None
-    if not isinstance(a.e.op, Load):
-        return None
-    if a.e.e_priv != FlexVar(memvar) or a.e.e_shared != FlexVar("RM"):
-        return None
-    return a.e.op, b.r.name
+    return "test", p1, (n1, n2) if bit1 == 1 else (n2, n1)
 
 
-def _match_store_equation(rhs, memvar):
-    if not (isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC)):
-        return None
-    b = rhs.body
-    if not (isinstance(b, Seq) and isinstance(b.r, Var) and isinstance(b.l, Assign)):
-        return None
-    a = b.l
-    if a.var != "RM" or not isinstance(a.e, Apply2):
-        return None
-    if not isinstance(a.e.op, Store):
-        return None
-    if a.e.e_priv != FlexVar(memvar) or a.e.e_shared != FlexVar("RM"):
-        return None
-    return a.e.op, b.r.name
+def decode_component(t, mode):
+    """Read a machine term equation by equation, in declaration order.
 
+    In mode RAMP the term is one sequential machine over memory RM.  In
+    APRAMP and SPRAMP it is component i of a parallel machine: a root
+    equation RM_i := ini(RM_i), then steps over RM_i and the shared RM, and
+    in SPRAMP handshake (sync) equations as well.  Every step but a test or
+    halt falls through to the next equation; a test falls through on 0 and
+    jumps on 1 to any equation (in the parallel modes, any but the root).
+    In SPRAMP every edge joins a handshake and a non-handshake equation.
 
-def _validate_async_component(t) -> int:
-    """Check one asynchronous shared-memory component; returns its number."""
+    Returns (number, steps): the component number (None in RAMP) and one
+    (kind, descriptor, successor indices) triple per equation.  Raises
+    ValueError naming the first rule the term breaks.
+    """
     if not isinstance(t, Rec):
         raise ValueError("component is not a recursion constant")
     eqs = t.spec.equations
-    root_name, root_rhs = eqs[0]
-    if t.var != root_name:
+    if t.var != eqs[0][0]:
         raise ValueError("component does not start at its first equation")
-    m = _match_ini_equation(root_rhs)
-    if m is None:
-        raise ValueError("root equation %s lacks the ini step" % (root_name,))
-    comp, memvar, succ = m
-    if memvar != "RM_%d" % comp:
-        raise ValueError("component %d uses private memory %s" % (comp, memvar))
-    names = [n for n, _ in eqs]
-    index = {n: k for k, n in enumerate(names)}
-    if succ not in index or index[succ] != 1:
-        raise ValueError("root equation %s must continue at the next equation" % (root_name,))
-    for k, (name, rhs) in enumerate(eqs[1:], start=1):
-        for matcher in (
-            lambda r: _match_op_equation(r, memvar),
-            lambda r: _match_load_equation(r, memvar),
-            lambda r: _match_store_equation(r, memvar),
-        ):
-            m = matcher(rhs)
-            if m is not None:
-                nxt = m[1]
-                if nxt not in index or index[nxt] != k + 1:
-                    raise ValueError("equation %s must fall through to the next" % (name,))
-                break
-        else:
-            m = _match_test_equation(rhs, memvar)
-            if m is not None:
-                _, taken, fall = m
-                if taken not in index or index[taken] == 0:
-                    raise ValueError("equation %s jumps out of range" % (name,))
-                if fall not in index or index[fall] != k + 1:
-                    raise ValueError("equation %s must fall through to the next" % (name,))
-                continue
-            if _match_halt_equation(rhs):
-                continue
+    number, memvar = None, "RM"
+    index = {n: k for k, (n, _) in enumerate(eqs)}
+    steps = []
+    for k, (name, rhs) in enumerate(eqs):
+        step = _read_step(rhs, memvar)
+        if k == 0 and mode != RAMP:
+            # the root's ini step names the component and its memory
+            if step is None or step[0] != "ini":
+                raise ValueError("root equation %s lacks the ini step" % (name,))
+            number, memvar = step[1]
+            if memvar != "RM_%d" % number:
+                raise ValueError("component %d uses private memory %s" % (number, memvar))
+        elif step is None or step[0] not in _KINDS[mode]:
             raise ValueError("equation %s matches no machine shape" % (name,))
-    return comp
+        kind, desc, succs = step
+        if kind == "test":
+            taken = index.get(succs[0])
+            if taken is None or (taken == 0 and mode != RAMP):
+                raise ValueError("equation %s jumps out of range" % (name,))
+        if succs and index.get(succs[-1]) != k + 1:
+            if kind == "ini" and mode == SPRAMP:
+                raise ValueError("root must continue at the next equation")
+            if kind == "ini":
+                raise ValueError("root equation %s must continue at the next equation" % (name,))
+            raise ValueError("%sequation %s must fall through to the next"
+                             % ("sync " if kind == "sync" else "", name))
+        steps.append((kind, desc, tuple(index[s] for s in succs)))
+    if mode == SPRAMP:
+        for (name, _), (kind, _, succs) in zip(eqs, steps):
+            for s in succs:
+                if (kind == "sync") == (steps[s][0] == "sync"):
+                    raise ValueError(
+                        "edge %s -> %s does not alternate with the synchronization rounds"
+                        % (name, eqs[s][0])
+                    )
+    return number, tuple(steps)
 
 
-def _flatten(t, node):
-    if isinstance(t, node):
-        yield from _flatten(t.l, node)
-        yield from _flatten(t.r, node)
-    else:
-        yield t
+def validate_ramp(t) -> bool:
+    """Single sequential machine shape: a recursion constant whose equations,
+    in declaration order, each compile from one instruction over memory RM
+    (see `decode_component`)."""
+    try:
+        decode_component(t, RAMP)
+    except ValueError:
+        return False
+    return True
+
+
+def _validate_machine(t, node, mode) -> int:
+    comps = list(_flatten(t, node))
+    for k, c in enumerate(comps, start=1):
+        got = decode_component(c, mode)[0]
+        if got != k:
+            raise ValueError("component %d carries number %d" % (k, got))
+    return len(comps)
 
 
 def validate_apramp(t) -> int:
     """Asynchronous parallel machine: an interleaving composition of
     components numbered 1..n in order.  Returns n."""
-    comps = list(_flatten(t, Par))
-    for k, c in enumerate(comps, start=1):
-        got = _validate_async_component(c)
-        if got != k:
-            raise ValueError("component %d carries number %d" % (k, got))
-    return len(comps)
-
-
-def _match_sync_equation(rhs):
-    """True :-> sync . successor.  Returns the successor name or None."""
-    if not (isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC)):
-        return None
-    b = rhs.body
-    if not (isinstance(b, Seq) and isinstance(b.r, Var)):
-        return None
-    if b.l != Act("sync"):
-        return None
-    return b.r.name
-
-
-def _validate_sync_component(t) -> int:
-    """Check one synchronous component; returns its number.
-
-    Beyond the asynchronous shapes, successors must alternate: every edge of
-    the equation graph joins a sync equation and a non-sync equation.
-    """
-    if not isinstance(t, Rec):
-        raise ValueError("component is not a recursion constant")
-    eqs = t.spec.equations
-    root_name, root_rhs = eqs[0]
-    if t.var != root_name:
-        raise ValueError("component does not start at its first equation")
-    m = _match_ini_equation(root_rhs)
-    if m is None:
-        raise ValueError("root equation %s lacks the ini step" % (root_name,))
-    comp, memvar, _ = m
-    if memvar != "RM_%d" % comp:
-        raise ValueError("component %d uses private memory %s" % (comp, memvar))
-    names = [n for n, _ in eqs]
-    index = {n: k for k, n in enumerate(names)}
-
-    is_sync = {}
-    successors = {}
-    for k, (name, rhs) in enumerate(eqs):
-        s = _match_sync_equation(rhs)
-        if s is not None:
-            is_sync[name] = True
-            successors[name] = [s]
-            if s not in index or index[s] != k + 1:
-                raise ValueError("sync equation %s must fall through to the next" % (name,))
-            continue
-        is_sync[name] = False
-        if k == 0:
-            succ = _match_ini_equation(rhs)[2]
-            successors[name] = [succ]
-            if succ not in index or index[succ] != 1:
-                raise ValueError("root must continue at the next equation")
-            continue
-        for matcher in (
-            lambda r: _match_op_equation(r, memvar),
-            lambda r: _match_load_equation(r, memvar),
-            lambda r: _match_store_equation(r, memvar),
-        ):
-            m2 = matcher(rhs)
-            if m2 is not None:
-                nxt = m2[1]
-                if nxt not in index or index[nxt] != k + 1:
-                    raise ValueError("equation %s must fall through to the next" % (name,))
-                successors[name] = [nxt]
-                break
-        else:
-            m2 = _match_test_equation(rhs, memvar)
-            if m2 is not None:
-                _, taken, fall = m2
-                if taken not in index or index[taken] == 0:
-                    raise ValueError("equation %s jumps out of range" % (name,))
-                if fall not in index or index[fall] != k + 1:
-                    raise ValueError("equation %s must fall through to the next" % (name,))
-                successors[name] = [taken, fall]
-                continue
-            if _match_halt_equation(rhs):
-                successors[name] = []
-                continue
-            raise ValueError("equation %s matches no machine shape" % (name,))
-    for name, outs in successors.items():
-        for s in outs:
-            if is_sync[name] == is_sync[s]:
-                raise ValueError(
-                    "edge %s -> %s does not alternate with the synchronization rounds"
-                    % (name, s)
-                )
-    return comp
+    return _validate_machine(t, Par, APRAMP)
 
 
 def validate_spramp(t) -> int:
     """Synchronous parallel machine: a synchronizing composition of
     components numbered 1..n in order.  Returns n."""
-    comps = list(_flatten(t, SyncMerge))
-    for k, c in enumerate(comps, start=1):
-        got = _validate_sync_component(c)
-        if got != k:
-            raise ValueError("component %d carries number %d" % (k, got))
-    return len(comps)
+    return _validate_machine(t, SyncMerge, SPRAMP)

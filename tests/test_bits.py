@@ -90,3 +90,10 @@ def test_format_parse():
     assert parse_bits("01") == "01"
     with pytest.raises(ValueError):
         parse_bits("x1")
+
+
+def test_wide_numbers_round_trip():
+    n = 2 ** 5000
+    assert ntob(n) == "0" * 5000 + "1"
+    assert bton(ntob(n)) == n
+    assert bin_arith("add", ntob(n), ntob(n)) == ntob(2 * n)

@@ -65,6 +65,13 @@ def test_run_addition(tmp_path, capsys):
     assert "interpreter: halted in 1 steps (agrees)" in out
 
 
+def test_run_doubling_loop_hits_state_cap(tmp_path, capsys):
+    # the register doubles every round, so values reach thousands of bits
+    dbl = _write(tmp_path, "dbl.rp", "add:1:#1:1\nadd:1:1:1\njmp:eq:#0:#0:2\nhalt\n")
+    assert main(["run", dbl, "--max-states", "2000"]) == 3
+    assert capsys.readouterr().out == "undecided: exploration stopped at 2000 states\n"
+
+
 def test_run_division(tmp_path, capsys):
     prog = _write(tmp_path, "div.rp", sample_terms.DIVISION_PROGRAM)
     mem = _write(tmp_path, "rm.mem", "1 = 1101\n2 = 11\n")
