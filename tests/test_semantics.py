@@ -5,6 +5,15 @@ import pytest
 
 from ramproc import terms as T
 from ramproc.bisim import rb_bisim
+from ramproc.machines import (
+    SMBRAM,
+    compose_async,
+    compose_sync,
+    parse_program,
+    proc_of_bbram,
+    proc_of_smbram_async,
+    proc_of_smbram_sync,
+)
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.semantics import (
     CommFunction,
@@ -277,3 +286,111 @@ def test_lts_export():
     assert j["transitions"][0]["label"] == "a"
     d = lts_to_dot(l)
     assert "digraph" in d and "->" in d
+
+
+# ---------------------------------------------------------------------------
+# Pinned transition systems: state numbering, state terms, success flags and
+# transitions in exploration order, exactly as `lts_to_json` exports them.
+
+APRAMP_STATES = [
+    ("eval{RM = [], RM_1 = [], RM_2 = []}(rec X1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = []}(eps . rec Y1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [], RM_1 = [], RM_2 = [0:01]}(rec X1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || eps . rec Y1 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [1:1], RM_1 = [0:1], RM_2 = []}(eps . rec Y2 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = [0:01]}(eps . rec Y1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || eps . rec Y1 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [], RM_1 = [], RM_2 = [0:01]}(rec X1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || eps . rec Y2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [1:1], RM_1 = [0:1], RM_2 = [0:01]}(eps . rec Y2 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || eps . rec Y1 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = [0:01]}(eps . rec Y1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || eps . rec Y2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", False),
+    ("eval{RM = [1:1], RM_1 = [0:1], RM_2 = [0:01]}(eps . rec Y2 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> RM := sto:0:@0(RM_1, RM) . Y2, Y2 = True :-> eps} || eps . rec Y2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y2, Y2 = True :-> eps})", True),
+]
+APRAMP_TRANSITIONS = [
+    (0, "RM_1 := [0:1]", 1),
+    (0, "RM_2 := [0:01]", 2),
+    (1, "RM := [1:1]", 3),
+    (1, "RM_2 := [0:01]", 4),
+    (2, "RM_1 := [0:1]", 4),
+    (2, "RM_2 := [0:01]", 5),
+    (3, "RM_2 := [0:01]", 6),
+    (4, "RM := [1:1]", 6),
+    (4, "RM_2 := [0:01]", 7),
+    (5, "RM_1 := [0:1]", 7),
+    (6, "RM_2 := [0:01]", 8),
+    (7, "RM := [1:1]", 8),
+]
+SPRAMP_STATES = [
+    ("eval{RM = [], RM_1 = [], RM_2 = []}(rec X1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps} ||sync rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps})", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = []}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [], RM_1 = [], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](rec X1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y1 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y1 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y1 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y2 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [1:1], RM_1 = [0:1], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y3 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [], RM_1 = [0:1], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y2 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y3 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [1:1], RM_1 = [0:1], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y3 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y3 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", False),
+    ("eval{RM = [1:1], RM_1 = [0:1], RM_2 = [0:01]}(rename[synced->sync](encap{sync}(rename[synced->sync](eps . rec Y4 {X1 = True :-> RM_1 := ini:#1(RM_1) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM := sto:0:@0(RM_1, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}) || rename[synced->sync](eps . rec Y4 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> sync . Y2, Y2 = True :-> RM_2 := loa:@0:1(RM_2, RM) . Y3, Y3 = True :-> sync . Y4, Y4 = True :-> eps}))))", True),
+]
+SPRAMP_TRANSITIONS = [
+    (0, "RM_1 := [0:1]", 1),
+    (0, "RM_2 := [0:01]", 2),
+    (1, "RM_2 := [0:01]", 3),
+    (2, "RM_1 := [0:1]", 3),
+    (3, "sync", 4),
+    (4, "RM := [1:1]", 5),
+    (4, "RM_2 := [0:01]", 6),
+    (5, "RM_2 := [0:01]", 7),
+    (6, "RM := [1:1]", 7),
+    (7, "sync", 8),
+]
+DIVISION_STATES = [
+    ("eval{RM = [1:101, 2:01]}(rec X1 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [1:101, 2:01, 3:101]}(eps . rec X2 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [1:101, 2:01, 3:101]}(eps . rec X3 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [1:101, 2:01, 3:11]}(eps . rec X4 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:1, 1:101, 2:01, 3:11]}(eps . rec X5 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:1, 1:101, 2:01, 3:11]}(eps . rec X2 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:1, 1:101, 2:01, 3:11]}(eps . rec X3 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:1, 1:101, 2:01, 3:1]}(eps . rec X4 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:01, 1:101, 2:01, 3:1]}(eps . rec X5 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:01, 1:101, 2:01, 3:1]}(eps . rec X2 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", False),
+    ("eval{RM = [0:01, 1:101, 2:01, 3:1]}(eps . rec X6 {X1 = True :-> RM := mov:1:3(RM) . X2, X2 = gt:2:3(RM) = 1 :-> RM := RM . X6 + gt:2:3(RM) = 0 :-> RM := RM . X3, X3 = True :-> RM := sub:3:2:3(RM) . X4, X4 = True :-> RM := add:0:#1:0(RM) . X5, X5 = eq:#0:#0(RM) = 1 :-> RM := RM . X2 + eq:#0:#0(RM) = 0 :-> RM := RM . X6, X6 = True :-> eps})", True),
+]
+DIVISION_TRANSITIONS = [
+    (0, "RM := [1:101, 2:01, 3:101]", 1),
+    (1, "RM := [1:101, 2:01, 3:101]", 2),
+    (2, "RM := [1:101, 2:01, 3:11]", 3),
+    (3, "RM := [0:1, 1:101, 2:01, 3:11]", 4),
+    (4, "RM := [0:1, 1:101, 2:01, 3:11]", 5),
+    (5, "RM := [0:1, 1:101, 2:01, 3:11]", 6),
+    (6, "RM := [0:1, 1:101, 2:01, 3:1]", 7),
+    (7, "RM := [0:01, 1:101, 2:01, 3:1]", 8),
+    (8, "RM := [0:01, 1:101, 2:01, 3:1]", 9),
+    (9, "RM := [0:01, 1:101, 2:01, 3:1]", 10),
+]
+
+
+def _pinned_parallel(compose, component):
+    texts = ["sto:0:@0\nhalt\n", "loa:@0:1\nhalt\n"]
+    term = compose([component(i, parse_program(p, SMBRAM)) for i, p in enumerate(texts, start=1)])
+    return build_lts(term, Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(term)}))
+
+
+@pytest.mark.parametrize("build, states, transitions", [
+    (lambda: _pinned_parallel(compose_async, proc_of_smbram_async),
+     APRAMP_STATES, APRAMP_TRANSITIONS),
+    (lambda: _pinned_parallel(compose_sync, proc_of_smbram_sync),
+     SPRAMP_STATES, SPRAMP_TRANSITIONS),
+    (lambda: build_lts(proc_of_bbram(parse_program(sample_terms.DIVISION_PROGRAM)),
+                       Valuation.make({"RM": MemState({1: "101", 2: "01"})})),
+     DIVISION_STATES, DIVISION_TRANSITIONS),
+], ids=["apramp-2x1", "spramp-2x1", "division-5-by-2"])
+def test_lts_identity_pinned(build, states, transitions):
+    assert lts_to_json(build()) == {
+        "initial": 0,
+        "exploded": False,
+        "states": [
+            {"id": i, "term": term, "success": success}
+            for i, (term, success) in enumerate(states)
+        ],
+        "transitions": [
+            {"from": src, "label": label, "to": dst} for src, label, dst in transitions
+        ],
+    }
