@@ -78,7 +78,15 @@ def cmd_compile(args) -> int:
     return 0
 
 
+def _at_least(args, name, low):
+    value = getattr(args, name)
+    if value < low:
+        raise ValueError("--%s must be at least %d, got %d" % (name.replace("_", "-"), low, value))
+
+
 def cmd_run(args) -> int:
+    _at_least(args, "max_states", 1)
+    _at_least(args, "fuel", 0)
     term, progs = _build_term(args)
     rho = _valuation(term, args.mem)
     l = semantics.build_lts(term, rho, args.max_states)
@@ -120,6 +128,7 @@ def cmd_measure(args) -> int:
     if model != args.model:
         print("error: measure %s applies to the %s model" % (args.measure, model), file=sys.stderr)
         return 2
+    _at_least(args, "max_states", 1)
     term, _ = _build_term(args)
     rho = _valuation(term, args.mem)
     try:
@@ -132,9 +141,19 @@ def cmd_measure(args) -> int:
 
 
 def _external_oracle(command):
+    """The function an oracle command computes, one process per input.  The
+    command is taken to be a function, so each distinct input is asked once
+    and its answer reused."""
     argv = shlex.split(command)
+    answers = {}
 
     def oracle(ws):
+        key = tuple(ws)
+        if key not in answers:
+            answers[key] = ask(key)
+        return answers[key]
+
+    def ask(ws):
         line = " ".join(w if w else "e" for w in ws) + "\n"
         proc = subprocess.run(argv, input=line, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -152,6 +171,9 @@ def _external_oracle(command):
 
 
 def cmd_check(args) -> int:
+    _at_least(args, "max_states", 1)
+    _at_least(args, "arity", 0)
+    _at_least(args, "max_len", 0)
     term, _ = _build_term(args)
     inputs = complexity.all_inputs(args.arity, args.max_len)
     if not inputs:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import terms as T
 from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
-    EMPTY_VALUATION, Valuation, eval_cond, eval_data, mentions_of, subst_rec,
+    EMPTY_VALUATION, Valuation, eval_cond, eval_data, mentions_of, unfold,
 )
 
 
@@ -203,7 +203,7 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
     if isinstance(t, T.Rec):
         u, n = t, 0
         while isinstance(u, T.Rec):
-            u = subst_rec(u, u.spec)
+            u = unfold(u)
             n += 1
             if n > 1000:
                 raise SemanticsError("recursion does not reach a guarded form")

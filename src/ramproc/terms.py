@@ -21,26 +21,55 @@ from .ramops import CmpOp, Ini, Load, Store, apply_ini, apply_op, apply_prop, ap
 
 
 # ---------------------------------------------------------------------------
+# Nodes
+
+def node(cls):
+    """`@dataclass(frozen=True, slots=True)` whose hash is computed on the
+    first `hash()` call and kept in a hidden `_hash` slot.
+
+    Terms are immutable and states embed whole recursion specs, so hashing
+    them afresh on every dictionary lookup would cost time proportional to
+    the term's size.  The hash covers the node's class and its compared
+    fields.  Construction only marks it as not yet computed, which keeps
+    building terms that are never hashed cheap.
+    """
+    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "int"}
+    cls._hash = field(default=None, init=False, compare=False, repr=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    fields_hash = cls.__hash__  # the dataclass hash of the compared fields
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((cls, fields_hash(self)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Data expressions
 
-@dataclass(frozen=True, slots=True)
+@node
 class FlexVar:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class MemLiteral:
     mem: MemState
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Upd:
     base: object
     idx: int
     val: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Apply1:
     """A single-memory operator (or ini) applied to a memory expression."""
 
@@ -52,7 +81,7 @@ class Apply1:
             raise ValueError("Apply1 takes a single-memory operator or ini")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Apply2:
     """Load/store applied to (private, shared) memory expressions."""
 
@@ -98,17 +127,17 @@ def flexvars_expr(e) -> frozenset:
 # ---------------------------------------------------------------------------
 # Conditions (quantifier-free)
 
-@dataclass(frozen=True, slots=True)
+@node
 class TrueC:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class FalseC:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class PropAtom:
     """A register-comparison applied to a memory expression, tested against
     an expected bit."""
@@ -124,30 +153,30 @@ class PropAtom:
             raise ValueError("expected bit must be 0 or 1")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class DataEq:
     e1: object
     e2: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Not:
     c: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class And:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Or:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Implies:
     l: object
     r: object
@@ -194,7 +223,7 @@ def flexvars_cond(c) -> frozenset:
 # ---------------------------------------------------------------------------
 # Valuations
 
-@dataclass(frozen=True, slots=True)
+@node
 class Valuation:
     """Immutable flexible-variable environment (name -> MemState)."""
 
@@ -234,23 +263,23 @@ EMPTY_VALUATION = Valuation()
 # ---------------------------------------------------------------------------
 # Action labels (transition decorations) and action sets
 
-@dataclass(frozen=True, slots=True)
+@node
 class Tau:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Plain:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class DataAction:
     name: str
     args: tuple  # evaluated MemState arguments
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Assignment:
     """A performed assignment: the flexible variable and its new value.
 
@@ -279,7 +308,7 @@ def format_label(l) -> str:
     raise ValueError("not a label: %r" % (l,))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class ActionSet:
     """A set of actions for encapsulation/abstraction.
 
@@ -336,7 +365,7 @@ class ActionSet:
 # ---------------------------------------------------------------------------
 # Renaming maps (plain/data action names; assignments and silence are fixed)
 
-@dataclass(frozen=True, slots=True)
+@node
 class ActionMap:
     entries: tuple = ()  # sorted (old, new) name pairs
 
@@ -361,104 +390,106 @@ class ActionMap:
 # ---------------------------------------------------------------------------
 # Process terms
 
-@dataclass(frozen=True, slots=True)
+@node
 class Empty:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Dead:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Silent:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Act:
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class DataAct:
     name: str
     args: tuple  # DataExpr tuple
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Assign:
     var: str
     e: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Alt:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Seq:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Par:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class LeftMerge:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CommMerge:
     l: object
     r: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Encap:
     acts: ActionSet
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Abstr:
     acts: ActionSet
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Guard:
     cond: object
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Eval:
     rho: Valuation
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Var:
     """A recursion variable occurrence inside an equation right-hand side."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class RecSpec:
     """A finite set of recursion equations, in declaration order."""
 
     equations: tuple  # (name, ProcTerm) pairs
+    # var -> one-step unfolding of Rec(var, self), filled in by `unfold`
+    _unfolded: dict = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.equations]
@@ -478,7 +509,7 @@ class RecSpec:
         return any(n == name for n, _ in self.equations)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Rec:
     """The constant denoting variable `var`'s solution of spec `spec`."""
 
@@ -490,7 +521,7 @@ class Rec:
             raise ValueError("recursion constant for unknown variable %r" % (self.var,))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Proj:
     n: int
     body: object
@@ -500,13 +531,13 @@ class Proj:
             raise ValueError("projection depth is a natural")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Rename:
     f: ActionMap
     body: object
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class SyncMerge:
     l: object
     r: object
@@ -608,6 +639,20 @@ def subst_rec(t, E: RecSpec):
         t = E.rhs(t.var)
     mapping = {name: Rec(name, E) for name in E.vars()}
     return subst_vars(t, mapping)
+
+
+def unfold(t: Rec):
+    """`subst_rec(t, t.spec)`, computed once per variable and spec object:
+    unfolding the same constant again returns the same term."""
+    spec = t.spec
+    memo = spec._unfolded
+    if memo is None:
+        memo = {}
+        object.__setattr__(spec, "_unfolded", memo)
+    u = memo.get(t.var)
+    if u is None:
+        u = memo[t.var] = subst_rec(t, spec)
+    return u
 
 
 def rename_rec_vars(t, mapping):

@@ -1,6 +1,9 @@
 import json
+import sys
 
-from ramproc.cli import main
+import pytest
+
+from ramproc.cli import _external_oracle, main
 from ramproc.machines import format_program, parse_program
 
 import sample_terms
@@ -180,3 +183,33 @@ def test_check_oracle_crash(tmp_path, capsys):
 def test_missing_file_reports_error(capsys):
     assert main(["compile", "/nonexistent/p.rp"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_asks_each_input_once(tmp_path):
+    log = tmp_path / "calls.log"
+    script = _write(tmp_path, "oracle.py",
+                    "import sys\nopen(%r, 'a').write('x')\nprint(sys.stdin.readline().split()[0])\n"
+                    % str(log))
+    oracle = _external_oracle("%s %s" % (sys.executable, script))
+    assert oracle(("1", "")) == "1"
+    assert oracle(["1", ""]) == "1"
+    assert log.read_text() == "x"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--oracle", "false", "--arity", "-1"], "--arity must be at least 0, got -1"),
+    (["check", "--oracle", "false", "--max-len", "-2"], "--max-len must be at least 0, got -2"),
+    (["check", "--oracle", "false", "--max-states", "0"], "--max-states must be at least 1, got 0"),
+    (["run", "--max-states", "0"], "--max-states must be at least 1, got 0"),
+    (["run", "--max-states", "-5"], "--max-states must be at least 1, got -5"),
+    (["run", "--fuel", "-1"], "--fuel must be at least 0, got -1"),
+    (["measure", "--measure", "sutm", "--max-states", "0"], "--max-states must be at least 1, got 0"),
+    (["measure", "--measure", "sutm", "--max-states", "-5"], "--max-states must be at least 1, got -5"),
+], ids=["check-arity", "check-max-len", "check-max-states", "run-max-states-0",
+        "run-max-states-neg", "run-fuel", "measure-max-states-0", "measure-max-states-neg"])
+def test_numeric_options_out_of_range(tmp_path, capsys, argv, message):
+    prog = _write(tmp_path, "p.rp", "halt\n")
+    assert main(argv[:1] + [prog] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message

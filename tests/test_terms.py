@@ -1,6 +1,7 @@
 import pytest
 
 from ramproc import terms as T
+from ramproc.machines import SMBRAM, parse_program, proc_of_bbram, proc_of_smbram_async
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store
 from ramproc.syntax import parse_term
@@ -117,6 +118,41 @@ def test_subst_rec_unfolds_one_level():
     spec = RecSpec((("X", Seq(Act("a"), Var("X"))),))
     t = T.subst_rec(spec.rhs("X"), spec)
     assert t == Seq(Act("a"), Rec("X", spec))
+
+
+DIVISION = "mov:1:3\njmp:gt:2:3:6\nsub:3:2:3\nadd:0:#1:0\njmp:eq:#0:#0:2\nhalt\n"
+COMPONENT = "add:1:1:1\nloa:@0:2\nsto:0:@0\njmp:eq:1:2:2\nhalt\n"
+
+
+def test_equal_terms_hash_equal():
+    built = [proc_of_bbram(parse_program(DIVISION)) for _ in range(2)]
+    assert built[0] is not built[1] and built[0] == built[1]
+    assert hash(built[0]) == hash(built[1])
+    evals = [
+        T.Eval(Valuation.make({"RM": MemState({1: "101"}), "RM_1": M1}), Seq(Act("a"), EPS))
+        for _ in range(2)
+    ]
+    assert evals[0] is not evals[1] and evals[0] == evals[1]
+    assert hash(evals[0]) == hash(evals[1])
+
+
+def test_hash_is_stable():
+    t = T.Eval(Valuation.make({"RM": M1}), proc_of_bbram(parse_program(DIVISION)))
+    first = hash(t)
+    assert hash(t) == first
+
+
+def test_unfold_matches_subst_rec():
+    comp = proc_of_smbram_async(1, parse_program(COMPONENT, SMBRAM))
+    for name in comp.spec.vars():
+        rec = Rec(name, comp.spec)
+        assert T.unfold(rec) == T.subst_rec(rec, rec.spec)
+
+
+def test_unfold_is_memoized():
+    comp = proc_of_smbram_async(1, parse_program(COMPONENT, SMBRAM))
+    assert T.unfold(comp) is T.unfold(comp)
+    assert T.unfold(comp) is T.unfold(Rec(comp.var, comp.spec))
 
 
 def test_canonical_rename():
