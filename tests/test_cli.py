@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from ramproc.cli import _external_oracle, main
-from ramproc.machines import format_program, parse_program
+from ramproc.complexity import FunctionSpec, check_computes, format_check_table, parse_affine
+from ramproc.machines import format_program, parse_program, proc_of_bbram
 
 import sample_terms
 
@@ -213,3 +214,84 @@ def test_numeric_options_out_of_range(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+_CHECK_HEADER = "input                    expected     got             steps    bound  status\n"
+
+_ADDER_TABLE = _CHECK_HEADER + """\
+(e, e)                   0            0                   1        1  pass
+(e, 0)                   0            0                   1        2  pass
+(e, 1)                   1            1                   1        2  pass
+(0, e)                   0            0                   1        2  pass
+(0, 0)                   0            0                   1        3  pass
+(0, 1)                   1            1                   1        3  pass
+(1, e)                   1            1                   1        2  pass
+(1, 0)                   1            1                   1        3  pass
+(1, 1)                   01           01                  1        3  pass
+checked 9 inputs: 9 passed, 0 failed, 0 undecided
+"""
+
+_UNDEF_TABLE = _CHECK_HEADER + """\
+(e, e)                   -            0                   1        1  fail (halts where the function is undefined)
+(e, 0)                   -            0                   1        2  fail (halts where the function is undefined)
+(e, 1)                   -            1                   1        2  fail (halts where the function is undefined)
+(0, e)                   -            0                   1        2  fail (halts where the function is undefined)
+(0, 0)                   -            0                   1        3  fail (halts where the function is undefined)
+(0, 1)                   -            1                   1        3  fail (halts where the function is undefined)
+(1, e)                   -            1                   1        2  fail (halts where the function is undefined)
+(1, 0)                   -            1                   1        3  fail (halts where the function is undefined)
+(1, 1)                   -            01                  1        3  fail (halts where the function is undefined)
+checked 9 inputs: 0 passed, 9 failed, 0 undecided
+"""
+
+_ERROR_TABLE = _CHECK_HEADER + """\
+(e, e)                   -            -                   -        1  fail (oracle error: {note})
+(e, 0)                   -            -                   -        2  fail (oracle error: {note})
+(e, 1)                   -            -                   -        2  fail (oracle error: {note})
+(0, e)                   -            -                   -        2  fail (oracle error: {note})
+(0, 0)                   -            -                   -        3  fail (oracle error: {note})
+(0, 1)                   -            -                   -        3  fail (oracle error: {note})
+(1, e)                   -            -                   -        2  fail (oracle error: {note})
+(1, 0)                   -            -                   -        3  fail (oracle error: {note})
+(1, 1)                   -            -                   -        3  fail (oracle error: {note})
+checked 9 inputs: 0 passed, 9 failed, 0 undecided
+"""
+
+
+@pytest.mark.parametrize("oracle, rc, table", [
+    ("adder", 0, _ADDER_TABLE),
+    ("false", 1, _ERROR_TABLE.format(note="oracle exited with 1")),
+    ("/nonexistent/oracle", 1,
+     _ERROR_TABLE.format(note="[Errno 2] No such file or directory: '/nonexistent/oracle'")),
+    ("garbage", 1, _ERROR_TABLE.format(note="oracle produced '2'")),
+    ("undef", 1, _UNDEF_TABLE),
+], ids=["adder", "false", "missing", "garbage", "undef"])
+def test_check_output_pinned(tmp_path, capsys, oracle, rc, table):
+    commands = {
+        "adder": "%s %s" % (sys.executable, _write(tmp_path, "oracle.py", ADD_ORACLE)),
+        "garbage": "%s -c \"print('2')\"" % sys.executable,
+        "undef": "%s %s" % (sys.executable, _write(tmp_path, "undef.py", "print('undef')\n")),
+    }
+    prog = _write(tmp_path, "add.rp", sample_terms.ADDITION_PROGRAM)
+    assert main(["check", prog, "--oracle", commands.get(oracle, oracle),
+                 "--arity", "2", "--max-len", "1", "--bound", "n+1"]) == rc
+    captured = capsys.readouterr()
+    assert captured.out == table
+    assert captured.err == ""
+
+
+def test_check_computes_repeated_input_pinned(tmp_path):
+    log = tmp_path / "starts.log"
+    script = _write(tmp_path, "oracle.py",
+                    "open(%r, 'a').write('x')\n" % str(log) + ADD_ORACLE)
+    f = FunctionSpec(2, _external_oracle("%s %s" % (sys.executable, script)),
+                     (("1", "1"), ("", "1"), ("1", "1"), ("0", ""), ("", "1")))
+    t = proc_of_bbram(parse_program(sample_terms.ADDITION_PROGRAM))
+    assert format_check_table(check_computes(t, f, parse_affine("n"))) == """\
+input                    expected     got             steps    bound  status
+(1, 1)                   01           01                  1        2  pass
+(e, 1)                   1            1                   1        1  pass
+(1, 1)                   01           01                  1        2  pass
+(0, e)                   0            0                   1        1  pass
+(e, 1)                   1            1                   1        1  pass"""
+    assert log.read_text() == "xxx"
