@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -141,24 +142,77 @@ def cmd_measure(args) -> int:
 
 
 def _external_oracle(command):
-    """The function an oracle command computes, one process per input.  The
-    command is taken to be a function, so each distinct input is asked once
-    and its answer reused."""
+    """The function an oracle command computes, one process per input, each
+    given one line and then EOF.  The command is taken to be a function, so
+    each distinct input is asked once and its answer reused.
+
+    `oracle.prefetch(inputs)` is the hint that `check_computes` gives: the
+    processes for the inputs not yet answered are started ahead of their
+    turn, in order, at most os.cpu_count() alive at once, and each answered
+    call starts the next.  A new hint replaces the old one; processes that
+    have not had their line are killed.  Without a hint each call starts its
+    own process."""
     argv = shlex.split(command)
+    if not argv:
+        raise ValueError("--oracle needs a command")
+    limit = os.cpu_count() or 1
     answers = {}
+    waiting = []  # hinted inputs without a process yet, in order
+    started = {}  # input -> Popen awaiting its line, or the OSError starting it raised
 
     def oracle(ws):
         key = tuple(ws)
-        if key not in answers:
-            answers[key] = ask(key)
+        if key in answers:
+            return answers[key]
+        if key not in started:
+            if key in waiting:
+                waiting.remove(key)
+            if len(started) >= limit:  # asked out of hint order: make room
+                waiting[:0] = started
+                stop()
+            start(key)
+        try:
+            answers[key] = ask(started.pop(key), key)
+        finally:
+            fill()
         return answers[key]
 
-    def ask(ws):
+    def prefetch(inputs):
+        stop()
+        waiting[:] = [k for k in dict.fromkeys(map(tuple, inputs)) if k not in answers]
+        fill()
+
+    def fill():
+        while waiting and len(started) < limit:
+            start(waiting.pop(0))
+
+    def start(key):
+        try:
+            started[key] = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                            stderr=subprocess.PIPE, text=True)
+        except OSError as e:
+            started[key] = e
+
+    def stop():
+        for proc in started.values():
+            if not isinstance(proc, OSError):
+                with proc:
+                    proc.kill()
+        started.clear()
+
+    def ask(proc, ws):
+        if isinstance(proc, OSError):
+            raise proc
         line = " ".join(w if w else "e" for w in ws) + "\n"
-        proc = subprocess.run(argv, input=line, capture_output=True, text=True)
+        with proc:
+            try:
+                out, _ = proc.communicate(line)
+            except BaseException:
+                proc.kill()
+                raise
         if proc.returncode != 0:
             raise RuntimeError("oracle exited with %d" % proc.returncode)
-        out = proc.stdout.strip()
+        out = out.strip()
         if out == "undef":
             return None
         if out == "e":
@@ -167,6 +221,7 @@ def _external_oracle(command):
             raise RuntimeError("oracle produced %r" % (out,))
         return out
 
+    oracle.prefetch = prefetch
     return oracle
 
 
@@ -174,13 +229,14 @@ def cmd_check(args) -> int:
     _at_least(args, "max_states", 1)
     _at_least(args, "arity", 0)
     _at_least(args, "max_len", 0)
+    oracle = _external_oracle(args.oracle)
     term, _ = _build_term(args)
     inputs = complexity.all_inputs(args.arity, args.max_len)
     if not inputs:
         print("warning: empty input enumeration; nothing to check")
         return 0
     bound = complexity.parse_affine(args.bound) if args.bound else None
-    f = complexity.FunctionSpec(args.arity, _external_oracle(args.oracle), inputs)
+    f = complexity.FunctionSpec(args.arity, oracle, inputs)
     verdict = complexity.check_computes(term, f, bound, max_states=args.max_states)
     print(complexity.format_check_table(verdict))
     n_fail = len(verdict.failures)

@@ -95,6 +95,18 @@ MEASURE_TABLE = {
 }
 
 
+def _measure_value(m: Measure, l: Lts, n):
+    """The measure on the halting LTS l of an n-component machine: its value
+    and, for a per-component measure, the (component, value) pairs."""
+    if m.same_as:
+        return _measure_value(MEASURE_TABLE[m.same_as], l, n)
+    if not m.per_component:
+        return depth(l, count=m.counts), ()
+    per = [(i, depth(l, count=T.ActionSet.mentioning("RM_%d" % i).contains_label))
+           for i in range(1, n + 1)]
+    return max(v for _, v in per), per
+
+
 def _measure_function(name, m: Measure):
     def measure(t, rho: T.Valuation, max_states: int = 100000) -> MeasureReport:
         if m.same_as:
@@ -104,11 +116,7 @@ def _measure_function(name, m: Measure):
         # need the machine shape, and aputm its component count
         n = m.validator(t) if m.model != T.RAMP else None
         l = _halting_lts(t, rho, max_states)
-        if not m.per_component:
-            return _report(name, l, depth(l, count=m.counts))
-        per = [(i, depth(l, count=T.ActionSet.mentioning("RM_%d" % i).contains_label))
-               for i in range(1, n + 1)]
-        return _report(name, l, max(v for _, v in per), per)
+        return _report(name, l, *_measure_value(m, l, n))
 
     measure.__name__ = measure.__qualname__ = name
     measure.__doc__ = m.doc
@@ -125,7 +133,9 @@ spwm = MEASURES["spwm"]
 
 
 def check_measure_class(measure: str, t):
-    """Raise unless t has the machine shape the measure is defined for."""
+    """Raise unless t has the machine shape the measure is defined for;
+    return what the shape validator returns (a parallel machine's component
+    count)."""
     m = MEASURE_TABLE[measure]
     try:
         ok = m.validator(t)
@@ -133,6 +143,7 @@ def check_measure_class(measure: str, t):
         ok = False
     if not ok:
         raise ValueError("measure %s requires a %s term" % (measure, m.machine))
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +154,11 @@ class FunctionSpec:
     """A partial function on bit-string tuples with an input enumeration.
 
     oracle(args) returns the result string, or None where the function is
-    undefined.
+    undefined.  An oracle may also have a `prefetch(inputs)` attribute: the
+    checkers call it with the inputs they are about to ask, in order, before
+    the first call, and with () when they are done or fail, so that it can
+    prepare answers ahead of their turn and drop what was not asked.
+    oracle(args) is still called once per input, in order.
     """
 
     arity: int
@@ -218,29 +233,43 @@ def check_computes(t, f: FunctionSpec, w_bound=None, inputs=None,
     Undefined inputs must not halt; when exploration can't settle that, the
     row is undecided rather than passed.
     """
+    return _check_rows(t, f, w_bound, inputs, max_states, lambda row, l: row)
+
+
+def _check_rows(t, f: FunctionSpec, w_bound, inputs, max_states, finish) -> Verdict:
+    """The loop of `check_computes`; finish(row, lts) makes each input's
+    final row from its checked row and the LTS it explored (None if none)."""
     if inputs is None:
         inputs = f.inputs
-    rows = []
-    extra = sorted(T.flexvars_term(t))
-    for args in inputs:
-        size = sum(len(w) for w in args)
-        bound = w_bound(size) if w_bound is not None else None
-        try:
-            expected = f.oracle(args)
-        except Exception as e:
-            rows.append(CheckRow(args, None, None, None, bound, "fail",
-                                 "oracle error: %s" % e))
-            continue
-        rho = input_valuation(args, extra)
-        rows.append(_check_one(t, rho, args, expected, bound, max_states))
-    return Verdict(tuple(rows))
-
-
-def _check_one(t, rho, args, expected, bound, max_states) -> CheckRow:
+    prefetch = getattr(f.oracle, "prefetch", None)
+    if prefetch is not None:
+        prefetch(inputs)
     try:
-        l = build_lts(t, rho, max_states)
-    except SemanticsError as e:
-        return CheckRow(args, expected, None, None, bound, "fail", str(e))
+        rows = []
+        extra = sorted(T.flexvars_term(t))
+        for args in inputs:
+            size = sum(len(w) for w in args)
+            bound = w_bound(size) if w_bound is not None else None
+            try:
+                expected = f.oracle(args)
+            except Exception as e:
+                rows.append(finish(CheckRow(args, None, None, None, bound, "fail",
+                                            "oracle error: %s" % e), None))
+                continue
+            try:
+                l = build_lts(t, input_valuation(args, extra), max_states)
+            except SemanticsError as e:
+                rows.append(finish(CheckRow(args, expected, None, None, bound, "fail", str(e)),
+                                   None))
+                continue
+            rows.append(finish(_check_one(l, args, expected, bound), l))
+        return Verdict(tuple(rows))
+    finally:
+        if prefetch is not None:
+            prefetch(())
+
+
+def _check_one(l: Lts, args, expected, bound) -> CheckRow:
     if l.exploded:
         return CheckRow(
             args, expected, None, None, bound, "undecided",
@@ -274,26 +303,19 @@ def is_of_complexity(t, f: FunctionSpec, v_bound, measure: str, inputs=None,
     """t computes f, and the named measure stays within v_bound per input."""
     if measure not in MEASURES:
         raise ValueError("unknown measure %r" % (measure,))
-    check_measure_class(measure, t)
-    if inputs is None:
-        inputs = f.inputs
-    base = check_computes(t, f, None, inputs, max_states)
-    rows = []
-    extra = sorted(T.flexvars_term(t))
-    for row in base.rows:
+    n = check_measure_class(measure, t)
+
+    def measured(row, l):
         if row.status != "pass" or row.expected is None:
-            rows.append(row)
-            continue
-        rho = input_valuation(row.args, extra)
-        size = sum(len(w) for w in row.args)
-        bound = v_bound(size)
-        value = MEASURES[measure](t, rho, max_states).value
+            return row
+        bound = v_bound(sum(len(w) for w in row.args))
+        value, _ = _measure_value(MEASURE_TABLE[measure], l, n)
         if value <= bound:
-            rows.append(CheckRow(row.args, row.expected, row.got, value, bound, "pass"))
-        else:
-            rows.append(CheckRow(row.args, row.expected, row.got, value, bound, "fail",
-                                 "measure over the bound"))
-    return Verdict(tuple(rows))
+            return CheckRow(row.args, row.expected, row.got, value, bound, "pass")
+        return CheckRow(row.args, row.expected, row.got, value, bound, "fail",
+                        "measure over the bound")
+
+    return _check_rows(t, f, None, inputs, max_states, measured)
 
 
 # ---------------------------------------------------------------------------

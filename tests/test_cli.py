@@ -1,10 +1,15 @@
 import json
+import signal
+import subprocess
 import sys
 
 import pytest
 
+from ramproc import cli, complexity, semantics
 from ramproc.cli import _external_oracle, main
-from ramproc.complexity import FunctionSpec, check_computes, format_check_table, parse_affine
+from ramproc.complexity import (
+    FunctionSpec, all_inputs, check_computes, format_check_table, parse_affine,
+)
 from ramproc.machines import format_program, parse_program, proc_of_bbram
 
 import sample_terms
@@ -295,3 +300,122 @@ input                    expected     got             steps    bound  status
 (0, e)                   0            0                   1        1  pass
 (e, 1)                   1            1                   1        1  pass"""
     assert log.read_text() == "xxx"
+
+
+@pytest.mark.parametrize("command", ["", "   "])
+def test_check_empty_oracle_command(tmp_path, capsys, monkeypatch, command):
+    explored = []
+    monkeypatch.setattr(complexity, "build_lts", lambda *a, **k: explored.append(a))
+    prog = _write(tmp_path, "p.rp", "halt\n")
+    assert main(["check", prog, "--oracle", command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --oracle needs a command\n"
+    assert explored == []
+
+
+class _Popens(list):
+    peak = 0  # the most processes not yet reaped at one time
+
+
+@pytest.fixture
+def popens(monkeypatch):
+    """Every process the oracle starts."""
+    made = _Popens()
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+            made.peak = max(made.peak, sum(p.returncode is None for p in made))
+
+    monkeypatch.setattr(cli.subprocess, "Popen", Recording)
+    return made
+
+
+LOGGING_ORACLE = r"""import sys
+open(sys.argv[1], "a").write("s")
+line = sys.stdin.readline()
+open(sys.argv[2], "a").write(line)
+total = sum(int(w[::-1], 2) for w in line.split() if w != "e")
+print(bin(total)[2:][::-1])
+"""
+
+
+def _logging_oracle(tmp_path):
+    """An adder command that logs 's' when it starts and its input line
+    once read, and the two logs."""
+    starts, reads = tmp_path / "starts.log", tmp_path / "reads.log"
+    script = _write(tmp_path, "oracle.py", LOGGING_ORACLE)
+    return "%s %s %s %s" % (sys.executable, script, starts, reads), starts, reads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_check_oracle_processes_bounded_and_reaped(tmp_path, capsys, monkeypatch, popens, cpus):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    command, starts, reads = _logging_oracle(tmp_path)
+    prog = _write(tmp_path, "add.rp", sample_terms.ADDITION_PROGRAM)
+    assert main(["check", prog, "--oracle", command, "--arity", "2", "--max-len", "1",
+                 "--bound", "n+1"]) == 0
+    assert capsys.readouterr().out == _ADDER_TABLE
+    assert len(popens) == 9 and popens.peak == cpus
+    assert all(p.returncode == 0 and p.stdout.closed for p in popens)
+    assert starts.read_text() == "s" * 9
+    assert reads.read_text().splitlines() == [
+        "e e", "e 0", "e 1", "0 e", "0 0", "0 1", "1 e", "1 0", "1 1"]
+
+
+@pytest.mark.parametrize("error, rc", [(semantics.UndecidedError, 1), (RecursionError, None)])
+def test_check_failing_midway_reaps_oracle_processes(tmp_path, capsys, monkeypatch, popens,
+                                                     error, rc):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    real_build_lts = complexity.build_lts
+    explored = []
+
+    def build_lts(*args, **kwargs):
+        explored.append(args)
+        if len(explored) == 3:
+            raise error("row 3")
+        return real_build_lts(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "build_lts", build_lts)
+    command, starts, reads = _logging_oracle(tmp_path)
+    prog = _write(tmp_path, "add.rp", sample_terms.ADDITION_PROGRAM)
+    argv = ["check", prog, "--oracle", command, "--arity", "2", "--max-len", "1"]
+    if rc is None:
+        with pytest.raises(error):
+            main(argv)
+        # rows 1-3 asked; the next three had started and are killed unread
+        assert len(popens) == 6 and popens.peak == 3
+        assert [p.returncode for p in popens] == [0] * 3 + [-signal.SIGKILL] * 3
+        assert reads.read_text().splitlines() == ["e e", "e 0", "e 1"]
+    else:
+        assert main(argv) == rc
+        assert "(row 3)" in capsys.readouterr().out
+        assert len(popens) == 9 and popens.peak == 3
+        assert all(p.returncode == 0 for p in popens)
+    assert all(p.stdin.closed and p.stdout.closed for p in popens)
+
+
+def test_prefetched_oracle_starts_once_per_input(tmp_path):
+    command, starts, _ = _logging_oracle(tmp_path)
+    f = FunctionSpec(2, _external_oracle(command), all_inputs(2, 1))
+    t = proc_of_bbram(parse_program(sample_terms.ADDITION_PROGRAM))
+    assert check_computes(t, f).all_pass
+    assert starts.read_text() == "s" * 9
+    assert check_computes(t, f).all_pass
+    assert starts.read_text() == "s" * 9
+
+
+def test_oracle_asked_out_of_hint_order(tmp_path, monkeypatch, popens):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    command, _, reads = _logging_oracle(tmp_path)
+    oracle = _external_oracle(command)
+    oracle.prefetch([("1", "1"), ("1", ""), ("", "")])
+    assert oracle(("", "")) == "0"
+    assert oracle(("1", "1")) == "01"
+    assert oracle(("1", "")) == "1"
+    oracle.prefetch(())
+    assert popens.peak == 2
+    assert all(p.returncode is not None for p in popens)
+    assert reads.read_text().splitlines() == ["e e", "1 1", "1 e"]

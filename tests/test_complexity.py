@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ramproc import complexity
 from ramproc import terms as T
 from ramproc.bits import bton, ntob
 from ramproc.complexity import (
@@ -281,3 +282,29 @@ def test_measure_report_json():
     j = r.to_json()
     assert j["measure"] == "aputm" and j["value"] == 1
     assert j["per_component"] == {"1": 1, "2": 1}
+
+
+@pytest.mark.parametrize("measure, programs", [
+    ("sutm", None), ("swm", None),
+    ("aputm", ["add:1:1:1\nadd:1:1:1\nhalt\n", "add:2:2:2\nhalt\n"]),
+    ("apwm", ["add:1:1:1\nadd:1:1:1\nhalt\n", "add:2:2:2\nhalt\n"]),
+    ("sputm", ["add:1:1:1\nhalt\n", "add:2:2:2\nhalt\n"]),
+    ("spwm", ["add:1:1:1\nhalt\n", "add:2:2:2\nhalt\n"]),
+])
+def test_is_of_complexity_explores_each_input_once(monkeypatch, measure, programs):
+    if programs is None:
+        t, f = proc_of_bbram(parse_program(sample_terms.ADDITION_PROGRAM)), _add_oracle
+    else:
+        compose = _async if MEASURES[measure] in (aputm, apwm) else _sync
+        t, f = compose(programs), lambda args: ""
+    inputs = all_inputs(2, 1)
+    extra = sorted(T.flexvars_term(t))
+    values = [MEASURES[measure](t, input_valuation(args, extra)).value for args in inputs]
+    explored = []
+    real_build_lts = complexity.build_lts
+    monkeypatch.setattr(complexity, "build_lts",
+                        lambda *a, **k: explored.append(a[1]) or real_build_lts(*a, **k))
+    v = is_of_complexity(t, FunctionSpec(2, f, inputs), parse_affine("2"), measure)
+    assert len(explored) == len(inputs)
+    assert [r.steps for r in v.rows] == values
+    assert [r.status for r in v.rows] == ["pass" if x <= 2 else "fail" for x in values]
