@@ -2,13 +2,14 @@ import pytest
 
 from ramproc import terms as T
 from ramproc.memory import EMPTY_MEM, MemState
-from ramproc.ramops import BinOp, CmpOp, Dir, Imm
+from ramproc.ramops import BinOp, CmpOp, Dir, Imm, UnOp
 from ramproc.syntax import ParseError, format_cond, format_term, parse_cond, parse_term
 from ramproc.terms import (
     DELTA,
     EPS,
     TAU,
     TRUE,
+    FALSE,
     Act,
     Alt,
     Assign,
@@ -142,3 +143,74 @@ def test_parse_errors():
         parse_cond("True and")
     with pytest.raises(ParseError):
         parse_term("a b")
+
+
+_A, _B, _C = Act("a"), Act("b"), Act("c")
+_AND = BinOp("and", Dir(0), Dir(1), Dir(0))
+_NOT = UnOp("not", Dir(0), Dir(0))
+
+
+def _err(message):
+    return ParseError, message
+
+
+# Exact parse results (term, or exception type and message) for texts that
+# exercise the tokenizer's merge spellings, operator levels, the guard's
+# backtracking and connectives that double as operation names.
+PARSE_PINS = [
+    (parse_term, "a || sync", Par(_A, Act("sync"))),
+    (parse_term, "a ||sync b", SyncMerge(_A, _B)),
+    (parse_term, "a ||syncb", Par(_A, Act("syncb"))),
+    (parse_term, "a ||Lx", Par(_A, Act("Lx"))),
+    (parse_term, "a|b||c", Par(CommMerge(_A, _B), _C)),
+    (parse_term, "a |||| b", _err("expected a term, got '||' at offset 4")),
+    (parse_term, "True :-> False :-> a", Guard(TRUE, Guard(FALSE, _A))),
+    (parse_term, "True :-> a || b", Guard(TRUE, Par(_A, _B))),
+    (parse_term, "a || True :-> b", _err("trailing input ':->' at offset 10")),
+    (parse_term, "a . True :-> b", _err("trailing input ':->' at offset 9")),
+    (parse_term, "True :-> a + False :-> b . c",
+     Alt(Guard(TRUE, _A), Guard(FALSE, Seq(_B, _C)))),
+    (parse_term, "(True :-> a) . b", Seq(Guard(TRUE, _A), _B)),
+    (parse_term, "not True :-> a", Guard(T.Not(TRUE), _A)),
+    (parse_term, "a => b :-> c", _err("trailing input '=>' at offset 2")),
+    (parse_term, "x == y => True or False :-> a",
+     Guard(T.Implies(T.DataEq(FlexVar("x"), FlexVar("y")), T.Or(TRUE, FALSE)), _A)),
+    (parse_term, "v := and:0:1:0(w)", Assign("v", T.Apply1(_AND, FlexVar("w")))),
+    (parse_term, "not:0:0(x) == y :-> a",
+     Guard(T.DataEq(T.Apply1(_NOT, FlexVar("x")), FlexVar("y")), _A)),
+    (parse_cond, "True => False => True", T.Implies(TRUE, T.Implies(FALSE, TRUE))),
+    (parse_cond, "True or False => True", T.Implies(T.Or(TRUE, FALSE), TRUE)),
+    (parse_cond, "True => False or True", T.Implies(TRUE, T.Or(FALSE, TRUE))),
+    (parse_cond, "not not True and False or True",
+     T.Or(T.And(T.Not(T.Not(TRUE)), FALSE), TRUE)),
+    (parse_cond, "and:0:1:0(x) == not:0:0(y)",
+     T.DataEq(T.Apply1(_AND, FlexVar("x")), T.Apply1(_NOT, FlexVar("y")))),
+    (parse_cond, "not", _err("expected a data expression, got '' at offset 3")),
+    (parse_cond, "x == y or", _err("expected a data expression, got '' at offset 9")),
+    # the error branches of test_parse_errors
+    (parse_term, "", _err("expected a term, got '' at offset 0")),
+    (parse_term, "a +", _err("expected a term, got '' at offset 3")),
+    (parse_term, "a . ", _err("expected a term, got '' at offset 4")),
+    (parse_term, "(a", _err("expected ')', got '' at offset 2")),
+    (parse_term, "rec X {}", _err("expected 'ident', got '}' at offset 7")),
+    (parse_term, "eval{v}(a)", _err("expected '=', got '}' at offset 6")),
+    (parse_term, "proj[-1](a)", _err("unexpected character '-' at offset 5")),
+    (parse_term, "a ||", _err("expected a term, got '' at offset 4")),
+    (parse_term, "v :=", _err("expected a data expression, got '' at offset 4")),
+    (parse_term, "encap{}(", _err("expected a term, got '' at offset 8")),
+    (parse_term, "add:0:0(x", _err("trailing input ':' at offset 3")),
+    (parse_term, "a b", _err("trailing input 'b' at offset 2")),
+    (parse_cond, "True and", _err("expected a data expression, got '' at offset 8")),
+]
+
+
+@pytest.mark.parametrize("parse, text, expected", PARSE_PINS,
+                         ids=["%s %r" % (p.__name__, s) for p, s, _ in PARSE_PINS])
+def test_parse_pinned(parse, text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0]) as info:
+            parse(text)
+        assert type(info.value) is expected[0]
+        assert str(info.value) == expected[1]
+    else:
+        assert parse(text) == expected
