@@ -1,26 +1,65 @@
 """Canonical textual syntax for process terms.
 
-Printing then parsing is the identity on every term; parsing then printing
-is the identity on canonical text.  Precedence, tightest first: `.`
-(sequencing), `:->` (guarding), the merge operators (`||`, `||L`, `|`,
-`||sync`), then `+`.  Binary operators at one level associate to the left;
-right-nested occurrences are parenthesized.
+Printing then parsing is the identity on every term whose names read back
+(see below); parsing then printing is the identity on canonical text.
+
+Operator levels, tightest first: `.` (sequencing), the merges (`||`, `||L`,
+`|`, `||sync`), `:->` (guarding), then `+`, so `c :-> a || b` guards the
+whole merge and `c :-> a + b` only `a`.  Binary operators associate to the
+left.  Connectives, tightest first: `not`, `and`, `or`, then `=>`, which
+associates to the right.  The parser and the printer both read these levels
+from `TERM_OPS` and `COND_OPS`, and the bracketed operators from `WRAPPERS`.
 
 The merge tokens are recognized greedily: `||sync` and `||L` must be written
 without inner spaces, while `|| sync` is an interleaving with an action
 named sync on the right.
+
+Names that do not read back: an action or an assigned variable named `eps`,
+`delta` or `tau` (it reads as the constant, or does not parse); a flexible
+variable named `not`, `True`/`true` or `False`/`false` left of `==`; and an
+action-set label `all` alone, or `allbut` first.
 """
 
 from __future__ import annotations
 
-from .bits import format_bits, parse_bits
+from .bits import format_bits
 from .memory import MemState, format_mem
 from . import ramops
 from . import terms as T
 
+# Operator tables, loosest level first: token -> (node class, level).
+# `cond :-> body` is a prefix: its body is read at its own level, and it is
+# tried by backtracking wherever a term of that level or looser may start.
+TERM_OPS = {
+    "+": (T.Alt, 1),
+    ":->": (T.Guard, 2),
+    "||": (T.Par, 3),
+    "||L": (T.LeftMerge, 3),
+    "|": (T.CommMerge, 3),
+    "||sync": (T.SyncMerge, 3),
+    ".": (T.Seq, 4),
+}
+# token -> (node class, level, associates to the right); `not` is a prefix
+# whose operand is read at its own level.
+COND_OPS = {
+    "=>": (T.Implies, 1, True),
+    "or": (T.Or, 2, False),
+    "and": (T.And, 3, False),
+    "not": (T.Not, 4, False),
+}
+_TERM_TOKEN = {cls: (tok, level) for tok, (cls, level) in TERM_OPS.items()}
+_COND_TOKEN = {cls: (tok, level, right) for tok, (cls, level, right) in COND_OPS.items()}
+_GUARD_LEVEL = TERM_OPS[":->"][1]
+
+_CONSTANTS = {"eps": T.EPS, "delta": T.DELTA, "tau": T.TAU}
+_CONSTANT_NAME = {type(c): name for name, c in _CONSTANTS.items()}
+_TRUTH = {"True": T.TRUE, "true": T.TRUE, "False": T.FALSE, "false": T.FALSE}
+_TRUTH_NAME = {T.TrueC: "True", T.FalseC: "False"}
+
+# Longest first, so that no token is cut short by one of its prefixes.
 _PUNCT = (
-    ":->", ":=", "==", "=>", "->",
-    "+", ".", "(", ")", "{", "}", "[", "]", ",", "=", ":", "#", "@",
+    "||sync", ":->", "||L", ":=", "==", "=>", "->", "||",
+    "+", ".", "|", "(", ")", "{", "}", "[", "]", ",", "=", ":", "#", "@",
 )
 
 
@@ -50,24 +89,10 @@ def _lex(text):
             toks.append(("num", text[i:j], i))
             i = j
             continue
-        if ch == "|":
-            if text.startswith("||sync", i) and not _identch(text, i + 6):
-                toks.append(("||sync", "||sync", i))
-                i += 6
-                continue
-            if text.startswith("||L", i) and not _identch(text, i + 3):
-                toks.append(("||L", "||L", i))
-                i += 3
-                continue
-            if text.startswith("||", i):
-                toks.append(("||", "||", i))
-                i += 2
-                continue
-            toks.append(("|", "|", i))
-            i += 1
-            continue
         for p in _PUNCT:
-            if text.startswith(p, i):
+            # a token that ends in a letter (`||sync`, `||L`) followed by
+            # more identifier characters is `||` and an identifier
+            if text.startswith(p, i) and not (p[-1].isalpha() and _identch(text, i + len(p))):
                 toks.append((p, p, i))
                 i += len(p)
                 break
@@ -87,8 +112,7 @@ class _Parser:
         self.pos = 0
 
     def peek(self, ahead=0):
-        k = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[k]
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self):
         t = self.toks[self.pos]
@@ -108,81 +132,45 @@ class _Parser:
             raise ParseError("expected %r, got %r at offset %d" % (value, t[1], t[2]))
         return t[1]
 
-    # -- terms, outermost levels first
+    # -- terms
 
-    def term(self):
-        t = self.guarded()
-        while self.peek()[0] == "+":
+    def term(self, level=1):
+        """A term whose operators all bind at `level` or tighter."""
+        t = self.guard() if level <= _GUARD_LEVEL else None
+        if t is None:
+            t = self.atom()
+        while True:
+            cls, op_level = TERM_OPS.get(self.peek()[0], (None, 0))
+            if op_level < level or cls is T.Guard:
+                return t
             self.next()
-            t = T.Alt(t, self.guarded())
-        return t
+            t = cls(t, self.term(op_level + 1))
 
-    def guarded(self):
-        # a guard is a condition followed by :->; anything else is a merge
+    def guard(self):
+        # a guard is a condition followed by :->; None if the text has none
         save = self.pos
         try:
             c = self.cond()
             self.expect(":->")
         except ParseError:
             self.pos = save
-            return self.merge()
-        return T.Guard(c, self.guarded())
-
-    def merge(self):
-        ops = {"||": T.Par, "||L": T.LeftMerge, "|": T.CommMerge, "||sync": T.SyncMerge}
-        t = self.seq()
-        while self.peek()[0] in ops:
-            node = ops[self.next()[0]]
-            t = node(t, self.seq())
-        return t
-
-    def seq(self):
-        t = self.atom()
-        while self.peek()[0] == ".":
-            self.next()
-            t = T.Seq(t, self.atom())
-        return t
+            return None
+        return T.Guard(c, self.term(_GUARD_LEVEL))
 
     def atom(self):
         kind, text, off = self.peek()
         if kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
+            return self.wrapped(self.term)
         if kind != "ident":
             raise ParseError("expected a term, got %r at offset %d" % (text, off))
-        if text == "eps":
-            self.next()
-            return T.EPS
-        if text == "delta":
-            self.next()
-            return T.DELTA
-        if text == "tau":
-            self.next()
-            return T.TAU
-        if text == "encap" and self.peek(1)[0] == "{":
-            self.next()
-            return T.Encap(self.action_set(), self.wrapped())
-        if text == "abstr" and self.peek(1)[0] == "{":
-            self.next()
-            return T.Abstr(self.action_set(), self.wrapped())
-        if text == "eval" and self.peek(1)[0] == "{":
-            self.next()
-            return T.Eval(self.valuation(), self.wrapped())
-        if text == "proj" and self.peek(1)[0] == "[":
-            self.next()
-            self.expect("[")
-            n = int(self.expect("num")[1])
-            self.expect("]")
-            return T.Proj(n, self.wrapped())
-        if text == "rename" and self.peek(1)[0] == "[":
-            self.next()
-            return T.Rename(self.action_map(), self.wrapped())
-        if text == "rec" and self.peek(1)[0] == "ident":
-            self.next()
-            return self.rec()
         self.next()
+        if text in _CONSTANTS:
+            return _CONSTANTS[text]
+        cls, opener, head, _ = WRAPPERS.get(text, (None,) * 4)
+        if self.peek()[0] == opener:
+            return cls(head(self), self.wrapped(self.term))
+        if text == "rec" and self.peek()[0] == "ident":
+            return self.rec()
         if self.peek()[0] == ":=":
             self.next()
             return T.Assign(text, self.expr())
@@ -203,11 +191,11 @@ class _Parser:
         self.expect(close)
         return out
 
-    def wrapped(self):
+    def wrapped(self, rule):
         self.expect("(")
-        t = self.term()
+        out = rule()
         self.expect(")")
-        return t
+        return out
 
     def rec(self):
         root = self.expect_ident()
@@ -222,7 +210,7 @@ class _Parser:
         self.expect("=")
         return name, self.term()
 
-    # -- action sets, maps, valuations
+    # -- operator heads: action sets, maps, valuations, indices
 
     def action_set(self):
         self.expect("{")
@@ -239,7 +227,7 @@ class _Parser:
             self.next()
             return T.ActionSet("all")
         if first == "allbut":
-            return T.ActionSet.allbut(self.rest(self.expect_ident, "}", [self.expect_ident()]))
+            return T.ActionSet.allbut(self.listing(self.expect_ident, "}"))
         if first in ("mentioning", "notmentioning") and self.peek()[0] == "ident":
             var = self.expect_ident()
             self.expect("}")
@@ -263,6 +251,12 @@ class _Parser:
         name = self.expect_ident()
         self.expect("=")
         return name, self.mem_literal()
+
+    def index(self):
+        self.expect("[")
+        n = int(self.expect("num")[1])
+        self.expect("]")
+        return n
 
     def mem_literal(self) -> MemState:
         self.expect("[")
@@ -302,14 +296,12 @@ class _Parser:
         if self.peek(1)[0] == ":":
             op = self.descriptor()
             self.expect("(")
-            e1 = self.expr()
+            args = [self.expr()]
             if self.peek()[0] == ",":
                 self.next()
-                e2 = self.expr()
-                self.expect(")")
-                return T.Apply2(op, e1, e2)
+                args.append(self.expr())
             self.expect(")")
-            return T.Apply1(op, e1)
+            return (T.Apply2 if len(args) == 2 else T.Apply1)(op, *args)
         self.next()
         return T.FlexVar(text)
 
@@ -318,10 +310,8 @@ class _Parser:
         while self.peek()[0] == ":":
             self.next()
             kind, text, off = self.next()
-            if kind == "#":
-                parts.append("#" + self.expect("num")[1])
-            elif kind == "@":
-                parts.append("@" + self.expect("num")[1])
+            if kind in ("#", "@"):
+                parts.append(kind + self.expect("num")[1])
             elif kind == "num":
                 parts.append(text)
             else:
@@ -333,51 +323,36 @@ class _Parser:
 
     # -- conditions
 
-    def cond(self):
-        l = self.cond_or()
-        if self.peek()[0] == "=>":
+    def cond(self, level=1):
+        """A condition whose connectives all bind at `level` or tighter."""
+        op = self.connective()
+        if op is not None and op[0] is T.Not:
             self.next()
-            return T.Implies(l, self.cond())
-        return l
-
-    def cond_or(self):
-        l = self.cond_and()
-        while self._connective("or"):
+            c = T.Not(self.cond(op[1]))
+        else:
+            c = self.cond_atom()
+        while True:
+            cls, op_level, right = self.connective() or (None, 0, False)
+            if op_level < level or cls is T.Not:
+                return c
             self.next()
-            l = T.Or(l, self.cond_and())
-        return l
+            c = cls(c, self.cond(op_level + (not right)))
 
-    def cond_and(self):
-        l = self.cond_not()
-        while self._connective("and"):
-            self.next()
-            l = T.And(l, self.cond_not())
-        return l
-
-    def _connective(self, word):
-        # `and`/`or`/`not` double as operator names; a following `:` means
+    def connective(self):
+        # `and`/`or`/`not` double as operation names; a following `:` means
         # a descriptor, not a connective
-        return self.peek()[0] == "ident" and self.peek()[1] == word and self.peek(1)[0] != ":"
-
-    def cond_not(self):
-        if self._connective("not"):
-            self.next()
-            return T.Not(self.cond_not())
-        return self.cond_atom()
+        kind, text, _ = self.peek()
+        if kind == "ident" and self.peek(1)[0] == ":":
+            return None
+        return COND_OPS.get(text)
 
     def cond_atom(self):
         kind, text, off = self.peek()
         if kind == "(":
+            return self.wrapped(self.cond)
+        if kind == "ident" and text in _TRUTH:
             self.next()
-            c = self.cond()
-            self.expect(")")
-            return c
-        if kind == "ident" and text in ("True", "true"):
-            self.next()
-            return T.TRUE
-        if kind == "ident" and text in ("False", "false"):
-            self.next()
-            return T.FALSE
+            return _TRUTH[text]
         if kind == "ident" and text in ramops.CMP_NAMES and self.peek(1)[0] == ":":
             op = self.descriptor()
             self.expect("(")
@@ -394,21 +369,20 @@ class _Parser:
 
 
 def parse_term(text: str):
-    p = _Parser(text)
-    t = p.term()
-    kind, text_, off = p.peek()
-    if kind != "end":
-        raise ParseError("trailing input %r at offset %d" % (text_, off))
-    return t
+    return _parse_all(text, _Parser.term)
 
 
 def parse_cond(text: str):
+    return _parse_all(text, _Parser.cond)
+
+
+def _parse_all(text, rule):
     p = _Parser(text)
-    c = p.cond()
+    out = rule(p)
     kind, text_, off = p.peek()
     if kind != "end":
         raise ParseError("trailing input %r at offset %d" % (text_, off))
-    return c
+    return out
 
 
 def _acts_to_vars(t, names):
@@ -441,25 +415,22 @@ def format_expr(e) -> str:
 
 
 def format_cond(c, ctx: int = 0) -> str:
-    if isinstance(c, T.TrueC):
-        return "True"
-    if isinstance(c, T.FalseC):
-        return "False"
-    if isinstance(c, T.PropAtom):
+    """`c` as text, parenthesized if it binds looser than `ctx`."""
+    cls = type(c)
+    if cls in _COND_TOKEN:
+        tok, level, right = _COND_TOKEN[cls]
+        if cls is T.Not:
+            s = "not %s" % format_cond(c.c, level)
+        else:
+            s = "%s %s %s" % (format_cond(c.l, level + right), tok,
+                              format_cond(c.r, level + (not right)))
+        return "(%s)" % s if ctx > level else s
+    if cls in _TRUTH_NAME:
+        return _TRUTH_NAME[cls]
+    if cls is T.PropAtom:
         return "%s(%s) = %d" % (ramops.format_op(c.p), format_expr(c.e), c.expected)
-    if isinstance(c, T.DataEq):
+    if cls is T.DataEq:
         return "%s == %s" % (format_expr(c.e1), format_expr(c.e2))
-    if isinstance(c, T.Implies):
-        s = "%s => %s" % (format_cond(c.l, 2), format_cond(c.r, 1))
-        return "(%s)" % s if ctx > 1 else s
-    if isinstance(c, T.Or):
-        s = "%s or %s" % (format_cond(c.l, 2), format_cond(c.r, 3))
-        return "(%s)" % s if ctx > 2 else s
-    if isinstance(c, T.And):
-        s = "%s and %s" % (format_cond(c.l, 3), format_cond(c.r, 4))
-        return "(%s)" % s if ctx > 3 else s
-    if isinstance(c, T.Not):
-        return "not %s" % format_cond(c.c, 4)
     raise ValueError("not a condition: %r" % (c,))
 
 
@@ -476,43 +447,42 @@ def format_action_set(s: T.ActionSet) -> str:
 
 
 def format_term(t, ctx: int = 0) -> str:
-    if isinstance(t, T.Empty):
-        return "eps"
-    if isinstance(t, T.Dead):
-        return "delta"
-    if isinstance(t, T.Silent):
-        return "tau"
-    if isinstance(t, (T.Act, T.Var)):
+    """`t` as text, parenthesized if it binds looser than `ctx`.  It calls
+    itself directly, with no helper frame in between, to print deep chains."""
+    cls = type(t)
+    if cls in _TERM_TOKEN:
+        tok, level = _TERM_TOKEN[cls]
+        if cls is T.Guard:
+            s = "%s :-> %s" % (format_cond(t.cond), format_term(t.body, level))
+        else:
+            s = "%s %s %s" % (format_term(t.l, level), tok, format_term(t.r, level + 1))
+        return "(%s)" % s if ctx > level else s
+    if cls in _CONSTANT_NAME:
+        return _CONSTANT_NAME[cls]
+    if cls is T.Act or cls is T.Var:
         return t.name
-    if isinstance(t, T.DataAct):
+    if cls is T.DataAct:
         return "%s(%s)" % (t.name, ", ".join(format_expr(e) for e in t.args))
-    if isinstance(t, T.Assign):
+    if cls is T.Assign:
         return "%s := %s" % (t.var, format_expr(t.e))
-    if isinstance(t, T.Alt):
-        s = "%s + %s" % (format_term(t.l, 1), format_term(t.r, 2))
-        return "(%s)" % s if ctx > 1 else s
-    if isinstance(t, (T.Par, T.LeftMerge, T.CommMerge, T.SyncMerge)):
-        op = {T.Par: "||", T.LeftMerge: "||L", T.CommMerge: "|", T.SyncMerge: "||sync"}[type(t)]
-        s = "%s %s %s" % (format_term(t.l, 2), op, format_term(t.r, 3))
-        return "(%s)" % s if ctx > 2 else s
-    if isinstance(t, T.Guard):
-        s = "%s :-> %s" % (format_cond(t.cond), format_term(t.body, 3))
-        return "(%s)" % s if ctx > 3 else s
-    if isinstance(t, T.Seq):
-        s = "%s . %s" % (format_term(t.l, 4), format_term(t.r, 5))
-        return "(%s)" % s if ctx > 4 else s
-    if isinstance(t, T.Encap):
-        return "encap%s(%s)" % (format_action_set(t.acts), format_term(t.body))
-    if isinstance(t, T.Abstr):
-        return "abstr%s(%s)" % (format_action_set(t.acts), format_term(t.body))
-    if isinstance(t, T.Eval):
-        return "eval{%s}(%s)" % (t.rho, format_term(t.body))
-    if isinstance(t, T.Proj):
-        return "proj[%d](%s)" % (t.n, format_term(t.body))
-    if isinstance(t, T.Rename):
-        pairs = ", ".join("%s->%s" % p for p in t.f.entries)
-        return "rename[%s](%s)" % (pairs, format_term(t.body))
-    if isinstance(t, T.Rec):
+    if cls in _WRAPPER_OF:
+        keyword, show = _WRAPPER_OF[cls]
+        return "%s%s(%s)" % (keyword, show(getattr(t, cls.__match_args__[0])), format_term(t.body))
+    if cls is T.Rec:
         eqs = ", ".join("%s = %s" % (n, format_term(rhs)) for n, rhs in t.spec.equations)
         return "rec %s {%s}" % (t.var, eqs)
     raise ValueError("not a process term: %r" % (t,))
+
+
+# Operators written `keyword head(body)`: keyword -> (node class, the token
+# that opens the head, head reader, head printer).  The head is the node's
+# first field and the body its second.
+WRAPPERS = {
+    "encap": (T.Encap, "{", _Parser.action_set, format_action_set),
+    "abstr": (T.Abstr, "{", _Parser.action_set, format_action_set),
+    "eval": (T.Eval, "{", _Parser.valuation, lambda rho: "{%s}" % rho),
+    "proj": (T.Proj, "[", _Parser.index, lambda n: "[%d]" % n),
+    "rename": (T.Rename, "[", _Parser.action_map,
+               lambda f: "[%s]" % ", ".join("%s->%s" % p for p in f.entries)),
+}
+_WRAPPER_OF = {cls: (keyword, show) for keyword, (cls, _, _, show) in WRAPPERS.items()}

@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 
 from ramproc import terms as T
@@ -23,6 +25,7 @@ from ramproc.terms import (
 )
 
 import sample_terms
+from axiom_defs import AXIOMS, Gen
 
 
 def test_atoms():
@@ -35,7 +38,8 @@ def test_atoms():
 
 
 def test_precedence():
-    # '.' binds tighter than ':->' which binds tighter than '||' and '+'
+    # '.' binds tighter than the merges, which bind tighter than ':->',
+    # which binds tighter than '+'
     assert parse_term("a . b + c") == Alt(Seq(Act("a"), Act("b")), Act("c"))
     assert parse_term("a + b . c") == Alt(Act("a"), Seq(Act("b"), Act("c")))
     assert parse_term("True :-> a . b") == Guard(TRUE, Seq(Act("a"), Act("b")))
@@ -105,15 +109,53 @@ def test_roundtrip_samples():
         SyncMerge(Act("sync"), Par(Act("a"), Act("b"))),
         T.Proj(0, T.Rename(T.ActionMap.make({"a": "tau"}), Act("a"))),
         T.Abstr(T.ActionSet.allbut(["a"]), T.Encap(T.ActionSet("all"), Act("a"))),
+        T.Encap(T.ActionSet.allbut(()), Act("a")),
         sample_terms.abs_diff_term(),
         sample_terms.division_term(),
         T.Eval(sample_terms.abs_diff_valuation(), sample_terms.abs_diff_term()),
     ]
+    # a guard as either operand of each merge
+    guard = Guard(TRUE, Act("a"))
+    for merge in (Par, LeftMerge, CommMerge, SyncMerge):
+        cases += [merge(guard, Act("b")), merge(Act("b"), guard)]
     for t in cases:
         s = format_term(t)
         assert parse_term(s) == t, s
         # printing is stable
         assert format_term(parse_term(s)) == s
+
+
+# RN3 instances whose right-hand side is an action renamed to tau: `tau`
+# reads back as the silent step, and `tau(...)` does not parse.
+RN3_TAU_INSTANCES = (69, 71, 78, 85, 90)
+
+
+def test_roundtrip_law_instances():
+    # the seeds of test_axioms.check_law
+    failed = []
+    for name in sorted(AXIOMS):
+        g = Gen(zlib.crc32(name.encode()) * 1000003)
+        for k in range(100):
+            for side, t in zip(("lhs", "rhs"), AXIOMS[name](g)):
+                try:
+                    ok = parse_term(format_term(t)) == t
+                except ParseError:
+                    ok = False
+                if not ok:
+                    failed.append((name, k, side))
+    assert failed == [("RN3", k, "rhs") for k in RN3_TAU_INSTANCES]
+
+
+def test_parse_deep_parentheses():
+    assert parse_term("(" * 250 + "a" + ")" * 250) == Act("a")
+
+
+def test_format_deep_seq_chains():
+    left = right = Act("a")
+    for _ in range(900):
+        left, right = Seq(left, Act("a")), Seq(Act("a"), right)
+    assert format_term(left) == " . ".join(["a"] * 901)
+    assert format_term(right) == "a . " + "(a . " * 899 + "a" + ")" * 899
 
 
 def test_guard_needs_parens_inside_seq():
