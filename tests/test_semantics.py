@@ -394,3 +394,188 @@ def test_lts_identity_pinned(build, states, transitions):
             {"from": src, "label": label, "to": dst} for src, label, dst in transitions
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# Fingerprint corpus: one digest over the exported transition systems (state
+# terms, success flags, transitions in exploration order) of a seeded corpus
+# of sequential programs, interleaved and lockstep compositions, and law
+# instances.  Any change to state numbering or move order changes it.
+
+def _random_shared_program(rng, n_ops):
+    from ramproc.machines import HALT, Jmp, Op, Program
+    from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Load, Store, UnOp
+
+    def src():
+        return rng.choice([Dir(rng.randint(0, 2)), Imm(rng.randint(0, 2))])
+
+    instrs = []
+    for _ in range(n_ops):
+        roll = rng.random()
+        if roll < 0.25:
+            instrs.append(Op(Load(Ind(rng.randint(0, 1)), Dir(rng.randint(1, 2)))))
+        elif roll < 0.5:
+            instrs.append(Op(Store(src(), Ind(rng.randint(0, 1)))))
+        elif roll < 0.65:
+            instrs.append(Op(BinOp(rng.choice(["add", "sub", "and", "or"]), src(), src(),
+                                   Dir(rng.randint(1, 2)))))
+        elif roll < 0.75:
+            instrs.append(Op(UnOp(rng.choice(["not", "shl", "shr", "mov"]), src(),
+                                  Dir(rng.randint(0, 2)))))
+        else:
+            p = CmpOp(rng.choice(["eq", "gt", "beq"]), src(), src())
+            instrs.append(Jmp(p, rng.randint(1, n_ops + 1)))
+    instrs.append(HALT)
+    return Program(tuple(instrs), SMBRAM)
+
+
+def _fingerprint_corpus():
+    """(label, Lts) pairs of the corpus, in a fixed order."""
+    import zlib
+
+    from axiom_defs import AXIOMS, GAMMA, Gen
+    from test_machines import _random_mem, _random_program
+
+    rng = random.Random(6061)
+    for k in range(40):
+        prog = _random_program(rng, rng.randint(1, 6))
+        rho = Valuation.make({"RM": _random_mem(rng)})
+        yield "ramp-%d" % k, build_lts(proc_of_bbram(prog), rho, max_states=300)
+    for model, component, compose in (("apramp", proc_of_smbram_async, compose_async),
+                                      ("spramp", proc_of_smbram_sync, compose_sync)):
+        for k in range(40):
+            progs = [_random_shared_program(rng, rng.randint(1, 3))
+                     for _ in range(rng.randint(2, 4))]
+            term = compose([component(i, p) for i, p in enumerate(progs, start=1)])
+            rho = Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(term)})
+            rho = rho.set("RM", _random_mem(rng))
+            yield "%s-%d" % (model, k), build_lts(term, rho, max_states=250)
+    for name in sorted(AXIOMS):
+        g = Gen(zlib.crc32(name.encode()) * 1000003)
+        for k in range(2):
+            lhs, rhs = AXIOMS[name](g)
+            yield "%s-%d-lhs" % (name, k), build_lts(lhs, None, 2000, gamma=GAMMA)
+            yield "%s-%d-rhs" % (name, k), build_lts(rhs, None, 2000, gamma=GAMMA)
+
+
+def _corpus_digest():
+    import hashlib
+    import json
+
+    h = hashlib.sha256()
+    count = 0
+    for label, l in _fingerprint_corpus():
+        h.update(label.encode())
+        h.update(json.dumps(lts_to_json(l), sort_keys=True).encode())
+        h.update(json.dumps(sorted(l.success)).encode())
+        count += 1
+    return count, h.hexdigest()
+
+
+CORPUS_DIGEST = (400, "5919d9a5d7a5c9573599fe2da2ae9ac7f4bdcb2ee25ac70be5d3a62f52ad7f04")
+
+
+def test_lts_fingerprint_corpus_pinned():
+    assert _corpus_digest() == CORPUS_DIGEST
+
+
+def test_lts_fingerprint_corpus_ignores_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = "import test_semantics as m; print(*m._corpus_digest())"
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([here, src]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert (int(out[0]), out[1]) == CORPUS_DIGEST, seed
+
+
+# ---------------------------------------------------------------------------
+# Exploration against a plain breadth-first loop over the public `step`.
+
+def _bfs_over_step(t, rho=None, gamma=CommFunction.make({("sync", "sync"): "synced"})):
+    root = Eval(rho, t) if rho is not None else t
+    states, index, transitions, success = [root], {root: 0}, [], set()
+    for sid, state in enumerate(states):  # grows while it is walked
+        ok, moves = step(state, None, gamma)
+        if ok:
+            success.add(sid)
+        for lab, u in moves:
+            if u not in index:
+                index[u] = len(states)
+                states.append(u)
+            transitions.append((sid, lab, index[u]))
+    return states, transitions, success
+
+
+def _apramp(texts, shared=EMPTY_MEM):
+    term = compose_async([proc_of_smbram_async(i, parse_program(p, SMBRAM))
+                          for i, p in enumerate(texts, start=1)])
+    rho = Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(term)}).set("RM", shared)
+    return term, rho
+
+
+def _spramp(texts, shared=EMPTY_MEM):
+    term = compose_sync([proc_of_smbram_sync(i, parse_program(p, SMBRAM))
+                         for i, p in enumerate(texts, start=1)])
+    rho = Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(term)}).set("RM", shared)
+    return term, rho
+
+
+_DIV = proc_of_bbram(parse_program(sample_terms.DIVISION_PROGRAM))
+
+# Both components point register 0 at shared address 1 first, so one
+# component's store is the other's load.
+_WRITER = "mov:#1:0\nsto:#1:@0\nsto:#0:@0\nhalt\n"
+_READER = "mov:#1:0\nloa:@0:1\nloa:@0:2\nhalt\n"
+# Loads the shared value and branches on it: the branch taken depends on
+# how far the writer has got.
+_BRANCHER = "mov:#1:0\nloa:@0:1\njmp:eq:1:#1:5\nsto:#1:@0\nhalt\n"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _apramp([_WRITER, _READER]),
+    lambda: _apramp([_READER, _WRITER, _READER]),
+    lambda: _apramp([_WRITER, _BRANCHER]),
+    lambda: _apramp([_BRANCHER, _BRANCHER, _WRITER], MemState({1: "1"})),
+    lambda: _spramp([_WRITER, _BRANCHER, _READER]),
+    # equal component terms, each under its own memory
+    lambda: (Par(Eval(Valuation.make({"RM": MemState({1: "101", 2: "01"})}), _DIV),
+                 Eval(Valuation.make({"RM": MemState({1: "11", 2: "1"})}), _DIV)), None),
+    # equal component terms reading one memory
+    lambda: (Par(_DIV, _DIV), Valuation.make({"RM": MemState({1: "11", 2: "01"})})),
+], ids=["store-load", "load-store-load", "branch-on-shared", "two-branchers",
+        "spramp-branch", "same-term-own-memories", "same-term-shared-memory"])
+def test_build_lts_matches_plain_step_exploration(build):
+    term, rho = build()
+    l = build_lts(term, rho)
+    assert not l.exploded
+    assert (l.states, l.transitions, l.success) == _bfs_over_step(term, rho)
+
+
+def test_step_returns_deduplicated_tuples():
+    ok, moves = step(Alt(Act("a"), Act("a")))
+    assert moves == ((Plain("a"), EPS),) and type(moves) is tuple
+
+    f = T.ActionMap.make({"a": "c", "b": "c"})
+    ok, moves = step(T.Rename(f, Alt(Act("a"), Act("b"))))
+    assert moves == ((Plain("c"), T.Rename(f, EPS)),) and type(moves) is tuple
+
+    gamma = CommFunction.make({("a", "b"): "c", ("d", "b"): "c"})
+    ok, moves = step(Par(Alt(Act("a"), Act("d")), Act("b")), gamma=gamma)
+    assert moves == (
+        (Plain("a"), Par(EPS, Act("b"))),
+        (Plain("d"), Par(EPS, Act("b"))),
+        (Plain("b"), Par(Alt(Act("a"), Act("d")), EPS)),
+        (Plain("c"), Par(EPS, EPS)),
+    ) and type(moves) is tuple
+
+    l = build_lts(Par(Alt(Act("a"), Act("d")), Act("b")), None, gamma=gamma)
+    assert l.transitions[:4] == [
+        (0, Plain("a"), 1), (0, Plain("d"), 1), (0, Plain("b"), 2), (0, Plain("c"), 3),
+    ]
