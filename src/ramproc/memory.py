@@ -37,12 +37,20 @@ class MemState:
         if not isinstance(i, int) or i < 0:
             raise ValueError("register numbers are naturals: %r" % (i,))
         check_bits(w)
+        return self._put(i, w)
+
+    def _put(self, i: int, w: str) -> "MemState":
+        """`set` without checks, for register operations, whose register
+        numbers and bit strings come from `bits` functions or from states."""
         d = dict(self._regs)
         if w:
             d[i] = w
         else:
             d.pop(i, None)
-        return MemState(d)
+        m = object.__new__(MemState)
+        m._regs = d
+        m._hash = hash(frozenset(d.items()))
+        return m
 
     def registers(self):
         """Sorted register numbers holding a non-empty string."""

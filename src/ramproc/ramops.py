@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import bits
 from .bits import bton, ntob
-from .memory import MemState, merge_n, split_n
+from .memory import EMPTY_MEM, MemState, merge_n, split_n
 
 BIN_NAMES = ("add", "sub", "and", "or")
 UN_NAMES = ("not", "shl", "shr", "mov")
@@ -165,7 +165,7 @@ def apply_op(o, sigma: MemState) -> MemState:
             w = bits.bin_arith(o.name, v1, v2)
         else:
             w = bits.bin_logic(o.name, v1, v2)
-        return sigma.set(dst_reg(sigma, o.d), w)
+        return sigma._put(dst_reg(sigma, o.d), w)
     if isinstance(o, UnOp):
         v = src_val(sigma, o.s1)
         if o.name == "not":
@@ -174,7 +174,7 @@ def apply_op(o, sigma: MemState) -> MemState:
             w = v
         else:
             w = bits.shift(o.name, v)
-        return sigma.set(dst_reg(sigma, o.d), w)
+        return sigma._put(dst_reg(sigma, o.d), w)
     raise ValueError("apply_op takes a binary or unary operator, got %r" % (o,))
 
 
@@ -190,7 +190,7 @@ def apply_ini(i: int) -> MemState:
     The pre-state is irrelevant by definition."""
     if i < 1:
         raise ValueError("memory numbers start at 1")
-    return MemState({0: ntob(i)})
+    return EMPTY_MEM._put(0, ntob(i))
 
 
 def apply_shared(o, sigma_p: MemState, sigma_s: MemState) -> MemState:
@@ -201,10 +201,10 @@ def apply_shared(o, sigma_p: MemState, sigma_s: MemState) -> MemState:
     """
     if isinstance(o, Load):
         addr = bton(sigma_p.get(o.addr.i))
-        return sigma_p.set(dst_reg(sigma_p, o.d), sigma_s.get(addr))
+        return sigma_p._put(dst_reg(sigma_p, o.d), sigma_s.get(addr))
     if isinstance(o, Store):
         addr = bton(sigma_p.get(o.addr.i))
-        return sigma_s.set(addr, src_val(sigma_p, o.s))
+        return sigma_s._put(addr, src_val(sigma_p, o.s))
     raise ValueError("apply_shared takes load or store, got %r" % (o,))
 
 

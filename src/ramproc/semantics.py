@@ -91,40 +91,56 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
     Returns (success, moves): whether t can terminate now, and the ordered
     deduplicated (label, successor) pairs.
     """
-    env = rho if rho is not None else EMPTY_VALUATION
+    success, moves = _rules(t, rho if rho is not None else EMPTY_VALUATION, gamma, None)
+    return success, _dedup(moves)
 
+
+def _rules(t, env, gamma, memo):
+    """The one-step rules: (success, moves) of t under env.
+
+    The moves come in rule order and may repeat; callers deduplicate once,
+    keeping first occurrences.  That gives the same list as deduplicating
+    at every operator: each rule builds its moves from its operands' moves
+    by concatenation, by mapping labels and successors, by filtering, or by
+    the ordered communication product, and under each of these a repeated
+    operand move only yields repeats of moves produced earlier.
+
+    `memo` is None, or the per-exploration memo of `_operand`.  The rules
+    never change a list they got from a sub-call, so memoized lists can be
+    shared.
+    """
     if isinstance(t, T.Empty):
-        return True, ()
+        return True, []
     if isinstance(t, T.Dead):
-        return False, ()
+        return False, []
     if isinstance(t, T.Silent):
-        return False, ((TAU_LABEL, T.EPS),)
+        return False, [(TAU_LABEL, T.EPS)]
     if isinstance(t, T.Act):
-        return False, ((Plain(t.name), T.EPS),)
+        return False, [(Plain(t.name), T.EPS)]
     if isinstance(t, T.DataAct):
         args = tuple(_eval_data(e, env) for e in t.args)
-        return False, ((DataAction(t.name, args), T.EPS),)
+        return False, [(DataAction(t.name, args), T.EPS)]
     if isinstance(t, T.Assign):
         val = _eval_data(t.e, env)
-        return False, ((Assignment(t.var, val, mentions_of(t)), T.EPS),)
+        return False, [(Assignment(t.var, val, mentions_of(t)), T.EPS)]
 
     if isinstance(t, T.Alt):
-        sl, ml = step(t.l, rho, gamma)
-        sr, mr = step(t.r, rho, gamma)
-        return sl or sr, _dedup(ml + mr)
+        sl, ml = _rules(t.l, env, gamma, memo)
+        sr, mr = _rules(t.r, env, gamma, memo)
+        return sl or sr, ml + mr
 
     if isinstance(t, T.Seq):
-        sl, ml = step(t.l, rho, gamma)
+        sl, ml = _rules(t.l, env, gamma, memo)
         moves = [(a, T.Seq(l2, t.r)) for a, l2 in ml]
         sr = False
         if sl:
-            sr, mr = step(t.r, rho, gamma)
+            sr, mr = _rules(t.r, env, gamma, memo)
             moves.extend(mr)
-        return sl and sr, _dedup(moves)
+        return sl and sr, moves
 
     if isinstance(t, T.Par):
-        sl, ml = step(t.l, rho, gamma)
-        sr, mr = step(t.r, rho, gamma)
+        sl, ml = _operand(t.l, env, gamma, memo)
+        sr, mr = _operand(t.r, env, gamma, memo)
         moves = [(a, T.Par(l2, t.r)) for a, l2 in ml]
         moves.extend((b, T.Par(t.l, r2)) for b, r2 in mr)
         for a, l2 in ml:
@@ -132,22 +148,22 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
                 c = _communicate(a, b, gamma)
                 if c is not None:
                     moves.append((c, T.Par(l2, r2)))
-        return sl and sr, _dedup(moves)
+        return sl and sr, moves
 
     if isinstance(t, T.LeftMerge):
-        _, ml = step(t.l, rho, gamma)
-        return False, _dedup([(a, T.Par(l2, t.r)) for a, l2 in ml])
+        _, ml = _rules(t.l, env, gamma, memo)
+        return False, [(a, T.Par(l2, t.r)) for a, l2 in ml]
 
     if isinstance(t, T.CommMerge):
-        _, ml = step(t.l, rho, gamma)
-        _, mr = step(t.r, rho, gamma)
+        _, ml = _rules(t.l, env, gamma, memo)
+        _, mr = _rules(t.r, env, gamma, memo)
         moves = []
         for a, l2 in ml:
             for b, r2 in mr:
                 c = _communicate(a, b, gamma)
                 if c is not None:
                     moves.append((c, T.Par(l2, r2)))
-        return False, _dedup(moves)
+        return False, moves
 
     if isinstance(t, T.Guard):
         try:
@@ -155,33 +171,30 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
         except LookupError as err:
             raise SemanticsError("condition not decidable without valuation: %s" % err) from None
         if not hold:
-            return False, ()
-        s, m = step(t.body, rho, gamma)
-        return s, m
+            return False, []
+        return _rules(t.body, env, gamma, memo)
 
     if isinstance(t, T.Encap):
-        s, m = step(t.body, rho, gamma)
-        return s, tuple((a, T.Encap(t.acts, u)) for a, u in m if not t.acts.contains_label(a))
+        s, m = _rules(t.body, env, gamma, memo)
+        return s, [(a, T.Encap(t.acts, u)) for a, u in m if not t.acts.contains_label(a)]
 
     if isinstance(t, T.Abstr):
-        s, m = step(t.body, rho, gamma)
-        return s, _dedup(
-            [
-                (TAU_LABEL if t.acts.contains_label(a) else a, T.Abstr(t.acts, u))
-                for a, u in m
-            ]
-        )
+        s, m = _rules(t.body, env, gamma, memo)
+        return s, [
+            (TAU_LABEL if t.acts.contains_label(a) else a, T.Abstr(t.acts, u))
+            for a, u in m
+        ]
 
     if isinstance(t, T.Eval):
-        s, m = step(t.body, t.rho, gamma)
+        s, m = _rules(t.body, t.rho, gamma, memo)
         moves = []
         for a, u in m:
             rho2 = t.rho.set(a.var, a.value) if isinstance(a, Assignment) else t.rho
             moves.append((a, T.Eval(rho2, u)))
-        return s, _dedup(moves)
+        return s, moves
 
     if isinstance(t, T.Proj):
-        s, m = step(t.body, rho, gamma)
+        s, m = _rules(t.body, env, gamma, memo)
         moves = []
         has_visible = False
         for a, u in m:
@@ -191,14 +204,14 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
                 moves.append((a, T.Proj(t.n - 1, u)))
             else:
                 has_visible = True
-        return s or (t.n == 0 and has_visible), _dedup(moves)
+        return s or (t.n == 0 and has_visible), moves
 
     if isinstance(t, T.Rename):
-        s, m = step(t.body, rho, gamma)
-        return s, _dedup([(t.f.apply_label(a), T.Rename(t.f, u)) for a, u in m])
+        s, m = _rules(t.body, env, gamma, memo)
+        return s, [(t.f.apply_label(a), T.Rename(t.f, u)) for a, u in m]
 
     if isinstance(t, T.SyncMerge):
-        return step(sync_merge_expand(t.l, t.r), rho, gamma)
+        return _rules(sync_merge_expand(t.l, t.r), env, gamma, memo)
 
     if isinstance(t, T.Rec):
         u, n = t, 0
@@ -207,12 +220,35 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
             n += 1
             if n > 1000:
                 raise SemanticsError("recursion does not reach a guarded form")
-        return step(u, rho, gamma)
+        return _rules(u, env, gamma, memo)
 
     if isinstance(t, T.Var):
         raise SemanticsError("free recursion variable %s" % t.name)
 
     raise SemanticsError("cannot step %r" % (t,))
+
+
+def _operand(u, env, gamma, memo):
+    """`_rules` for an operand of a parallel merge.
+
+    With memo = (operands, specs), the result is kept in `operands` under u
+    and the entries of env for the flexible variables u reads, so a
+    component that did not move is not stepped again.  A variable missing
+    from env is missing from the key as well, and a step that raises keeps
+    nothing.  `specs` holds each recursion spec's variables, computed once.
+    """
+    if memo is None:
+        return _rules(u, env, gamma, None)
+    operands, specs = memo
+    entry = operands.get(u)
+    if entry is None:
+        entry = operands[u] = (T.flexvars_term(u, specs), {})
+    reads, results = entry
+    key = tuple(kv for kv in env.entries if kv[0] in reads)
+    hit = results.get(key)
+    if hit is None:
+        hit = results[key] = _rules(u, env, gamma, memo)
+    return hit
 
 
 def _dedup(moves):
@@ -267,22 +303,30 @@ class Lts:
 def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
               gamma: CommFunction = DEFAULT_GAMMA) -> Lts:
     """Explore the reachable states of t (wrapped in an evaluation context
-    when a valuation is given)."""
+    when a valuation is given).
+
+    Each state's moves are `step`'s, and the operands of parallel merges
+    are stepped once per call for each valuation of what they read.
+    """
     root = T.Eval(rho, t) if rho is not None else t
+    memo = ({}, {})
     l = Lts()
     l.add_state(root)
     frontier = 0
     while frontier < len(l.states):
         sid = frontier
         frontier += 1
-        succ, moves = step(l.states[sid], None, gamma)
+        succ, moves = _rules(l.states[sid], EMPTY_VALUATION, gamma, memo)
         if succ:
             l.success.add(sid)
-        for lab, u in moves:
-            if u not in l.index and len(l.states) >= max_states:
-                l.exploded = True
-                return l
-            l.transitions.append((sid, lab, l.add_state(u)))
+        for lab, u in _dedup(moves):
+            dst = l.index.get(u)
+            if dst is None:
+                if len(l.states) >= max_states:
+                    l.exploded = True
+                    return l
+                dst = l.add_state(u)
+            l.transitions.append((sid, lab, dst))
     return l
 
 

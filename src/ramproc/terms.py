@@ -12,7 +12,7 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from graphlib import CycleError, TopologicalSorter
 
 from .memory import MemState, format_mem
@@ -37,16 +37,60 @@ def node(cls):
     cls._hash = field(default=None, init=False, compare=False, repr=False)
     cls = dataclass(frozen=True, slots=True)(cls)
     fields_hash = cls.__hash__  # the dataclass hash of the compared fields
+    cls._fields_hash = fields_hash
+    cls._hashed = tuple(f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash))
+    _NODES.add(cls)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((cls, fields_hash(self)))
+            global _nesting
+            if _nesting >= _MAX_NESTING:
+                return _fill_hashes(self)
+            _nesting += 1
+            try:
+                h = hash((cls, fields_hash(self)))
+            finally:
+                _nesting -= 1
             object.__setattr__(self, "_hash", h)
         return h
 
     cls.__hash__ = __hash__
     return cls
+
+
+_NODES = set()
+
+# A first hash hashes the node's unhashed children through nested calls, up
+# to _MAX_NESTING levels; below that `_fill_hashes` takes over, so terms
+# deeper than Python's recursion limit hash too.  Nesting is cheaper per
+# node than the explicit stack, and most terms are shallow.
+_MAX_NESTING = 50
+_nesting = 0
+
+
+def _fill_hashes(root) -> int:
+    """Compute and keep the hash of root and of every node below it whose
+    hash is not known yet, children before parents, with an explicit stack."""
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if n._hash is not None:
+            stack.pop()
+            continue
+        cls = type(n)
+        waiting = len(stack)
+        parts = [getattr(n, name) for name in cls._hashed]
+        while parts:
+            v = parts.pop()
+            if type(v) is tuple:
+                parts.extend(v)
+            elif type(v) in _NODES and v._hash is None:
+                stack.append(v)
+        if len(stack) == waiting:
+            stack.pop()
+            object.__setattr__(n, "_hash", hash((cls, cls._fields_hash(n))))
+    return root._hash
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +638,21 @@ def with_children(t, kids):
     return Rec(t.var, RecSpec(tuple(zip(t.spec.vars(), kids))))
 
 
-def flexvars_term(t) -> frozenset:
+def flexvars_term(t, specs: dict | None = None) -> frozenset:
     """All flexible variables occurring in data positions of t (not counting
-    bindings by inner valuations)."""
+    bindings by inner valuations).  With a dict `specs`, a recursion
+    constant's variables, which are those of its whole spec, are computed
+    once per spec and kept there."""
+    if specs is not None and isinstance(t, Rec):
+        out = specs.get(t.spec)
+        if out is None:
+            out = specs[t.spec] = flexvars_term(t)
+        return out
     out = mentions_of(t)
     if isinstance(t, Guard):
         out |= flexvars_cond(t.cond)
     for c in children(t):
-        out |= flexvars_term(c)
+        out |= flexvars_term(c, specs)
     return out
 
 

@@ -76,3 +76,57 @@ def test_mem_file_roundtrip(tmp_path):
     p2 = tmp_path / "hand.txt"
     p2.write_text("# input\n0 = 11\n2=e\n\n7 = 01\n")
     assert load_mem_file(p2) == MemState({0: "11", 7: "01"})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MemState({-1: "1"}), "register numbers are naturals: -1"),
+    (lambda: MemState({"0": "1"}), "register numbers are naturals: '0'"),
+    (lambda: MemState({0: "12"}), "bit string must consist of 0/1 characters: '12'"),
+    (lambda: MemState({0: 1}), "bit string must consist of 0/1 characters: 1"),
+    (lambda: MemState({0: "1"}).set(-2, "1"), "register numbers are naturals: -2"),
+    (lambda: MemState({0: "1"}).set(True, "1"), None),
+    (lambda: MemState({0: "1"}).set(3, "e"), "bit string must consist of 0/1 characters: 'e'"),
+    (lambda: parse_mem("[0:1, 2:3]"), "bit string must consist of 0/1 characters: '3'"),
+    (lambda: parse_mem("0:1"), "memory literal must be bracketed: '0:1'"),
+])
+def test_validation_messages_pinned(build, message):
+    if message is None:
+        assert build() == MemState({0: "1", 1: "1"})
+        return
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_mem_file_validation_message_pinned(tmp_path):
+    p = tmp_path / "bad.mem"
+    p.write_text("0=11\n1=102\n")
+    with pytest.raises(ValueError) as err:
+        load_mem_file(p)
+    assert str(err.value) == "%s:2: bit string must consist of 0/1 characters: '102'" % p
+
+
+def test_register_operation_results_are_ordinary_states():
+    from ramproc.ramops import BinOp, Dir, Imm, Ind, Load, Store, UnOp, apply_ini, apply_op, apply_shared
+
+    sigma = MemState({0: "1", 1: "101", 2: "11"})
+    results = [
+        apply_op(BinOp("add", Dir(1), Dir(2), Dir(3)), sigma),
+        apply_op(BinOp("and", Dir(5), Dir(6), Ind(0)), sigma),  # writes the empty string
+        apply_op(UnOp("not", Dir(1), Dir(1)), sigma),
+        apply_op(UnOp("mov", Imm(6), Dir(0)), sigma),
+        apply_ini(3),
+        apply_shared(Load(Ind(0), Dir(4)), sigma, MemState({1: "0"})),
+        apply_shared(Store(Dir(2), Ind(0)), sigma, EMPTY_MEM),
+    ]
+    expected = [
+        MemState({0: "1", 1: "101", 2: "11", 3: "0001"}),
+        MemState({0: "1", 2: "11"}),
+        MemState({0: "1", 1: "010", 2: "11"}),
+        MemState({0: "011", 1: "101", 2: "11"}),
+        MemState({0: "11"}),
+        MemState({0: "1", 1: "101", 2: "11", 4: "0"}),
+        MemState({1: "11"}),
+    ]
+    for got, want in zip(results, expected):
+        assert got == want and hash(got) == hash(want) and got.items() == want.items()

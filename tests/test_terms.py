@@ -335,3 +335,30 @@ def test_validator_verdicts(validator, text, expected):
     else:
         got = getattr(T, validator)(t)
         assert type(got) is type(expected) and got == expected
+
+
+def _seq_chain(n, hash_each=False):
+    t = EPS
+    for _ in range(n):
+        t = Seq(Act("a"), t)
+        if hash_each:
+            hash(t)
+    return t
+
+
+def test_deep_chain_hashes_and_explores():
+    from ramproc.semantics import build_lts
+
+    t = _seq_chain(3000)
+    assert hash(t) == hash(t)
+    # hashed all at once, below the nesting bound too, or one level at a time
+    assert hash(_seq_chain(3000)) == hash(t) == hash(_seq_chain(3000, hash_each=True))
+    l = build_lts(t)
+    assert (len(l.states), len(l.transitions), l.success) == (3001, 3000, {3000})
+
+
+def test_shared_subterms_hash_once():
+    t = Act("a")
+    for _ in range(64):
+        t = Alt(t, t)
+    assert hash(t) == hash(Alt(t.l, t.r))
