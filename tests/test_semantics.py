@@ -1,12 +1,22 @@
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import zlib
 
 import pytest
 
 from ramproc import terms as T
 from ramproc.bisim import rb_bisim
 from ramproc.machines import (
+    HALT,
     SMBRAM,
+    Jmp,
+    Op,
+    Program,
     compose_async,
     compose_sync,
     parse_program,
@@ -15,6 +25,7 @@ from ramproc.machines import (
     proc_of_smbram_sync,
 )
 from ramproc.memory import EMPTY_MEM, MemState
+from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Load, Store, UnOp
 from ramproc.semantics import (
     CommFunction,
     SemanticsError,
@@ -56,6 +67,8 @@ from ramproc.terms import (
 )
 
 import sample_terms
+from axiom_defs import AXIOMS, GAMMA, Gen
+from test_machines import _random_mem, _random_program
 
 GAMMA_AB = CommFunction.make({("a", "b"): "c"})
 
@@ -403,9 +416,6 @@ def test_lts_identity_pinned(build, states, transitions):
 # instances.  Any change to state numbering or move order changes it.
 
 def _random_shared_program(rng, n_ops):
-    from ramproc.machines import HALT, Jmp, Op, Program
-    from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Load, Store, UnOp
-
     def src():
         return rng.choice([Dir(rng.randint(0, 2)), Imm(rng.randint(0, 2))])
 
@@ -431,11 +441,6 @@ def _random_shared_program(rng, n_ops):
 
 def _fingerprint_corpus():
     """(label, Lts) pairs of the corpus, in a fixed order."""
-    import zlib
-
-    from axiom_defs import AXIOMS, GAMMA, Gen
-    from test_machines import _random_mem, _random_program
-
     rng = random.Random(6061)
     for k in range(40):
         prog = _random_program(rng, rng.randint(1, 6))
@@ -459,9 +464,6 @@ def _fingerprint_corpus():
 
 
 def _corpus_digest():
-    import hashlib
-    import json
-
     h = hashlib.sha256()
     count = 0
     for label, l in _fingerprint_corpus():
@@ -480,10 +482,6 @@ def test_lts_fingerprint_corpus_pinned():
 
 
 def test_lts_fingerprint_corpus_ignores_hash_seed():
-    import os
-    import subprocess
-    import sys
-
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     code = "import test_semantics as m; print(*m._corpus_digest())"
@@ -498,11 +496,11 @@ def test_lts_fingerprint_corpus_ignores_hash_seed():
 # ---------------------------------------------------------------------------
 # Exploration against a plain breadth-first loop over the public `step`.
 
-def _bfs_over_step(t, rho=None, gamma=CommFunction.make({("sync", "sync"): "synced"})):
+def _bfs_over_step(t, rho):
     root = Eval(rho, t) if rho is not None else t
     states, index, transitions, success = [root], {root: 0}, [], set()
     for sid, state in enumerate(states):  # grows while it is walked
-        ok, moves = step(state, None, gamma)
+        ok, moves = step(state)
         if ok:
             success.add(sid)
         for lab, u in moves:
