@@ -24,6 +24,10 @@ class MemState:
                 check_bits(w)
                 if w:
                     d[i] = w
+        self._fill(d)
+
+    def _fill(self, d: dict) -> None:
+        """Take d, a checked dict of the non-empty registers, as the contents."""
         self._regs = d
         self._hash = hash(frozenset(d.items()))
 
@@ -48,8 +52,7 @@ class MemState:
         else:
             d.pop(i, None)
         m = object.__new__(MemState)
-        m._regs = d
-        m._hash = hash(frozenset(d.items()))
+        m._fill(d)
         return m
 
     def registers(self):

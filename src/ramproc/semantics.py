@@ -231,18 +231,16 @@ def _rules(t, env, gamma, memo):
 def _operand(u, env, gamma, memo):
     """`_rules` for an operand of a parallel merge.
 
-    With memo = (operands, specs), the result is kept in `operands` under u
-    and the entries of env for the flexible variables u reads, so a
-    component that did not move is not stepped again.  A variable missing
-    from env is missing from the key as well, and a step that raises keeps
-    nothing.  `specs` holds each recursion spec's variables, computed once.
+    With a dict memo, the result is kept there under u and the entries of
+    env for the flexible variables u reads, so a component that did not
+    move is not stepped again.  A variable missing from env is missing from
+    the key as well, and a step that raises keeps nothing.
     """
     if memo is None:
         return _rules(u, env, gamma, None)
-    operands, specs = memo
-    entry = operands.get(u)
+    entry = memo.get(u)
     if entry is None:
-        entry = operands[u] = (T.flexvars_term(u, specs), {})
+        entry = memo[u] = (T.flexvars_term(u), {})
     reads, results = entry
     key = tuple(kv for kv in env.entries if kv[0] in reads)
     hit = results.get(key)
@@ -309,7 +307,7 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
     are stepped once per call for each valuation of what they read.
     """
     root = T.Eval(rho, t) if rho is not None else t
-    memo = ({}, {})
+    memo = {}
     l = Lts()
     l.add_state(root)
     frontier = 0

@@ -44,15 +44,7 @@ def node(cls):
     def __hash__(self):
         h = self._hash
         if h is None:
-            global _nesting
-            if _nesting >= _MAX_NESTING:
-                return _fill_hashes(self)
-            _nesting += 1
-            try:
-                h = hash((cls, fields_hash(self)))
-            finally:
-                _nesting -= 1
-            object.__setattr__(self, "_hash", h)
+            h = _fill_hashes(self)
         return h
 
     cls.__hash__ = __hash__
@@ -60,13 +52,6 @@ def node(cls):
 
 
 _NODES = set()
-
-# A first hash hashes the node's unhashed children through nested calls, up
-# to _MAX_NESTING levels; below that `_fill_hashes` takes over, so terms
-# deeper than Python's recursion limit hash too.  Nesting is cheaper per
-# node than the explicit stack, and most terms are shallow.
-_MAX_NESTING = 50
-_nesting = 0
 
 
 def _fill_hashes(root) -> int:
@@ -534,6 +519,8 @@ class RecSpec:
     equations: tuple  # (name, ProcTerm) pairs
     # var -> one-step unfolding of Rec(var, self), filled in by `unfold`
     _unfolded: dict = field(default=None, init=False, compare=False, repr=False)
+    # the flexible variables of all right-hand sides, filled in by `flexvars_term`
+    _flexvars: frozenset = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.equations]
@@ -638,21 +625,25 @@ def with_children(t, kids):
     return Rec(t.var, RecSpec(tuple(zip(t.spec.vars(), kids))))
 
 
-def flexvars_term(t, specs: dict | None = None) -> frozenset:
+def flexvars_term(t) -> frozenset:
     """All flexible variables occurring in data positions of t (not counting
-    bindings by inner valuations).  With a dict `specs`, a recursion
-    constant's variables, which are those of its whole spec, are computed
-    once per spec and kept there."""
-    if specs is not None and isinstance(t, Rec):
-        out = specs.get(t.spec)
+    bindings by inner valuations).  A recursion constant's variables are
+    those of its whole spec; they are computed once per spec object and kept
+    in its hidden `_flexvars` field."""
+    if isinstance(t, Rec):
+        spec = t.spec
+        out = spec._flexvars
         if out is None:
-            out = specs[t.spec] = flexvars_term(t)
+            out = frozenset()
+            for _, rhs in spec.equations:
+                out |= flexvars_term(rhs)
+            object.__setattr__(spec, "_flexvars", out)
         return out
     out = mentions_of(t)
     if isinstance(t, Guard):
         out |= flexvars_cond(t.cond)
     for c in children(t):
-        out |= flexvars_term(c, specs)
+        out |= flexvars_term(c)
     return out
 
 

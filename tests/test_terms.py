@@ -351,7 +351,7 @@ def test_deep_chain_hashes_and_explores():
 
     t = _seq_chain(3000)
     assert hash(t) == hash(t)
-    # hashed all at once, below the nesting bound too, or one level at a time
+    # hashed all at once, or one level at a time
     assert hash(_seq_chain(3000)) == hash(t) == hash(_seq_chain(3000, hash_each=True))
     l = build_lts(t)
     assert (len(l.states), len(l.transitions), l.success) == (3001, 3000, {3000})
