@@ -24,58 +24,33 @@ from .ramops import CmpOp, Ini, Load, Store, apply_ini, apply_op, apply_prop, ap
 # Nodes
 
 def node(cls):
-    """`@dataclass(frozen=True, slots=True)` whose hash is computed on the
-    first `hash()` call and kept in a hidden `_hash` slot.
+    """`@dataclass(frozen=True, slots=True)` whose hash is computed once, as
+    the node is built, and kept in a hidden `_hash` slot.
 
     Terms are immutable and states embed whole recursion specs, so hashing
     them afresh on every dictionary lookup would cost time proportional to
     the term's size.  The hash covers the node's class and its compared
-    fields.  Construction only marks it as not yet computed, which keeps
-    building terms that are never hashed cheap.
+    fields.  A node's children are built, and so hashed, before the node
+    itself, so each hash reads only the kept hashes one level down, and
+    terms of any depth hash without recursion.
     """
     cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "int"}
-    cls._hash = field(default=None, init=False, compare=False, repr=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
-    fields_hash = cls.__hash__  # the dataclass hash of the compared fields
-    cls._fields_hash = fields_hash
-    cls._hashed = tuple(f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash))
-    _NODES.add(cls)
+    cls._hash = field(init=False, compare=False, repr=False)
+    check = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        if check is not None:
+            check(self)
+        object.__setattr__(self, "_hash", hash((built, fields_hash(self))))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = _fill_hashes(self)
-        return h
+        return self._hash
 
-    cls.__hash__ = __hash__
-    return cls
-
-
-_NODES = set()
-
-
-def _fill_hashes(root) -> int:
-    """Compute and keep the hash of root and of every node below it whose
-    hash is not known yet, children before parents, with an explicit stack."""
-    stack = [root]
-    while stack:
-        n = stack[-1]
-        if n._hash is not None:
-            stack.pop()
-            continue
-        cls = type(n)
-        waiting = len(stack)
-        parts = [getattr(n, name) for name in cls._hashed]
-        while parts:
-            v = parts.pop()
-            if type(v) is tuple:
-                parts.extend(v)
-            elif type(v) in _NODES and v._hash is None:
-                stack.append(v)
-        if len(stack) == waiting:
-            stack.pop()
-            object.__setattr__(n, "_hash", hash((cls, cls._fields_hash(n))))
-    return root._hash
+    cls.__post_init__ = __post_init__
+    built = dataclass(frozen=True, slots=True)(cls)
+    fields_hash = built.__hash__  # the dataclass hash of the compared fields
+    built.__hash__ = __hash__
+    return built
 
 
 # ---------------------------------------------------------------------------
