@@ -12,7 +12,7 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
 from .memory import MemState, format_mem
