@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 
 from . import terms as T
+from .machines import APRAMP, RAMP, SPRAMP, validate_apramp, validate_ramp, validate_spramp
 from .memory import EMPTY_MEM
 from .semantics import (
     Lts, SemanticsError, build_lts, depth, eventually_halts, terminal_valuations,
@@ -76,20 +77,20 @@ class Measure:
 _SYNC = T.Plain("sync")
 
 MEASURE_TABLE = {
-    "sutm": Measure(T.RAMP, "sequential machine", T.validate_ramp, None,
+    "sutm": Measure(RAMP, "sequential machine", validate_ramp, None,
                     "Sequential time: every non-silent step counts."),
-    "swm": Measure(T.RAMP, "sequential machine", T.validate_ramp, None,
+    "swm": Measure(RAMP, "sequential machine", validate_ramp, None,
                    "Sequential work; a sequential machine does one unit per step.",
                    same_as="sutm"),
-    "aputm": Measure(T.APRAMP, "interleaved parallel machine", T.validate_apramp, None,
+    "aputm": Measure(APRAMP, "interleaved parallel machine", validate_apramp, None,
                      "Asynchronous-parallel time: the slowest component's own steps.",
                      per_component=True),
-    "apwm": Measure(T.APRAMP, "interleaved parallel machine", T.validate_apramp, None,
+    "apwm": Measure(APRAMP, "interleaved parallel machine", validate_apramp, None,
                     "Asynchronous-parallel work: all non-silent steps along a longest run."),
-    "sputm": Measure(T.SPRAMP, "lockstep parallel machine", T.validate_spramp,
+    "sputm": Measure(SPRAMP, "lockstep parallel machine", validate_spramp,
                      lambda lab: lab == _SYNC,
                      "Synchronous-parallel time: handshake rounds only."),
-    "spwm": Measure(T.SPRAMP, "lockstep parallel machine", T.validate_spramp,
+    "spwm": Measure(SPRAMP, "lockstep parallel machine", validate_spramp,
                     lambda lab: not isinstance(lab, T.Tau) and lab != _SYNC,
                     "Synchronous-parallel work: computational (non-handshake) steps."),
 }
@@ -114,7 +115,7 @@ def _measure_function(name, m: Measure):
             return MeasureReport(name, r.value, (), r.states, r.transitions)
         # the sequential measures apply to any term; the parallel ones
         # need the machine shape, and aputm its component count
-        n = m.validator(t) if m.model != T.RAMP else None
+        n = m.validator(t) if m.model != RAMP else None
         l = _halting_lts(t, rho, max_states)
         return _report(name, l, *_measure_value(m, l, n))
 

@@ -5,12 +5,17 @@ jumps (1-based targets), and halt.  The basic kind runs over one memory; the
 shared-memory kind adds load/store and runs any number of numbered copies
 against a common memory.  Each compiler emits one recursion equation per
 instruction (the synchronous one: a handshake equation plus a work equation),
-so control positions and equations correspond one to one.
+so control positions and equations correspond one to one.  The machine terms
+are exactly the compilers' outputs up to equation names: the inverse reads a
+program from a term and accepts the term only if that program compiles back
+to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import zip_longest
 
 from . import ramops
 from . import terms as T
@@ -123,16 +128,18 @@ def format_program(prog: Program) -> str:
 
 # ---------------------------------------------------------------------------
 # Compilers
-
-def _op_expr(o, memvar: str):
-    if isinstance(o, (Load, Store)):
-        return T.Apply2(o, T.FlexVar(memvar), T.FlexVar("RM"))
-    return T.Apply1(o, T.FlexVar(memvar))
-
+#
+# `_compile` is the one definition of the machine shapes.  The compilers call
+# it with fixed equation names and the inverse with the names of the term it
+# reads, so a machine term is exactly a compiler output up to equation names.
 
 def _op_equation(o, memvar: str, nxt: str):
+    if isinstance(o, (Load, Store)):
+        e = T.Apply2(o, T.FlexVar(memvar), T.FlexVar("RM"))
+    else:
+        e = T.Apply1(o, T.FlexVar(memvar))
     target = "RM" if isinstance(o, Store) else memvar
-    return T.Guard(T.TRUE, T.Seq(T.Assign(target, _op_expr(o, memvar)), T.Var(nxt)))
+    return T.Guard(T.TRUE, T.Seq(T.Assign(target, e), T.Var(nxt)))
 
 
 def _jmp_equation(p, memvar: str, taken: str, fallthrough: str):
@@ -143,40 +150,46 @@ def _jmp_equation(p, memvar: str, taken: str, fallthrough: str):
     )
 
 
-_HALT_EQUATION = T.Guard(T.TRUE, T.EPS)
+def _compile(prog: Program, name, number=None, handshakes: bool = False):
+    """The recursion constant `prog` compiles to, equation k named name(k).
 
-
-def _equations(prog: Program, memvar: str, prefix: str, handshakes: bool = False):
-    """One equation per instruction over memory `memvar`, instruction j
-    named prefix + j.  With handshakes, instruction j is instead a sync
-    equation prefix + (2j-1) followed by its work equation prefix + 2j, and
-    control (fall-through and jumps alike) enters at the sync equation."""
+    Without a component number the machine runs over memory RM, and
+    instruction j is equation j.  Component i runs over its private memory
+    RM_i and starts at equation 0, the step RM_i := ini_i(RM_i).  With
+    handshakes, instruction j is instead a sync equation 2j-1 followed by
+    its work equation 2j, and control (fall-through and jumps alike) enters
+    at the sync equation.
+    """
     if not isinstance(prog.instrs[-1], Halt):
         raise ValueError("last instruction must be halt: control would run past the end")
     stride = 2 if handshakes else 1
+    memvar = "RM" if number is None else "RM_%d" % number
 
     def entry(j):
-        return "%s%d" % (prefix, stride * (j - 1) + 1)
+        return name(stride * (j - 1) + 1)
 
     eqs = []
+    if number is not None:
+        ini = T.Assign(memvar, T.Apply1(Ini(number), T.FlexVar(memvar)))
+        eqs.append((name(0), T.Guard(T.TRUE, T.Seq(ini, T.Var(entry(1))))))
     for j, ins in enumerate(prog.instrs, start=1):
-        work = "%s%d" % (prefix, stride * j)
+        work = name(stride * j)
         if handshakes:
             eqs.append((entry(j), T.Guard(T.TRUE, T.Seq(T.Act("sync"), T.Var(work)))))
         if isinstance(ins, Halt):
-            eqs.append((work, _HALT_EQUATION))
+            eqs.append((work, T.Guard(T.TRUE, T.EPS)))
         elif isinstance(ins, Jmp):
             eqs.append((work, _jmp_equation(ins.p, memvar, entry(ins.target), entry(j + 1))))
         else:
             eqs.append((work, _op_equation(ins.o, memvar, entry(j + 1))))
-    return tuple(eqs)
+    return T.Rec(eqs[0][0], T.RecSpec(tuple(eqs)))
 
 
 def proc_of_bbram(prog: Program):
     """One equation per instruction over memory RM, starting at the first."""
     if prog.kind != BBRAM:
         raise ValueError("expected a basic program")
-    return T.Rec("X1", T.RecSpec(_equations(prog, "RM", "X")))
+    return _compile(prog, lambda k: "X%d" % k)
 
 
 def _component(i: int, prog: Program, handshakes: bool):
@@ -184,12 +197,8 @@ def _component(i: int, prog: Program, handshakes: bool):
         raise ValueError("expected a shared-memory program")
     if i < 1:
         raise ValueError("component numbers start at 1")
-    memvar = "RM_%d" % i
     root = "X%d" % i
-    ini_eq = T.Guard(
-        T.TRUE, T.Seq(T.Assign(memvar, T.Apply1(Ini(i), T.FlexVar(memvar))), T.Var("Y1"))
-    )
-    return T.Rec(root, T.RecSpec(((root, ini_eq),) + _equations(prog, memvar, "Y", handshakes)))
+    return _compile(prog, lambda k: "Y%d" % k if k else root, i, handshakes)
 
 
 def proc_of_smbram_async(i: int, prog: Program):
@@ -205,48 +214,118 @@ def proc_of_smbram_sync(i: int, prog: Program):
     return _component(i, prog, handshakes=True)
 
 
+def _compose(node, components):
+    components = tuple(components)
+    if not components:
+        raise ValueError("no components")
+    return reduce(node, components)
+
+
 def compose_async(components):
     """Left-nested interleaving of compiled components."""
-    acc = None
-    for c in components:
-        acc = c if acc is None else T.Par(acc, c)
-    if acc is None:
-        raise ValueError("no components")
-    return acc
+    return _compose(T.Par, components)
 
 
 def compose_sync(components):
     """Left-nested synchronizing merge of compiled components."""
-    acc = None
-    for c in components:
-        acc = c if acc is None else T.SyncMerge(acc, c)
-    if acc is None:
-        raise ValueError("no components")
-    return acc
+    return _compose(T.SyncMerge, components)
 
 
 # ---------------------------------------------------------------------------
-# Inverse extraction
+# Inverse extraction and machine-shape validation
+
+RAMP, APRAMP, SPRAMP = "ramp", "apramp", "spramp"  # the machine-term models
+
+
+def _read_instr(rhs, entries, ops):
+    """The instruction an equation reads as: its operator, or its comparison
+    and the entry equation (in `entries`) its bit-1 summand jumps to; else halt."""
+    match rhs:
+        case T.Alt(T.Guard(T.PropAtom(p), T.Seq(_, T.Var(target)))) if target in entries:
+            return Jmp(p, entries[target])
+        case T.Guard(_, T.Seq(T.Assign(_, T.Apply1(o) | T.Apply2(o)))) if isinstance(o, ops):
+            return Op(o)
+    return HALT
+
+
+def _decode(t, number=None, handshakes: bool = False) -> Program:
+    """The program t is compiled from, as a sequential machine (number None)
+    or as component `number` of a parallel one (see `_compile`).
+
+    Each instruction is read from its equation alone; the program is then
+    compiled again under t's own equation names.  Raises ValueError naming
+    the first equation that is not what its instruction compiles to.
+    """
+    if not isinstance(t, T.Rec):
+        raise ValueError("not a recursion constant")
+    eqs = t.spec.equations
+    names = [n for n, _ in eqs]
+    first = 1 if number is None else 0  # the number of the first equation
+    stride = 2 if handshakes else 1
+    n = (len(eqs) + first - 1) // stride
+    if n == 0:
+        raise ValueError("equation %s is not what its instruction compiles to" % names[-1])
+
+    def name(k):
+        return names[k - first]
+
+    entries = {name(stride * (j - 1) + 1): j for j in range(1, n + 1)}
+    ops = (BinOp, UnOp) if number is None else (BinOp, UnOp, Load, Store)
+    instrs = [_read_instr(eqs[stride * j - first][1], entries, ops) for j in range(1, n)]
+    # the last instruction can only be halt: any other falls through past the end
+    prog = Program(tuple(instrs) + (HALT,), BBRAM if number is None else SMBRAM)
+    compiled = _compile(prog, name, number, handshakes)
+    for k, (got, want) in enumerate(zip_longest(eqs, compiled.spec.equations)):
+        if got != want:
+            raise ValueError("equation %s is not what its instruction compiles to"
+                             % names[min(k, len(names) - 1)])
+    if t.var != compiled.var:
+        raise ValueError("the term starts at %s, not at its first equation" % t.var)
+    return prog
+
 
 def program_of_ramp(t) -> Program:
     """Recover the program a sequential-machine term was compiled from.
 
-    Equation order gives instruction order, so compiling the result yields
+    Equation order gives instruction order, and compiling the result yields
     the input back up to consistent renaming of the equation variables.
     """
     try:
-        _, steps = T.decode_component(t, T.RAMP)
+        return _decode(t)
+    except ValueError as e:
+        raise ValueError("not a sequential-machine term: %s" % e) from None
+
+
+def program_of_apramp(t) -> tuple:
+    """The component programs, in order, of an interleaving composition of
+    components compiled by `proc_of_smbram_async` and numbered 1..n."""
+    return tuple(_decode(c, i) for i, c in enumerate(T.flatten(t, T.Par), start=1))
+
+
+def program_of_spramp(t) -> tuple:
+    """The component programs, in order, of a synchronizing composition of
+    components compiled by `proc_of_smbram_sync` and numbered 1..n."""
+    return tuple(_decode(c, i, True) for i, c in enumerate(T.flatten(t, T.SyncMerge), start=1))
+
+
+def validate_ramp(t) -> bool:
+    """Whether t is a sequential-machine term: a `proc_of_bbram` output up
+    to equation names."""
+    try:
+        _decode(t)
     except ValueError:
-        raise ValueError("not a sequential-machine term") from None
-    instrs = []
-    for kind, desc, succs in steps:
-        if kind == "op":
-            instrs.append(Op(desc))
-        elif kind == "test":
-            instrs.append(Jmp(desc, succs[0] + 1))
-        else:
-            instrs.append(HALT)
-    return Program(tuple(instrs), BBRAM)
+        return False
+    return True
+
+
+def validate_apramp(t) -> int:
+    """The component count of a `program_of_apramp` term; else ValueError."""
+    return len(program_of_apramp(t))
+
+
+def validate_spramp(t) -> int:
+    """The component count of a `program_of_spramp` term; else ValueError."""
+    return len(program_of_spramp(t))
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,17 @@ def _communicate(a, b, gamma: CommFunction):
     return None
 
 
+def _communications(ml, mr, gamma):
+    """The communicating pairs of two operands' moves, left moves outer."""
+    moves = []
+    for a, l2 in ml:
+        for b, r2 in mr:
+            c = _communicate(a, b, gamma)
+            if c is not None:
+                moves.append((c, T.Par(l2, r2)))
+    return moves
+
+
 def _eval_data(e, env):
     try:
         return eval_data(e, env)
@@ -91,7 +102,7 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
     Returns (success, moves): whether t can terminate now, and the ordered
     deduplicated (label, successor) pairs.
     """
-    success, moves = _rules(t, rho if rho is not None else EMPTY_VALUATION, gamma, None)
+    success, moves = _rules(t, rho if rho is not None else EMPTY_VALUATION, gamma, {})
     return success, _dedup(moves)
 
 
@@ -105,9 +116,9 @@ def _rules(t, env, gamma, memo):
     the ordered communication product, and under each of these a repeated
     operand move only yields repeats of moves produced earlier.
 
-    `memo` is None, or the per-exploration memo of `_operand`.  The rules
-    never change a list they got from a sub-call, so memoized lists can be
-    shared.
+    `memo` is the memo of `_operand`, kept for one `step` or `build_lts`
+    call.  The rules never change a list they got from a sub-call, so
+    memoized lists can be shared.
     """
     if isinstance(t, T.Empty):
         return True, []
@@ -143,11 +154,7 @@ def _rules(t, env, gamma, memo):
         sr, mr = _operand(t.r, env, gamma, memo)
         moves = [(a, T.Par(l2, t.r)) for a, l2 in ml]
         moves.extend((b, T.Par(t.l, r2)) for b, r2 in mr)
-        for a, l2 in ml:
-            for b, r2 in mr:
-                c = _communicate(a, b, gamma)
-                if c is not None:
-                    moves.append((c, T.Par(l2, r2)))
+        moves.extend(_communications(ml, mr, gamma))
         return sl and sr, moves
 
     if isinstance(t, T.LeftMerge):
@@ -157,13 +164,7 @@ def _rules(t, env, gamma, memo):
     if isinstance(t, T.CommMerge):
         _, ml = _rules(t.l, env, gamma, memo)
         _, mr = _rules(t.r, env, gamma, memo)
-        moves = []
-        for a, l2 in ml:
-            for b, r2 in mr:
-                c = _communicate(a, b, gamma)
-                if c is not None:
-                    moves.append((c, T.Par(l2, r2)))
-        return False, moves
+        return False, _communications(ml, mr, gamma)
 
     if isinstance(t, T.Guard):
         try:
@@ -231,13 +232,11 @@ def _rules(t, env, gamma, memo):
 def _operand(u, env, gamma, memo):
     """`_rules` for an operand of a parallel merge.
 
-    With a dict memo, the result is kept there under u and the entries of
-    env for the flexible variables u reads, so a component that did not
-    move is not stepped again.  A variable missing from env is missing from
-    the key as well, and a step that raises keeps nothing.
+    The result is kept in memo under u and the entries of env for the
+    flexible variables u reads, so a component that did not move is not
+    stepped again.  A variable missing from env is missing from the key as
+    well, and a step that raises keeps nothing.
     """
-    if memo is None:
-        return _rules(u, env, gamma, None)
     entry = memo.get(u)
     if entry is None:
         entry = memo[u] = (T.flexvars_term(u), {})

@@ -378,11 +378,23 @@ def parse_cond(text: str):
 
 def _parse_all(text, rule):
     p = _Parser(text)
-    out = rule(p)
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise ParseError("input nests too deeply to parse%s" % _nesting(p.toks)) from None
     kind, text_, off = p.peek()
     if kind != "end":
         raise ParseError("trailing input %r at offset %d" % (text_, off))
     return out
+
+
+def _nesting(toks):
+    """How deep the tokens' brackets nest, for an error message."""
+    depth = deepest = 0
+    for kind, _, _ in toks:
+        depth += (kind in ("(", "[", "{")) - (kind in (")", "]", "}"))
+        deepest = max(deepest, depth)
+    return " (%d levels of brackets)" % deepest if deepest else ""
 
 
 def _acts_to_vars(t, names):

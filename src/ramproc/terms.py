@@ -12,8 +12,10 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
+from operator import itemgetter
 
 from .memory import MemState, format_mem
 from . import ramops
@@ -248,8 +250,10 @@ class Valuation:
         raise LookupError("flexible variable %r is unbound" % (name,))
 
     def set(self, name: str, mem: MemState) -> "Valuation":
-        kept = tuple((k, v) for k, v in self.entries if k != name)
-        return Valuation(tuple(sorted(kept + ((name, mem),))))
+        entries = self.entries
+        i = bisect_left(entries, name, key=itemgetter(0))
+        j = i + 1 if i < len(entries) and entries[i][0] == name else i
+        return Valuation(entries[:i] + ((name, mem),) + entries[j:])
 
     def names(self):
         return tuple(k for k, _ in self.entries)
@@ -713,10 +717,11 @@ def validate_linear(t) -> bool:
     return False
 
 
-def _flatten(t, node):
+def flatten(t, node):
+    """The operands of a nest of binary `node` operators, left to right."""
     if isinstance(t, node):
-        yield from _flatten(t.l, node)
-        yield from _flatten(t.r, node)
+        yield from flatten(t.l, node)
+        yield from flatten(t.r, node)
     else:
         yield t
 
@@ -730,7 +735,7 @@ def validate_guarded(E: RecSpec) -> bool:
     edges = {}
     for name, rhs in E.equations:
         outs = set()
-        for s in _flatten(rhs, Alt):
+        for s in flatten(rhs, Alt):
             if (
                 isinstance(s, Guard)
                 and isinstance(s.body, Seq)
@@ -743,159 +748,3 @@ def validate_guarded(E: RecSpec) -> bool:
     except CycleError:
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Machine shapes
-
-RAMP, APRAMP, SPRAMP = "ramp", "apramp", "spramp"
-
-# step kinds each mode accepts after the root
-_KINDS = {
-    RAMP: ("op", "test", "halt"),
-    APRAMP: ("op", "load", "store", "test", "halt"),
-    SPRAMP: ("op", "load", "store", "test", "halt", "sync"),
-}
-
-
-def _read_step(rhs, memvar):
-    """Read one right-hand side as a machine step over memory `memvar`:
-    (kind, descriptor, successor names) with kind ini, op, load, store,
-    test, halt or sync, or None for no machine shape.  A test's successors
-    are its target on 1, then its target on 0."""
-    if isinstance(rhs, Alt):
-        return _read_test(rhs, memvar)
-    if not (isinstance(rhs, Guard) and isinstance(rhs.cond, TrueC)):
-        return None
-    b = rhs.body
-    if isinstance(b, Empty):
-        return "halt", None, ()
-    if not (isinstance(b, Seq) and isinstance(b.r, Var)):
-        return None
-    nxt = (b.r.name,)
-    if b.l == Act("sync"):
-        return "sync", None, nxt
-    if not isinstance(b.l, Assign):
-        return None
-    var, e = b.l.var, b.l.e
-    if isinstance(e, Apply1) and e.e == FlexVar(var):
-        if isinstance(e.op, Ini):
-            return "ini", (e.op.i, var), nxt
-        if var == memvar:
-            return "op", e.op, nxt
-    if isinstance(e, Apply2) and (e.e_priv, e.e_shared) == (FlexVar(memvar), FlexVar("RM")):
-        if isinstance(e.op, Load) and var == memvar:
-            return "load", e.op, nxt
-        if isinstance(e.op, Store) and var == "RM":
-            return "store", e.op, nxt
-    return None
-
-
-def _read_test(rhs, memvar):
-    summands = list(_flatten(rhs, Alt))
-    if len(summands) != 2:
-        return None
-    reads = []
-    for s in summands:
-        if not (isinstance(s, Guard) and isinstance(s.cond, PropAtom)
-                and s.cond.e == FlexVar(memvar)):
-            return None
-        b = s.body
-        if not (isinstance(b, Seq) and isinstance(b.r, Var)
-                and b.l == Assign(memvar, FlexVar(memvar))):
-            return None
-        reads.append((s.cond.p, s.cond.expected, b.r.name))
-    (p1, bit1, n1), (p2, bit2, n2) = reads
-    if p1 != p2 or {bit1, bit2} != {0, 1}:
-        return None
-    return "test", p1, (n1, n2) if bit1 == 1 else (n2, n1)
-
-
-def decode_component(t, mode):
-    """Read a machine term equation by equation, in declaration order.
-
-    In mode RAMP the term is one sequential machine over memory RM.  In
-    APRAMP and SPRAMP it is component i of a parallel machine: a root
-    equation RM_i := ini(RM_i), then steps over RM_i and the shared RM, and
-    in SPRAMP handshake (sync) equations as well.  Every step but a test or
-    halt falls through to the next equation; a test falls through on 0 and
-    jumps on 1 to any equation (in the parallel modes, any but the root).
-    In SPRAMP every edge joins a handshake and a non-handshake equation.
-
-    Returns (number, steps): the component number (None in RAMP) and one
-    (kind, descriptor, successor indices) triple per equation.  Raises
-    ValueError naming the first rule the term breaks.
-    """
-    if not isinstance(t, Rec):
-        raise ValueError("component is not a recursion constant")
-    eqs = t.spec.equations
-    if t.var != eqs[0][0]:
-        raise ValueError("component does not start at its first equation")
-    number, memvar = None, "RM"
-    index = {n: k for k, (n, _) in enumerate(eqs)}
-    steps = []
-    for k, (name, rhs) in enumerate(eqs):
-        step = _read_step(rhs, memvar)
-        if k == 0 and mode != RAMP:
-            # the root's ini step names the component and its memory
-            if step is None or step[0] != "ini":
-                raise ValueError("root equation %s lacks the ini step" % (name,))
-            number, memvar = step[1]
-            if memvar != "RM_%d" % number:
-                raise ValueError("component %d uses private memory %s" % (number, memvar))
-        elif step is None or step[0] not in _KINDS[mode]:
-            raise ValueError("equation %s matches no machine shape" % (name,))
-        kind, desc, succs = step
-        if kind == "test":
-            taken = index.get(succs[0])
-            if taken is None or (taken == 0 and mode != RAMP):
-                raise ValueError("equation %s jumps out of range" % (name,))
-        if succs and index.get(succs[-1]) != k + 1:
-            if kind == "ini" and mode == SPRAMP:
-                raise ValueError("root must continue at the next equation")
-            if kind == "ini":
-                raise ValueError("root equation %s must continue at the next equation" % (name,))
-            raise ValueError("%sequation %s must fall through to the next"
-                             % ("sync " if kind == "sync" else "", name))
-        steps.append((kind, desc, tuple(index[s] for s in succs)))
-    if mode == SPRAMP:
-        for (name, _), (kind, _, succs) in zip(eqs, steps):
-            for s in succs:
-                if (kind == "sync") == (steps[s][0] == "sync"):
-                    raise ValueError(
-                        "edge %s -> %s does not alternate with the synchronization rounds"
-                        % (name, eqs[s][0])
-                    )
-    return number, tuple(steps)
-
-
-def validate_ramp(t) -> bool:
-    """Single sequential machine shape: a recursion constant whose equations,
-    in declaration order, each compile from one instruction over memory RM
-    (see `decode_component`)."""
-    try:
-        decode_component(t, RAMP)
-    except ValueError:
-        return False
-    return True
-
-
-def _validate_machine(t, node, mode) -> int:
-    comps = list(_flatten(t, node))
-    for k, c in enumerate(comps, start=1):
-        got = decode_component(c, mode)[0]
-        if got != k:
-            raise ValueError("component %d carries number %d" % (k, got))
-    return len(comps)
-
-
-def validate_apramp(t) -> int:
-    """Asynchronous parallel machine: an interleaving composition of
-    components numbered 1..n in order.  Returns n."""
-    return _validate_machine(t, Par, APRAMP)
-
-
-def validate_spramp(t) -> int:
-    """Synchronous parallel machine: a synchronizing composition of
-    components numbered 1..n in order.  Returns n."""
-    return _validate_machine(t, SyncMerge, SPRAMP)

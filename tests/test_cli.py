@@ -43,6 +43,12 @@ def test_compile_inverse_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == sample_terms.DIVISION_PROGRAM
 
 
+def test_compile_inverse_too_deep_term(tmp_path, capsys):
+    term_file = _write(tmp_path, "deep.term", "(" * 400 + "a" + ")" * 400)
+    assert main(["compile", "--inverse", term_file]) == 1
+    assert capsys.readouterr().err.startswith("error: input nests too deeply to parse")
+
+
 def test_compile_parse_error_names_file(tmp_path, capsys):
     prog = _write(tmp_path, "bad.rp", "frob:1:2:3\nhalt\n")
     assert main(["compile", prog]) == 1

@@ -19,8 +19,13 @@ from ramproc.machines import (
     proc_of_bbram,
     proc_of_smbram_async,
     proc_of_smbram_sync,
+    program_of_apramp,
     program_of_ramp,
+    program_of_spramp,
     run_bbram,
+    validate_apramp,
+    validate_ramp,
+    validate_spramp,
 )
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store, UnOp
@@ -66,7 +71,7 @@ def test_proc_of_bbram_shapes():
     t = proc_of_bbram(parse_program("halt\n"))
     assert format_term(t) == "rec X1 {X1 = True :-> eps}"
     t = proc_of_bbram(parse_program("add:#1:#1:0\nhalt\n"))
-    assert T.validate_ramp(t)
+    assert validate_ramp(t)
     eqs = t.spec.equations
     assert [n for n, _ in eqs] == ["X1", "X2"]
     assert eqs[1][1] == T.Guard(T.TRUE, T.EPS)
@@ -124,9 +129,9 @@ def test_compiled_components_validate():
     progs = [parse_program("add:1:1:1\nhalt\n", SMBRAM),
              parse_program("loa:@0:2\nsto:2:@1\nhalt\n", SMBRAM)]
     ta = compose_async([proc_of_smbram_async(i, p) for i, p in enumerate(progs, 1)])
-    assert T.validate_apramp(ta) == 2
+    assert validate_apramp(ta) == 2
     ts = compose_sync([proc_of_smbram_sync(i, p) for i, p in enumerate(progs, 1)])
-    assert T.validate_spramp(ts) == 2
+    assert validate_spramp(ts) == 2
 
 
 def test_program_of_ramp():
@@ -163,15 +168,207 @@ def _random_mem(rng):
                      for i in range(rng.randint(0, 3))})
 
 
+def _random_shared_program(rng, n_ops):
+    """A `_random_program` with about a third of its operators replaced by
+    loads and stores."""
+    instrs = []
+    for ins in _random_program(rng, n_ops).instrs:
+        if isinstance(ins, Op) and rng.random() < 0.35:
+            a, b = Ind(rng.randint(0, 3)), Dir(rng.randint(0, 3))
+            ins = Op(Load(a, b) if rng.random() < 0.5 else Store(b, a))
+        instrs.append(ins)
+    return Program(tuple(instrs), SMBRAM)
+
+
+def _random_programs(rng, model):
+    if model == "ramp":
+        return (_random_program(rng, rng.randint(0, 6)),)
+    return tuple(_random_shared_program(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 3)))
+
+
+_INVERSES = {
+    "ramp": lambda t: (program_of_ramp(t),),
+    "apramp": program_of_apramp,
+    "spramp": program_of_spramp,
+}
+
+
+def _compile_machine(model, progs):
+    if model == "ramp":
+        return proc_of_bbram(progs[0])
+    if model == "apramp":
+        return compose_async([proc_of_smbram_async(i, p) for i, p in enumerate(progs, 1)])
+    return compose_sync([proc_of_smbram_sync(i, p) for i, p in enumerate(progs, 1)])
+
+
+def _components(model, t):
+    return list(T.flatten(t, T.SyncMerge if model == "spramp" else T.Par))
+
+
 def test_bijection_random_smoke():
     rng = random.Random(42)
     for _ in range(150):
         prog = _random_program(rng, rng.randint(0, 6))
         t = proc_of_bbram(prog)
-        assert T.validate_ramp(t)
+        assert validate_ramp(t)
         assert program_of_ramp(t) == prog
         # and the other direction, modulo canonical names
         assert T.canonical_rename(proc_of_bbram(program_of_ramp(t))) == T.canonical_rename(t)
+    for model in ("apramp", "spramp"):
+        for _ in range(60):
+            progs = _random_programs(rng, model)
+            t = _compile_machine(model, progs)
+            assert _INVERSES[model](t) == progs
+            # under fresh equation names, the inverse still reads the programs
+            names = sorted({n for c in _components(model, t) for n in c.spec.vars()})
+            fresh = ["Q%d" % k for k in range(len(names))]
+            rng.shuffle(fresh)
+            renamed = T.rename_rec_vars(t, dict(zip(names, fresh)))
+            assert _INVERSES[model](renamed) == progs
+            assert T.canonical_rename(_compile_machine(model, progs)) == T.canonical_rename(renamed)
+
+
+def _edit(rng, t, pred, f):
+    """t with one process-term node that satisfies pred, chosen at random,
+    replaced by f(node); t itself when there is none."""
+    spots = [0]
+
+    def count(u):
+        spots[0] += bool(pred(u))
+        for c in T.children(u):
+            count(c)
+
+    count(t)
+    if not spots[0]:
+        return t
+    left = [rng.randrange(spots[0])]
+
+    def go(u):
+        if pred(u):
+            left[0] -= 1
+            if left[0] == -1:
+                return f(u)
+        return T.with_children(u, [go(c) for c in T.children(u)])
+
+    return go(t)
+
+
+def _mutate_component(rng, c, kinds):
+    """One seeded edit of a compiled component: swap, delete, insert or
+    retarget equations, swap a jump's summands, flip a test bit, or change
+    the ini step's number or memory."""
+    eqs = list(c.spec.equations)
+    names = [n for n, _ in eqs]
+    k = rng.randrange(len(eqs))
+    name, rhs = eqs[k]
+    kind = rng.choice(kinds)
+    if kind == "swap":
+        j = rng.randrange(len(eqs))
+        eqs[k], eqs[j] = eqs[j], eqs[k]
+    elif kind == "delete" and name != c.var:
+        del eqs[k]
+    elif kind == "insert":
+        eqs.insert(rng.randrange(len(eqs) + 1), ("Z", rng.choice(eqs)[1]))
+    elif kind == "retarget":
+        eqs[k] = (name, _edit(rng, rhs, lambda u: isinstance(u, T.Var),
+                              lambda u: T.Var(rng.choice(names))))
+    elif kind == "alt":
+        eqs[k] = (name, _edit(rng, rhs, lambda u: isinstance(u, T.Alt),
+                              lambda u: T.Alt(u.r, u.l)))
+    elif kind == "bit":
+        eqs[k] = (name, _edit(rng, rhs, lambda u: isinstance(u, T.Guard)
+                              and isinstance(u.cond, T.PropAtom),
+                              lambda u: T.Guard(T.PropAtom(u.cond.p, u.cond.e,
+                                                           1 - u.cond.expected), u.body)))
+    elif kind == "number":
+        root, ini = eqs[0][1], eqs[0][1].body.l
+        i = ini.e.op.i
+        other = "RM_%d" % rng.choice([i - 1, i + 1])
+        ini = rng.choice([T.Assign(ini.var, T.Apply1(Ini(i + 1), ini.e.e)),
+                          T.Assign(other, ini.e),
+                          T.Assign(ini.var, T.Apply1(ini.e.op, T.FlexVar(other)))])
+        eqs[0] = (eqs[0][0], T.Guard(root.cond, T.Seq(ini, root.body.r)))
+    return T.Rec(c.var, T.RecSpec(tuple(eqs)))
+
+
+def _mutant(rng, model, progs):
+    """A compiled machine term with one component edited once."""
+    comps = _components(model, _compile_machine(model, progs))
+    kinds = ("swap", "delete", "insert", "retarget", "alt", "bit")
+    k = rng.randrange(len(comps))
+    comps[k] = _mutate_component(rng, comps[k], kinds + (() if model == "ramp" else ("number",)))
+    return comps[0] if model == "ramp" else (compose_async if model == "apramp"
+                                             else compose_sync)(comps)
+
+
+def _read_back(model, t):
+    """The programs t reads as under canonical equation names (V1, V2, ...
+    in declaration order), or None: operators from assignments, a jump's
+    comparison and target from its summand tested against 1, halt from a
+    bare success."""
+    stride = 2 if model == "spramp" else 1
+    skip = 0 if model == "ramp" else 1  # the ini equation
+    progs = []
+    for c in _components(model, t):
+        if not isinstance(c, T.Rec):
+            return None
+        eqs = T.canonical_rename(c).spec.equations
+        instrs = []
+        for _, rhs in eqs[skip + stride - 1::stride]:
+            taken = [s for s in T.flatten(rhs, T.Alt) if isinstance(s, T.Guard)
+                     and isinstance(s.cond, T.PropAtom) and s.cond.expected == 1
+                     and isinstance(s.body, T.Seq) and isinstance(s.body.r, T.Var)]
+            try:
+                if rhs == T.Guard(T.TRUE, T.EPS):
+                    instrs.append(HALT)
+                elif taken:
+                    pos = int(taken[0].body.r.name[1:]) - 1 - skip
+                    if pos % stride:
+                        return None
+                    instrs.append(Jmp(taken[0].cond.p, pos // stride + 1))
+                else:
+                    instrs.append(Op(rhs.body.l.e.op))
+            except (AttributeError, ValueError):
+                return None
+        try:
+            progs.append(Program(tuple(instrs), BBRAM if model == "ramp" else SMBRAM))
+        except ValueError:
+            return None
+    return tuple(progs)
+
+
+def _accepts(model, t):
+    try:
+        return bool(_INVERSES[model](t))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("model", ["ramp", "apramp", "spramp"])
+def test_validators_accept_exactly_recompiling_terms(model):
+    rng = random.Random(77)
+    validate = {"ramp": validate_ramp, "apramp": validate_apramp, "spramp": validate_spramp}[model]
+    accepted = 0
+    for _ in range(300):
+        t = _mutant(rng, model, _random_programs(rng, model))
+        try:
+            verdict = bool(validate(t))
+        except ValueError:
+            verdict = False
+        assert verdict == _accepts(model, t)
+        if verdict:
+            accepted += 1
+            recompiled = _compile_machine(model, _INVERSES[model](t))
+            assert T.canonical_rename(recompiled) == T.canonical_rename(t)
+        # the converse, through a reader that knows no equation names
+        progs = _read_back(model, t)
+        try:
+            recompiles = (progs is not None and T.canonical_rename(_compile_machine(model, progs))
+                          == T.canonical_rename(t))
+        except ValueError:
+            recompiles = False
+        assert recompiles == verdict, T.canonical_rename(t)
+    assert 20 < accepted < 280
 
 
 def test_run_bbram():

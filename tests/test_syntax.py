@@ -150,6 +150,15 @@ def test_parse_deep_parentheses():
     assert parse_term("(" * 250 + "a" + ")" * 250) == Act("a")
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_term, "(" * 400 + "a" + ")" * 400),
+    (parse_cond, "(" * 400 + "True" + ")" * 400),
+], ids=["term", "cond"])
+def test_parse_too_deep_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError, match=r"nests too deeply to parse \(400 levels of brackets\)"):
+        parse(text)
+
+
 def test_format_deep_seq_chains():
     left = right = Act("a")
     for _ in range(900):

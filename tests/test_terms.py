@@ -1,5 +1,6 @@
 import pytest
 
+from ramproc import machines
 from ramproc import terms as T
 from ramproc.machines import SMBRAM, parse_program, proc_of_bbram, proc_of_smbram_async
 from ramproc.memory import EMPTY_MEM, MemState
@@ -65,6 +66,20 @@ def test_valuation():
     with pytest.raises(LookupError):
         rho.get("c")
     assert str(Valuation.make({"RM": MemState({0: "1101"})})) == "RM = [0:1101]"
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("A", id="first"),
+    pytest.param("RM_15", id="middle"),
+    pytest.param("RM_9", id="last"),
+    pytest.param("RM_1", id="replaced"),
+])
+def test_valuation_set_matches_make(name):
+    mapping = {"RM": M1, "RM_1": EMPTY_MEM, "RM_2": M1, "RM_3": EMPTY_MEM}
+    got = Valuation.make(mapping).set(name, MemState({2: "01"}))
+    want = Valuation.make({**mapping, name: MemState({2: "01"})})
+    assert got == want and hash(got) == hash(want)
+    assert got.names() == tuple(sorted(set(mapping) | {name}))
 
 
 def test_flexvars():
@@ -250,13 +265,13 @@ def test_validate_ramp():
         ("X1", _ramp_assign(BinOp("add", Dir(1), Dir(2), Dir(0)), "X2")),
         ("X2", Guard(TRUE, EPS)),
     ))
-    assert T.validate_ramp(Rec("X1", spec))
+    assert machines.validate_ramp(Rec("X1", spec))
     # fall-through must go to the next listed equation
     bad = RecSpec((
         ("X1", _ramp_assign(BinOp("add", Dir(1), Dir(2), Dir(0)), "X1")),
     ))
-    assert not T.validate_ramp(Rec("X1", bad))
-    assert not T.validate_ramp(EPS)
+    assert not machines.validate_ramp(Rec("X1", bad))
+    assert not machines.validate_ramp(EPS)
 
 
 def test_validate_ramp_rejects_shared_ops():
@@ -266,12 +281,18 @@ def test_validate_ramp_rejects_shared_ops():
             Var("X2")))),
         ("X2", Guard(TRUE, EPS)),
     ))
-    assert not T.validate_ramp(Rec("X1", spec))
+    assert not machines.validate_ramp(Rec("X1", spec))
 
 
 _INI1 = "X1 = True :-> RM_1 := ini:#1(RM_1) . Y1"
 _TEST_RM = "eq:#0:#0(RM) = 1 :-> RM := RM . %s + eq:#0:#0(RM) = 0 :-> RM := RM . %s"
 _TEST_RM1 = "eq:#0:#0(RM_1) = 1 :-> RM_1 := RM_1 . %s + eq:#0:#0(RM_1) = 0 :-> RM_1 := RM_1 . %s"
+_NOT_COMPILED = "equation %s is not what its instruction compiles to"
+
+
+def _bit0_first(test):
+    """A compiled jump with its two summands swapped."""
+    return " + ".join(reversed(test.split(" + ")))
 
 
 @pytest.mark.parametrize("validator, text, expected", [
@@ -286,54 +307,60 @@ _TEST_RM1 = "eq:#0:#0(RM_1) = 1 :-> RM_1 := RM_1 . %s + eq:#0:#0(RM_1) = 0 :-> R
     pytest.param("validate_ramp",
                  "rec X1 {X1 = True :-> RM_1 := add:0:#1:0(RM_1) . X2, X2 = True :-> eps}",
                  False, id="ramp-op-on-private-memory"),
+    pytest.param("validate_ramp",
+                 "rec X1 {X1 = %s, X2 = True :-> eps}" % (_bit0_first(_TEST_RM % ("X1", "X2"))),
+                 False, id="ramp-jump-bit0-first"),
     pytest.param("validate_apramp",
                  "rec X1 {%s, Y1 = %s, Y2 = True :-> eps}" % (_INI1, _TEST_RM1 % ("X1", "Y2")),
-                 "equation Y1 jumps out of range", id="apramp-jump-to-root"),
+                 _NOT_COMPILED % "Y1", id="apramp-jump-to-root"),
+    pytest.param("validate_apramp",
+                 "rec X1 {%s, Y1 = %s, Y2 = True :-> eps}"
+                 % (_INI1, _bit0_first(_TEST_RM1 % ("Y1", "Y2"))),
+                 _NOT_COMPILED % "Y1", id="apramp-jump-bit0-first"),
     pytest.param("validate_apramp",
                  "rec X1 {%s, Y1 = True :-> eps, Y2 = True :-> RM_1 := add:0:#1:0(RM_1) . Y3,"
                  " Y3 = True :-> eps}" % _INI1,
                  1, id="apramp-halt-mid-program"),
     pytest.param("validate_apramp",
                  "rec X2 {X2 = True :-> RM_2 := ini:#2(RM_2) . Y1, Y1 = True :-> eps}",
-                 "component 1 carries number 2", id="apramp-misnumbered"),
+                 _NOT_COMPILED % "X2", id="apramp-misnumbered"),
     pytest.param("validate_apramp",
                  "rec X1 {X1 = True :-> RM_1 := add:0:#1:0(RM_1) . Y1, Y1 = True :-> eps}",
-                 "root equation X1 lacks the ini step", id="apramp-no-ini"),
+                 _NOT_COMPILED % "X1", id="apramp-no-ini"),
     pytest.param("validate_apramp",
                  "rec X1 {X1 = True :-> RM_2 := ini:#1(RM_2) . Y1, Y1 = True :-> eps}",
-                 "component 1 uses private memory RM_2", id="apramp-wrong-memory"),
+                 _NOT_COMPILED % "X1", id="apramp-wrong-memory"),
     pytest.param("validate_apramp",
                  "rec X1 {%s, Y0 = True :-> eps, Y1 = True :-> eps}" % _INI1,
-                 "root equation X1 must continue at the next equation", id="apramp-root-skips"),
+                 _NOT_COMPILED % "X1", id="apramp-root-skips"),
     pytest.param("validate_apramp",
                  "rec X1 {%s, Y1 = True :-> sync . Y2, Y2 = True :-> eps}" % _INI1,
-                 "equation Y1 matches no machine shape", id="apramp-sync-step"),
+                 _NOT_COMPILED % "Y1", id="apramp-sync-step"),
     pytest.param("validate_spramp",
                  "rec X1 {%s, Y1 = True :-> sync . Y2, Y2 = True :-> RM_1 := add:0:0:0(RM_1) . Y3,"
                  " Y3 = True :-> sync . Y4, Y4 = %s, Y5 = True :-> sync . Y6, Y6 = True :-> eps}"
                  % (_INI1, _TEST_RM1 % ("Y2", "Y5")),
-                 "edge Y4 -> Y2 does not alternate with the synchronization rounds",
-                 id="spramp-work-to-work"),
+                 _NOT_COMPILED % "Y4", id="spramp-work-to-work"),
     pytest.param("validate_spramp",
                  "rec X1 {%s, Y1 = True :-> sync . Y2, Y2 = True :-> eps, Y3 = True :-> eps,"
                  " Y4 = True :-> sync . Y5, Y5 = True :-> eps}" % _INI1,
-                 1, id="spramp-parity-shifted"),
+                 _NOT_COMPILED % "Y3", id="spramp-parity-shifted"),
     pytest.param("validate_spramp",
                  "rec X1 {%s, Y0 = True :-> eps, Y1 = True :-> eps}" % _INI1,
-                 "root must continue at the next equation", id="spramp-root-skips"),
+                 _NOT_COMPILED % "X1", id="spramp-root-skips"),
     pytest.param("validate_spramp",
                  "rec X1 {%s, Y1 = True :-> sync . Y3, Y2 = True :-> eps, Y3 = True :-> eps}"
                  % _INI1,
-                 "sync equation Y1 must fall through to the next", id="spramp-sync-skips"),
+                 _NOT_COMPILED % "Y1", id="spramp-sync-skips"),
 ])
 def test_validator_verdicts(validator, text, expected):
     t = parse_term(text)
     if isinstance(expected, str):
         with pytest.raises(ValueError) as info:
-            getattr(T, validator)(t)
+            getattr(machines, validator)(t)
         assert str(info.value) == expected
     else:
-        got = getattr(T, validator)(t)
+        got = getattr(machines, validator)(t)
         assert type(got) is type(expected) and got == expected
 
 
