@@ -297,8 +297,9 @@ def _mutant(rng, model, progs):
     kinds = ("swap", "delete", "insert", "retarget", "alt", "bit")
     k = rng.randrange(len(comps))
     comps[k] = _mutate_component(rng, comps[k], kinds + (() if model == "ramp" else ("number",)))
-    return comps[0] if model == "ramp" else (compose_async if model == "apramp"
-                                             else compose_sync)(comps)
+    if model == "ramp":
+        return comps[0]
+    return (compose_async if model == "apramp" else compose_sync)(comps)
 
 
 def _read_back(model, t):
