@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ramproc.bits import (
@@ -97,3 +99,31 @@ def test_wide_numbers_round_trip():
     assert ntob(n) == "0" * 5000 + "1"
     assert bton(ntob(n)) == n
     assert bin_arith("add", ntob(n), ntob(n)) == ntob(2 * n)
+
+
+def _check_bits_by_characters(w):
+    """The character-by-character definition `check_bits` must agree with."""
+    if not isinstance(w, str) or any(c not in "01" for c in w):
+        raise ValueError("bit string must consist of 0/1 characters: %r" % (w,))
+    return w
+
+
+def _verdict(check, w):
+    try:
+        return "ok", check(w)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def test_check_bits_matches_character_definition():
+    rng = random.Random(8)
+    alphabet = "01" * 4 + " _\n\t2a ０１٠"
+    sample = ["", "0", "1", "010", " 1", "1 ", "1_0", "0\n", "\n", "０１",
+              "١", "01\x00", None, b"01", 5, 1.0, ["0"], ("1",)]
+    sample += ["".join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+               for _ in range(2000)]
+    sample += ["".join(rng.choice("01") for _ in range(rng.randrange(40)))
+               for _ in range(500)]
+    for w in sample:
+        assert _verdict(check_bits, w) == _verdict(_check_bits_by_characters, w), w
+    assert sum(_verdict(check_bits, w)[0] == "ok" for w in sample) > 500

@@ -577,3 +577,55 @@ def test_step_returns_deduplicated_tuples():
     assert l.transitions[:4] == [
         (0, Plain("a"), 1), (0, Plain("d"), 1), (0, Plain("b"), 2), (0, Plain("c"), 3),
     ]
+
+
+_UNBOUND = "flexible variable 'x' is unbound"
+
+
+@pytest.mark.parametrize("t, error, message", [
+    (Var("X"), SemanticsError, "free recursion variable X"),
+    (Seq(EPS, Var("X")), SemanticsError, "free recursion variable X"),
+    (5, SemanticsError, "cannot step 5"),
+    (Alt(Act("a"), "junk"), SemanticsError, "cannot step 'junk'"),
+    (Seq(EPS, 5), SemanticsError, "cannot step 5"),
+    (T.Encap(T.ActionSet.labels(()), None), SemanticsError, "cannot step None"),
+    (Eval(Valuation(), T.Proj(0, 5)), SemanticsError, "cannot step 5"),
+    (Assign("d", FlexVar("x")), SemanticsError, "data not ground: " + _UNBOUND),
+    (T.DataAct("a", (FlexVar("x"),)), SemanticsError, "data not ground: " + _UNBOUND),
+    (Guard(T.DataEq(FlexVar("x"), MemLiteral(EMPTY_MEM)), EPS), SemanticsError,
+     "condition not decidable without valuation: " + _UNBOUND),
+    (T.DataAct("a", (5,)), ValueError, "not a data expression: 5"),
+    (Assign("d", T.Upd(None, 0, "1")), ValueError, "not a data expression: None"),
+    (Guard(5, EPS), ValueError, "not a condition: 5"),
+    (Guard(T.Not(T.PropAtom(CmpOp("eq", Dir(0), Dir(1)), 5, 1)), EPS), ValueError,
+     "not a data expression: 5"),
+], ids=["var", "var-in-seq", "int", "str-in-alt", "int-in-seq", "none-in-encap",
+        "int-in-eval-proj", "assign-unbound", "data-act-unbound", "guard-unbound",
+        "data-act-int", "upd-none", "guard-int", "prop-atom-int"])
+@pytest.mark.parametrize("explore", [step, build_lts], ids=["step", "build_lts"])
+def test_step_error_messages_pinned(explore, t, error, message):
+    with pytest.raises(ValueError) as info:
+        explore(t)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _left_nested(n, wrap, leaf):
+    t = leaf
+    for _ in range(n):
+        t = wrap(t)
+    return t
+
+
+_NONE = T.ActionSet.labels(())
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda t: Alt(t, Act("b")),
+    lambda t: Seq(t, EPS),
+    lambda t: T.Encap(_NONE, t),
+], ids=["alt", "seq", "encap"])
+def test_deep_left_nested_chains_explore(wrap):
+    # each operator level costs the step rules one Python frame; 900 levels
+    # stay inside the default recursion limit only if no rule adds a second
+    l = build_lts(_left_nested(900, wrap, Act("a")))
+    assert len(l.states) == 2 and not l.exploded

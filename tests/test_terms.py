@@ -385,3 +385,30 @@ def test_shared_subterms_hash_once():
     for _ in range(64):
         t = Alt(t, t)
     assert hash(t) == hash(Alt(t.l, t.r))
+
+
+_CMP = CmpOp("eq", Dir(0), Dir(1))
+
+
+@pytest.mark.parametrize("evaluate, e, message", [
+    (T.eval_data, 5, "not a data expression: 5"),
+    (T.eval_data, None, "not a data expression: None"),
+    (T.eval_data, TRUE, "not a data expression: TrueC()"),
+    (T.eval_data, T.Upd("x", 0, "1"), "not a data expression: 'x'"),
+    (T.eval_data, T.Apply1(BinOp("add", Dir(0), Imm(2), Dir(0)), 5),
+     "not a data expression: 5"),
+    (T.eval_data, T.Apply2(Load(Ind(7), Dir(1)), MemLiteral(M1), 5),
+     "not a data expression: 5"),
+    (T.eval_cond, 5, "not a condition: 5"),
+    (T.eval_cond, MemLiteral(M1), "not a condition: MemLiteral(mem=%r)" % (M1,)),
+    (T.eval_cond, T.Not(None), "not a condition: None"),
+    (T.eval_cond, T.And(TRUE, 5), "not a condition: 5"),
+    (T.eval_cond, T.Implies(TRUE, "c"), "not a condition: 'c'"),
+    (T.eval_cond, T.PropAtom(_CMP, 5, 1), "not a data expression: 5"),
+    (T.eval_cond, T.DataEq(MemLiteral(M1), None), "not a data expression: None"),
+], ids=["int", "none", "cond", "upd-str", "apply1-int", "apply2-int", "cond-int",
+        "cond-data", "not-none", "and-int", "implies-str", "prop-atom-int", "data-eq-none"])
+def test_eval_error_messages_pinned(evaluate, e, message):
+    with pytest.raises(ValueError) as info:
+        evaluate(e, Valuation())
+    assert type(info.value) is ValueError and str(info.value) == message
