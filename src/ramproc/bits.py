@@ -12,7 +12,9 @@ ARITH_OPS = ("add", "sub")
 
 
 def check_bits(w: str) -> str:
-    if not isinstance(w, str) or any(c not in "01" for c in w):
+    # stripping 0s and 1s from both ends leaves nothing exactly when every
+    # character is one of them
+    if not isinstance(w, str) or w.strip("01"):
         raise ValueError("bit string must consist of 0/1 characters: %r" % (w,))
     return w
 

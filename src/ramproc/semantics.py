@@ -102,135 +102,182 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
     Returns (success, moves): whether t can terminate now, and the ordered
     deduplicated (label, successor) pairs.
     """
-    success, moves = _rules(t, rho if rho is not None else EMPTY_VALUATION, gamma, {})
+    env = rho if rho is not None else EMPTY_VALUATION
+    success, moves = _RULES[type(t)](t, env, gamma, {})
     return success, _dedup(moves)
 
 
-def _rules(t, env, gamma, memo):
-    """The one-step rules: (success, moves) of t under env.
+# The one-step rules, one function per process-term class, all called as
+# `_RULES[type(t)](t, env, gamma, memo)` and returning (success, moves) of t
+# under env.  A rule steps each operand through the table itself, so each
+# operator level costs one Python frame and deep terms explore as far as
+# the recursion limit allows.
+#
+# The moves come in rule order and may repeat; callers deduplicate once,
+# keeping first occurrences.  That gives the same list as deduplicating at
+# every operator: each rule builds its moves from its operands' moves by
+# concatenation, by mapping labels and successors, by filtering, or by the
+# ordered communication product, and under each of these a repeated operand
+# move only yields repeats of moves produced earlier.
+#
+# `memo` is the memo of `_operand`, kept for one `step` or `build_lts` call.
+# The rules never change a list they got from a sub-call, so memoized lists
+# can be shared.
 
-    The moves come in rule order and may repeat; callers deduplicate once,
-    keeping first occurrences.  That gives the same list as deduplicating
-    at every operator: each rule builds its moves from its operands' moves
-    by concatenation, by mapping labels and successors, by filtering, or by
-    the ordered communication product, and under each of these a repeated
-    operand move only yields repeats of moves produced earlier.
+def _empty(t, env, gamma, memo):
+    return True, []
 
-    `memo` is the memo of `_operand`, kept for one `step` or `build_lts`
-    call.  The rules never change a list they got from a sub-call, so
-    memoized lists can be shared.
-    """
-    if isinstance(t, T.Empty):
-        return True, []
-    if isinstance(t, T.Dead):
+
+def _dead(t, env, gamma, memo):
+    return False, []
+
+
+def _silent(t, env, gamma, memo):
+    return False, [(TAU_LABEL, T.EPS)]
+
+
+def _act(t, env, gamma, memo):
+    return False, [(Plain(t.name), T.EPS)]
+
+
+def _data_act(t, env, gamma, memo):
+    args = tuple(_eval_data(e, env) for e in t.args)
+    return False, [(DataAction(t.name, args), T.EPS)]
+
+
+def _assign(t, env, gamma, memo):
+    val = _eval_data(t.e, env)
+    return False, [(Assignment(t.var, val, mentions_of(t)), T.EPS)]
+
+
+def _alt(t, env, gamma, memo):
+    l, r = t.l, t.r
+    sl, ml = _RULES[type(l)](l, env, gamma, memo)
+    sr, mr = _RULES[type(r)](r, env, gamma, memo)
+    return sl or sr, ml + mr
+
+
+def _seq(t, env, gamma, memo):
+    l, r = t.l, t.r
+    sl, ml = _RULES[type(l)](l, env, gamma, memo)
+    moves = [(a, T.Seq(l2, r)) for a, l2 in ml]
+    sr = False
+    if sl:
+        sr, mr = _RULES[type(r)](r, env, gamma, memo)
+        moves.extend(mr)
+    return sl and sr, moves
+
+
+def _par(t, env, gamma, memo):
+    l, r = t.l, t.r
+    sl, ml = _operand(l, env, gamma, memo)
+    sr, mr = _operand(r, env, gamma, memo)
+    moves = [(a, T.Par(l2, r)) for a, l2 in ml]
+    moves.extend((b, T.Par(l, r2)) for b, r2 in mr)
+    moves.extend(_communications(ml, mr, gamma))
+    return sl and sr, moves
+
+
+def _left_merge(t, env, gamma, memo):
+    l, r = t.l, t.r
+    _, ml = _RULES[type(l)](l, env, gamma, memo)
+    return False, [(a, T.Par(l2, r)) for a, l2 in ml]
+
+
+def _comm_merge(t, env, gamma, memo):
+    l, r = t.l, t.r
+    _, ml = _RULES[type(l)](l, env, gamma, memo)
+    _, mr = _RULES[type(r)](r, env, gamma, memo)
+    return False, _communications(ml, mr, gamma)
+
+
+def _guard(t, env, gamma, memo):
+    try:
+        hold = eval_cond(t.cond, env)
+    except LookupError as err:
+        raise SemanticsError("condition not decidable without valuation: %s" % err) from None
+    if not hold:
         return False, []
-    if isinstance(t, T.Silent):
-        return False, [(TAU_LABEL, T.EPS)]
-    if isinstance(t, T.Act):
-        return False, [(Plain(t.name), T.EPS)]
-    if isinstance(t, T.DataAct):
-        args = tuple(_eval_data(e, env) for e in t.args)
-        return False, [(DataAction(t.name, args), T.EPS)]
-    if isinstance(t, T.Assign):
-        val = _eval_data(t.e, env)
-        return False, [(Assignment(t.var, val, mentions_of(t)), T.EPS)]
+    b = t.body
+    return _RULES[type(b)](b, env, gamma, memo)
 
-    if isinstance(t, T.Alt):
-        sl, ml = _rules(t.l, env, gamma, memo)
-        sr, mr = _rules(t.r, env, gamma, memo)
-        return sl or sr, ml + mr
 
-    if isinstance(t, T.Seq):
-        sl, ml = _rules(t.l, env, gamma, memo)
-        moves = [(a, T.Seq(l2, t.r)) for a, l2 in ml]
-        sr = False
-        if sl:
-            sr, mr = _rules(t.r, env, gamma, memo)
-            moves.extend(mr)
-        return sl and sr, moves
+def _encap(t, env, gamma, memo):
+    b, acts = t.body, t.acts
+    s, m = _RULES[type(b)](b, env, gamma, memo)
+    return s, [(a, T.Encap(acts, u)) for a, u in m if not acts.contains_label(a)]
 
-    if isinstance(t, T.Par):
-        sl, ml = _operand(t.l, env, gamma, memo)
-        sr, mr = _operand(t.r, env, gamma, memo)
-        moves = [(a, T.Par(l2, t.r)) for a, l2 in ml]
-        moves.extend((b, T.Par(t.l, r2)) for b, r2 in mr)
-        moves.extend(_communications(ml, mr, gamma))
-        return sl and sr, moves
 
-    if isinstance(t, T.LeftMerge):
-        _, ml = _rules(t.l, env, gamma, memo)
-        return False, [(a, T.Par(l2, t.r)) for a, l2 in ml]
+def _abstr(t, env, gamma, memo):
+    b, acts = t.body, t.acts
+    s, m = _RULES[type(b)](b, env, gamma, memo)
+    return s, [(TAU_LABEL if acts.contains_label(a) else a, T.Abstr(acts, u)) for a, u in m]
 
-    if isinstance(t, T.CommMerge):
-        _, ml = _rules(t.l, env, gamma, memo)
-        _, mr = _rules(t.r, env, gamma, memo)
-        return False, _communications(ml, mr, gamma)
 
-    if isinstance(t, T.Guard):
-        try:
-            hold = eval_cond(t.cond, env)
-        except LookupError as err:
-            raise SemanticsError("condition not decidable without valuation: %s" % err) from None
-        if not hold:
-            return False, []
-        return _rules(t.body, env, gamma, memo)
+def _eval(t, env, gamma, memo):
+    b, rho = t.body, t.rho
+    s, m = _RULES[type(b)](b, rho, gamma, memo)
+    moves = []
+    for a, u in m:
+        rho2 = rho.set(a.var, a.value) if isinstance(a, Assignment) else rho
+        moves.append((a, T.Eval(rho2, u)))
+    return s, moves
 
-    if isinstance(t, T.Encap):
-        s, m = _rules(t.body, env, gamma, memo)
-        return s, [(a, T.Encap(t.acts, u)) for a, u in m if not t.acts.contains_label(a)]
 
-    if isinstance(t, T.Abstr):
-        s, m = _rules(t.body, env, gamma, memo)
-        return s, [
-            (TAU_LABEL if t.acts.contains_label(a) else a, T.Abstr(t.acts, u))
-            for a, u in m
-        ]
+def _proj(t, env, gamma, memo):
+    b, n = t.body, t.n
+    s, m = _RULES[type(b)](b, env, gamma, memo)
+    moves = []
+    has_visible = False
+    for a, u in m:
+        if isinstance(a, Tau):
+            moves.append((a, T.Proj(n, u)))
+        elif n > 0:
+            moves.append((a, T.Proj(n - 1, u)))
+        else:
+            has_visible = True
+    return s or (n == 0 and has_visible), moves
 
-    if isinstance(t, T.Eval):
-        s, m = _rules(t.body, t.rho, gamma, memo)
-        moves = []
-        for a, u in m:
-            rho2 = t.rho.set(a.var, a.value) if isinstance(a, Assignment) else t.rho
-            moves.append((a, T.Eval(rho2, u)))
-        return s, moves
 
-    if isinstance(t, T.Proj):
-        s, m = _rules(t.body, env, gamma, memo)
-        moves = []
-        has_visible = False
-        for a, u in m:
-            if isinstance(a, Tau):
-                moves.append((a, T.Proj(t.n, u)))
-            elif t.n > 0:
-                moves.append((a, T.Proj(t.n - 1, u)))
-            else:
-                has_visible = True
-        return s or (t.n == 0 and has_visible), moves
+def _rename(t, env, gamma, memo):
+    b, f = t.body, t.f
+    s, m = _RULES[type(b)](b, env, gamma, memo)
+    return s, [(f.apply_label(a), T.Rename(f, u)) for a, u in m]
 
-    if isinstance(t, T.Rename):
-        s, m = _rules(t.body, env, gamma, memo)
-        return s, [(t.f.apply_label(a), T.Rename(t.f, u)) for a, u in m]
 
-    if isinstance(t, T.SyncMerge):
-        return _rules(sync_merge_expand(t.l, t.r), env, gamma, memo)
+def _sync_merge(t, env, gamma, memo):
+    return _rename(sync_merge_expand(t.l, t.r), env, gamma, memo)
 
-    if isinstance(t, T.Rec):
-        u, n = t, 0
-        while isinstance(u, T.Rec):
-            u = unfold(u)
-            n += 1
-            if n > 1000:
-                raise SemanticsError("recursion does not reach a guarded form")
-        return _rules(u, env, gamma, memo)
 
-    if isinstance(t, T.Var):
-        raise SemanticsError("free recursion variable %s" % t.name)
+def _rec(t, env, gamma, memo):
+    u, n = t, 0
+    while isinstance(u, T.Rec):
+        u = unfold(u)
+        n += 1
+        if n > 1000:
+            raise SemanticsError("recursion does not reach a guarded form")
+    return _RULES[type(u)](u, env, gamma, memo)
 
+
+def _var(t, env, gamma, memo):
+    raise SemanticsError("free recursion variable %s" % t.name)
+
+
+def _stuck(t, env, gamma, memo):
     raise SemanticsError("cannot step %r" % (t,))
 
 
+_RULES = T.ByClass(_stuck, {
+    T.Empty: _empty, T.Dead: _dead, T.Silent: _silent, T.Act: _act,
+    T.DataAct: _data_act, T.Assign: _assign, T.Alt: _alt, T.Seq: _seq, T.Par: _par,
+    T.LeftMerge: _left_merge, T.CommMerge: _comm_merge, T.Guard: _guard,
+    T.Encap: _encap, T.Abstr: _abstr, T.Eval: _eval, T.Proj: _proj,
+    T.Rename: _rename, T.SyncMerge: _sync_merge, T.Rec: _rec, T.Var: _var,
+})
+
+
 def _operand(u, env, gamma, memo):
-    """`_rules` for an operand of a parallel merge.
+    """The rules for an operand of a parallel merge.
 
     The result is kept in memo under u and the entries of env for the
     flexible variables u reads, so a component that did not move is not
@@ -244,7 +291,7 @@ def _operand(u, env, gamma, memo):
     key = tuple(kv for kv in env.entries if kv[0] in reads)
     hit = results.get(key)
     if hit is None:
-        hit = results[key] = _rules(u, env, gamma, memo)
+        hit = results[key] = _RULES[type(u)](u, env, gamma, memo)
     return hit
 
 
@@ -313,7 +360,8 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
     while frontier < len(l.states):
         sid = frontier
         frontier += 1
-        succ, moves = _rules(l.states[sid], EMPTY_VALUATION, gamma, memo)
+        t = l.states[sid]
+        succ, moves = _RULES[type(t)](t, EMPTY_VALUATION, gamma, memo)
         if succ:
             l.success.add(sid)
         for lab, u in _dedup(moves):

@@ -481,7 +481,12 @@ def format_term(t, ctx: int = 0) -> str:
         keyword, show = _WRAPPER_OF[cls]
         return "%s%s(%s)" % (keyword, show(getattr(t, cls.__match_args__[0])), format_term(t.body))
     if cls is T.Rec:
-        eqs = ", ".join("%s = %s" % (n, format_term(rhs)) for n, rhs in t.spec.equations)
+        # a spec is printed once and kept: states share it, and it is most of their text
+        spec = t.spec
+        eqs = spec._text
+        if eqs is None:
+            eqs = ", ".join("%s = %s" % (n, format_term(rhs)) for n, rhs in spec.equations)
+            object.__setattr__(spec, "_text", eqs)
         return "rec %s {%s}" % (t.var, eqs)
     raise ValueError("not a process term: %r" % (t,))
 

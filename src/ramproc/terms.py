@@ -55,6 +55,22 @@ def node(cls):
     return built
 
 
+class ByClass(dict):
+    """A dispatch table from node class to the function that handles it.
+
+    A class that is not in the table maps to `fallback`, so a single
+    `table[type(x)]` picks the handler for any object and an object of an
+    unknown kind gets the fallback's error.
+    """
+
+    def __init__(self, fallback, table):
+        super().__init__(table)
+        self.fallback = fallback
+
+    def __missing__(self, cls):
+        return self.fallback
+
+
 # ---------------------------------------------------------------------------
 # Data expressions
 
@@ -101,19 +117,44 @@ class Apply2:
 
 
 def eval_data(e, rho: "Valuation") -> MemState:
-    if isinstance(e, FlexVar):
-        return rho.get(e.name)
-    if isinstance(e, MemLiteral):
-        return e.mem
-    if isinstance(e, Upd):
-        return eval_data(e.base, rho).set(e.idx, e.val)
-    if isinstance(e, Apply1):
-        if isinstance(e.op, Ini):
-            return apply_ini(e.op.i)
-        return apply_op(e.op, eval_data(e.e, rho))
-    if isinstance(e, Apply2):
-        return apply_shared(e.op, eval_data(e.e_priv, rho), eval_data(e.e_shared, rho))
+    return _DATA[type(e)](e, rho)
+
+
+# One function per data-expression class; each evaluates its operands
+# through `_DATA` itself.
+
+def _flex_var(e, rho):
+    return rho.get(e.name)
+
+
+def _mem_literal(e, rho):
+    return e.mem
+
+
+def _upd(e, rho):
+    b = e.base
+    return _DATA[type(b)](b, rho).set(e.idx, e.val)
+
+
+def _apply1(e, rho):
+    if isinstance(e.op, Ini):
+        return apply_ini(e.op.i)
+    x = e.e
+    return apply_op(e.op, _DATA[type(x)](x, rho))
+
+
+def _apply2(e, rho):
+    p, q = e.e_priv, e.e_shared
+    return apply_shared(e.op, _DATA[type(p)](p, rho), _DATA[type(q)](q, rho))
+
+
+def _not_data(e, rho):
     raise ValueError("not a data expression: %r" % (e,))
+
+
+_DATA = ByClass(_not_data, {
+    FlexVar: _flex_var, MemLiteral: _mem_literal, Upd: _upd, Apply1: _apply1, Apply2: _apply2,
+})
 
 
 def flexvars_expr(e) -> frozenset:
@@ -193,23 +234,57 @@ FALSE = FalseC()
 
 
 def eval_cond(c, rho: "Valuation") -> bool:
-    if isinstance(c, TrueC):
-        return True
-    if isinstance(c, FalseC):
-        return False
-    if isinstance(c, PropAtom):
-        return apply_prop(c.p, eval_data(c.e, rho)) == c.expected
-    if isinstance(c, DataEq):
-        return eval_data(c.e1, rho) == eval_data(c.e2, rho)
-    if isinstance(c, Not):
-        return not eval_cond(c.c, rho)
-    if isinstance(c, And):
-        return eval_cond(c.l, rho) and eval_cond(c.r, rho)
-    if isinstance(c, Or):
-        return eval_cond(c.l, rho) or eval_cond(c.r, rho)
-    if isinstance(c, Implies):
-        return (not eval_cond(c.l, rho)) or eval_cond(c.r, rho)
+    return _COND[type(c)](c, rho)
+
+
+# One function per condition class, dispatching on operands like `_DATA`.
+
+def _true(c, rho):
+    return True
+
+
+def _false(c, rho):
+    return False
+
+
+def _prop_atom(c, rho):
+    e = c.e
+    return apply_prop(c.p, _DATA[type(e)](e, rho)) == c.expected
+
+
+def _data_eq(c, rho):
+    e1, e2 = c.e1, c.e2
+    return _DATA[type(e1)](e1, rho) == _DATA[type(e2)](e2, rho)
+
+
+def _not(c, rho):
+    x = c.c
+    return not _COND[type(x)](x, rho)
+
+
+def _and(c, rho):
+    l, r = c.l, c.r
+    return _COND[type(l)](l, rho) and _COND[type(r)](r, rho)
+
+
+def _or(c, rho):
+    l, r = c.l, c.r
+    return _COND[type(l)](l, rho) or _COND[type(r)](r, rho)
+
+
+def _implies(c, rho):
+    l, r = c.l, c.r
+    return (not _COND[type(l)](l, rho)) or _COND[type(r)](r, rho)
+
+
+def _not_cond(c, rho):
     raise ValueError("not a condition: %r" % (c,))
+
+
+_COND = ByClass(_not_cond, {
+    TrueC: _true, FalseC: _false, PropAtom: _prop_atom, DataEq: _data_eq,
+    Not: _not, And: _and, Or: _or, Implies: _implies,
+})
 
 
 def flexvars_cond(c) -> frozenset:
@@ -428,6 +503,8 @@ class DataAct:
 class Assign:
     var: str
     e: object
+    # `mentions_of(self)`, filled in by its first call
+    _mentions: frozenset = field(default=None, init=False, compare=False, repr=False)
 
 
 @node
@@ -500,6 +577,8 @@ class RecSpec:
     _unfolded: dict = field(default=None, init=False, compare=False, repr=False)
     # the flexible variables of all right-hand sides, filled in by `flexvars_term`
     _flexvars: frozenset = field(default=None, init=False, compare=False, repr=False)
+    # the equations as `syntax.format_term` prints them, filled in by it
+    _text: str = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         names = [n for n, _ in self.equations]
@@ -628,9 +707,15 @@ def flexvars_term(t) -> frozenset:
 
 def mentions_of(t) -> frozenset:
     """Flexible variables an atomic instruction touches: the assignment
-    target plus everything read by its expression or arguments."""
+    target plus everything read by its expression or arguments.  An
+    assignment's set is computed once and kept in its hidden `_mentions`
+    field."""
     if isinstance(t, Assign):
-        return frozenset((t.var,)) | flexvars_expr(t.e)
+        out = t._mentions
+        if out is None:
+            out = frozenset((t.var,)) | flexvars_expr(t.e)
+            object.__setattr__(t, "_mentions", out)
+        return out
     if isinstance(t, DataAct):
         out = frozenset()
         for e in t.args:

@@ -629,3 +629,11 @@ def test_deep_left_nested_chains_explore(wrap):
     # stay inside the default recursion limit only if no rule adds a second
     l = build_lts(_left_nested(900, wrap, Act("a")))
     assert len(l.states) == 2 and not l.exploded
+
+
+def test_rule_table_covers_every_process_term_class():
+    from ramproc.semantics import _RULES
+
+    process_classes = T._LEAF | T._BINARY | T._UNARY_BODY | {T.Rec}
+    assert set(_RULES) == process_classes
+    assert len(set(_RULES.values())) == len(_RULES)
