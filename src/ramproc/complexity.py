@@ -18,7 +18,7 @@ from . import terms as T
 from .machines import APRAMP, RAMP, SPRAMP, validate_apramp, validate_ramp, validate_spramp
 from .memory import EMPTY_MEM
 from .semantics import (
-    Lts, SemanticsError, build_lts, depth, eventually_halts, terminal_valuations,
+    Lts, SemanticsError, build_lts, depth, depths, eventually_halts, terminal_valuations,
 )
 
 
@@ -103,8 +103,9 @@ def _measure_value(m: Measure, l: Lts, n):
         return _measure_value(MEASURE_TABLE[m.same_as], l, n)
     if not m.per_component:
         return depth(l, count=m.counts), ()
-    per = [(i, depth(l, count=T.ActionSet.mentioning("RM_%d" % i).contains_label))
-           for i in range(1, n + 1)]
+    comps = range(1, n + 1)
+    per = list(zip(comps, depths(
+        l, [T.ActionSet.mentioning("RM_%d" % i).contains_label for i in comps])))
     return max(v for _, v in per), per
 
 

@@ -10,6 +10,7 @@ argument before right, communication pairs in that induced order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import terms as T
 from .terms import (
@@ -120,7 +121,7 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
 # ordered communication product, and under each of these a repeated operand
 # move only yields repeats of moves produced earlier.
 #
-# `memo` is the memo of `_operand`, kept for one `step` or `build_lts` call.
+# `memo` is the memo of `_par`, kept for one `step` or `build_lts` call.
 # The rules never change a list they got from a sub-call, so memoized lists
 # can be shared.
 
@@ -169,9 +170,25 @@ def _seq(t, env, gamma, memo):
 
 
 def _par(t, env, gamma, memo):
+    """The operands' rules are kept in memo under the operand and the
+    entries of env for the flexible variables it reads, so a component
+    that did not move is not stepped again.  A variable missing from env is
+    missing from the key as well, and a step that raises keeps nothing.
+    The lookup is inline, so a `Par` level costs one frame like every other
+    rule."""
     l, r = t.l, t.r
-    sl, ml = _operand(l, env, gamma, memo)
-    sr, mr = _operand(r, env, gamma, memo)
+    steps = []
+    for u in (l, r):
+        entry = memo.get(u)
+        if entry is None:
+            entry = memo[u] = (T.flexvars_term(u), {})
+        reads, results = entry
+        key = tuple([kv for kv in env.entries if kv[0] in reads])
+        hit = results.get(key)
+        if hit is None:
+            hit = results[key] = _RULES[type(u)](u, env, gamma, memo)
+        steps.append(hit)
+    (sl, ml), (sr, mr) = steps
     moves = [(a, T.Par(l2, r)) for a, l2 in ml]
     moves.extend((b, T.Par(l, r2)) for b, r2 in mr)
     moves.extend(_communications(ml, mr, gamma))
@@ -276,25 +293,6 @@ _RULES = T.ByClass(_stuck, {
 })
 
 
-def _operand(u, env, gamma, memo):
-    """The rules for an operand of a parallel merge.
-
-    The result is kept in memo under u and the entries of env for the
-    flexible variables u reads, so a component that did not move is not
-    stepped again.  A variable missing from env is missing from the key as
-    well, and a step that raises keeps nothing.
-    """
-    entry = memo.get(u)
-    if entry is None:
-        entry = memo[u] = (T.flexvars_term(u), {})
-    reads, results = entry
-    key = tuple(kv for kv in env.entries if kv[0] in reads)
-    hit = results.get(key)
-    if hit is None:
-        hit = results[key] = _RULES[type(u)](u, env, gamma, memo)
-    return hit
-
-
 def _dedup(moves):
     seen = set()
     out = []
@@ -307,6 +305,9 @@ def _dedup(moves):
 
 # ---------------------------------------------------------------------------
 # Transition systems
+
+_UNSET = object()
+
 
 class Lts:
     """A finite labeled transition graph with explicit termination states.
@@ -323,6 +324,7 @@ class Lts:
         self.initial = 0
         self.exploded = False
         self._out = None
+        self._order = _UNSET
 
     def add_state(self, term) -> int:
         sid = self.index.get(term)
@@ -395,7 +397,11 @@ def eventually_halts(l: Lts) -> bool:
 
 def _topo_order(l: Lts):
     """States in reverse-topological order (successors first), or None when
-    the graph has a cycle."""
+    the graph has a cycle.  It is computed once per LTS and kept on it, like
+    its out-lists."""
+    if l._order is not _UNSET:
+        return l._order
+    l._order = None
     order = []
     color = [0] * len(l.states)  # 0 unseen, 1 on stack, 2 done
     for start in range(len(l.states)):
@@ -416,6 +422,7 @@ def _topo_order(l: Lts):
                 color[node] = 2
                 order.append(node)
                 stack.pop()
+    l._order = order
     return order
 
 
@@ -438,6 +445,26 @@ def depth(l: Lts, count=None) -> int:
             ((1 if count(lab) else 0) + best[dst] for lab, dst in l.out(sid)),
             default=0,
         )
+    return best[l.initial]
+
+
+def depths(l: Lts, counts) -> tuple:
+    """`depth(l, count)` for each predicate in counts, in one pass that
+    carries a counter per predicate.  The predicates are asked once per
+    distinct label, told apart by its mentioned variables too, since
+    assignment labels that differ only in those compare equal."""
+    zero = (0,) * len(counts)
+    weights = {}
+    best = {}
+    for sid in _dag_order(l):
+        paths = []
+        for lab, dst in l.out(sid):
+            key = (lab, lab.mentions) if isinstance(lab, Assignment) else lab
+            w = weights.get(key)
+            if w is None:
+                w = weights[key] = tuple(1 if count(lab) else 0 for count in counts)
+            paths.append(map(add, w, best[dst]))
+        best[sid] = tuple(map(max, zero, *paths)) if paths else zero
     return best[l.initial]
 
 

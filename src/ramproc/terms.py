@@ -13,7 +13,7 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 
@@ -26,33 +26,55 @@ from .ramops import CmpOp, Ini, Load, Store, apply_ini, apply_op, apply_prop, ap
 # Nodes
 
 def node(cls):
-    """`@dataclass(frozen=True, slots=True)` whose hash is computed once, as
-    the node is built, and kept in a hidden `_hash` slot.
+    """`@dataclass(frozen=True, slots=True)` with one generated `__init__`
+    that keeps the node's hash in a hidden `_hash` slot.
+
+    The `__init__` stores the fields, sets the hidden ones (`init=False`)
+    to their default, None, runs the class's own check (its
+    `__post_init__`, if it defines one), and keeps `hash((cls, *compared
+    fields))`.  So building a node costs one Python frame, two with a
+    check.
 
     Terms are immutable and states embed whole recursion specs, so hashing
     them afresh on every dictionary lookup would cost time proportional to
-    the term's size.  The hash covers the node's class and its compared
-    fields.  A node's children are built, and so hashed, before the node
-    itself, so each hash reads only the kept hashes one level down, and
-    terms of any depth hash without recursion.
+    the term's size.  A node's children are built, and so hashed, before
+    the node itself, so each hash reads only the kept hashes one level
+    down, and terms of any depth hash without recursion.
     """
     cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "int"}
     cls._hash = field(init=False, compare=False, repr=False)
-    check = cls.__dict__.get("__post_init__")
-
-    def __post_init__(self):
-        if check is not None:
-            check(self)
-        object.__setattr__(self, "_hash", hash((built, fields_hash(self))))
-
-    def __hash__(self):
-        return self._hash
-
-    cls.__post_init__ = __post_init__
-    built = dataclass(frozen=True, slots=True)(cls)
-    fields_hash = built.__hash__  # the dataclass hash of the compared fields
-    built.__hash__ = __hash__
+    cls.__hash__ = _kept_hash
+    built = dataclass(frozen=True, slots=True, init=False)(cls)
+    ns = {"_node_cls": built, "_node_hash": hash, "_node_check": cls.__dict__.get("__post_init__")}
+    params, body, compared = ["self"], [], []
+    for f in fields(built):
+        if f.name == "_hash":
+            continue
+        ns["_set_" + f.name] = built.__dict__[f.name].__set__
+        if f.init:
+            if f.default is MISSING:
+                params.append(f.name)
+            else:
+                ns["_default_" + f.name] = f.default
+                params.append("%s=_default_%s" % (f.name, f.name))
+            body.append("_set_%s(self, %s)" % (f.name, f.name))
+        else:
+            body.append("_set_%s(self, None)" % f.name)
+        if f.compare:
+            compared.append(f.name)
+    if ns["_node_check"] is not None:
+        body.append("_node_check(self)")
+    ns["_set_hash"] = built.__dict__["_hash"].__set__
+    body.append("_set_hash(self, _node_hash((_node_cls, %s)))" % "".join(n + ", " for n in compared))
+    exec("def __init__(%s):\n    %s\n" % (", ".join(params), "\n    ".join(body)), ns)
+    init = ns["__init__"]
+    init.__qualname__ = built.__qualname__ + ".__init__"
+    built.__init__ = init
     return built
+
+
+def _kept_hash(self):
+    return self._hash
 
 
 class ByClass(dict):
@@ -573,6 +595,10 @@ class RecSpec:
     """A finite set of recursion equations, in declaration order."""
 
     equations: tuple  # (name, ProcTerm) pairs
+    # name -> right-hand side, filled in by the check
+    _rhs: dict = field(default=None, init=False, compare=False, repr=False)
+    # var -> the constant Rec(var, self), filled in by `_rec_constants`
+    _consts: dict = field(default=None, init=False, compare=False, repr=False)
     # var -> one-step unfolding of Rec(var, self), filled in by `unfold`
     _unfolded: dict = field(default=None, init=False, compare=False, repr=False)
     # the flexible variables of all right-hand sides, filled in by `flexvars_term`
@@ -581,21 +607,22 @@ class RecSpec:
     _text: str = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [n for n, _ in self.equations]
-        if len(set(names)) != len(names):
+        rhs = dict(self.equations)
+        if len(rhs) != len(self.equations):
             raise ValueError("duplicate equation variable")
+        object.__setattr__(self, "_rhs", rhs)
 
     def rhs(self, name: str):
-        for n, t in self.equations:
-            if n == name:
-                return t
-        raise KeyError("no equation for %r" % (name,))
+        try:
+            return self._rhs[name]
+        except KeyError:
+            raise KeyError("no equation for %r" % (name,)) from None
 
     def vars(self):
         return tuple(n for n, _ in self.equations)
 
     def __contains__(self, name):
-        return any(n == name for n, _ in self.equations)
+        return name in self._rhs
 
 
 @node
@@ -737,14 +764,24 @@ def subst_vars(t, mapping):
     return with_children(t, [subst_vars(c, mapping) for c in children(t)])
 
 
+def _rec_constants(E: RecSpec) -> dict:
+    """Each variable Y of E mapped to the constant Rec(Y, E), built once per
+    spec object and kept in its hidden `_consts` field, so all unfoldings
+    of E share one constant per variable."""
+    out = E._consts
+    if out is None:
+        out = {name: Rec(name, E) for name in E.vars()}
+        object.__setattr__(E, "_consts", out)
+    return out
+
+
 def subst_rec(t, E: RecSpec):
     """One-step unfolding: a recursion constant becomes its right-hand side
     with every variable occurrence Y closed off as the constant for Y."""
     if isinstance(t, Rec):
         E = t.spec
         t = E.rhs(t.var)
-    mapping = {name: Rec(name, E) for name in E.vars()}
-    return subst_vars(t, mapping)
+    return subst_vars(t, _rec_constants(E))
 
 
 def unfold(t: Rec):

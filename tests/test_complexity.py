@@ -33,6 +33,7 @@ from ramproc.machines import (
     proc_of_smbram_sync,
 )
 from ramproc.memory import EMPTY_MEM, MemState
+from ramproc.semantics import build_lts, depth
 from ramproc.syntax import parse_term
 
 import sample_terms
@@ -100,6 +101,23 @@ def test_aputm_apwm_examples():
     single = _async(["add:1:1:1\nhalt\n"])
     rho1 = _rho_for(single)
     assert aputm(single, rho1).value == apwm(single, rho1).value == 2
+
+
+def test_aputm_per_component_with_equal_store_labels():
+    # both components store 1 to shared cell 0, so their store steps carry
+    # equal labels that mention different components
+    t = _async(["sto:#1:@1\nhalt\n", "sto:#1:@1\nhalt\n"])
+    rho = _rho_for(t)
+    l = build_lts(t, rho)
+    stores = [lab for _, lab, _ in l.transitions if isinstance(lab, T.Assignment)
+              and lab.var == "RM" and lab.value == MemState({0: "1"})]
+    assert {lab.mentions for lab in stores} == {frozenset({"RM", "RM_1"}),
+                                                 frozenset({"RM", "RM_2"})}
+    want = tuple((i, depth(l, T.ActionSet.mentioning("RM_%d" % i).contains_label))
+                 for i in (1, 2))
+    assert want == ((1, 2), (2, 2))
+    r = aputm(t, rho)
+    assert r.per_component == want and r.value == 2
 
 
 def test_aputm_le_apwm_random():

@@ -623,7 +623,8 @@ _NONE = T.ActionSet.labels(())
     lambda t: Alt(t, Act("b")),
     lambda t: Seq(t, EPS),
     lambda t: T.Encap(_NONE, t),
-], ids=["alt", "seq", "encap"])
+    lambda t: Par(t, EPS),
+], ids=["alt", "seq", "encap", "par"])
 def test_deep_left_nested_chains_explore(wrap):
     # each operator level costs the step rules one Python frame; 900 levels
     # stay inside the default recursion limit only if no rule adds a second

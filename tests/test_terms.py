@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from ramproc import machines
@@ -168,6 +170,29 @@ def test_unfold_is_memoized():
     comp = proc_of_smbram_async(1, parse_program(COMPONENT, SMBRAM))
     assert T.unfold(comp) is T.unfold(comp)
     assert T.unfold(comp) is T.unfold(Rec(comp.var, comp.spec))
+
+
+def _rec_nodes(t):
+    """The recursion constants in t, outside the specs they close off."""
+    if isinstance(t, Rec):
+        return [t]
+    return [r for c in T.children(t) for r in _rec_nodes(c)]
+
+
+def test_unfoldings_share_rec_constants(monkeypatch):
+    # the jumps make several equations name the same variable
+    program = "add:1:1:1\n" * 12 + "jmp:eq:1:2:3\njmp:gt:1:2:7\nsto:0:@0\nhalt\n"
+    comp = proc_of_smbram_async(1, parse_program(program, SMBRAM))
+    spec = comp.spec
+    built = []
+    real_init = Rec.__init__
+    monkeypatch.setattr(Rec, "__init__", lambda self, *a: built.append(a) or real_init(self, *a))
+    found = {}
+    for name in spec.vars():
+        for r in _rec_nodes(T.unfold(Rec(name, spec))):
+            assert found.setdefault(r.var, r) is r
+    # one constant per equation, plus the ones this test unfolds
+    assert len(found) > 1 and len(built) <= 2 * len(spec.equations)
 
 
 def test_canonical_rename():
@@ -369,6 +394,27 @@ def _seq_chain(n):
     for _ in range(n):
         t = Seq(Act("a"), t)
     return t
+
+
+def test_node_constructor():
+    assert Seq(Act("a"), r=EPS) == Seq(l=Act("a"), r=EPS) == Seq(Act("a"), EPS)
+    assert Valuation() == Valuation(()) and Valuation().entries == ()
+    assert ActionSet("all").data is None
+    spec = RecSpec((("X", EPS),))
+    assert (spec._consts, spec._unfolded, spec._flexvars, spec._text) == (None,) * 4
+    assert Assign("v", FlexVar("v"))._mentions is None
+    with pytest.raises(FrozenInstanceError):
+        Act("a").name = "b"
+    with pytest.raises(TypeError):
+        Act()
+    with pytest.raises(ValueError, match="^projection depth is a natural$"):
+        T.Proj(-1, EPS)
+    with pytest.raises(ValueError, match="^Apply2 takes load or store$"):
+        T.Apply2(BinOp("add", Dir(0), Imm(2), Dir(0)), MemLiteral(M1), MemLiteral(M1))
+    with pytest.raises(ValueError, match="^duplicate equation variable$"):
+        RecSpec((("X", EPS), ("X", DELTA)))
+    built = [Seq(Assign("v", T.Upd(FlexVar("v"), 0, "1")), Act("a")) for _ in range(2)]
+    assert built[0] is not built[1] and hash(built[0]) == hash(built[1])
 
 
 def test_deep_chain_hashes_and_explores():
