@@ -439,17 +439,11 @@ def depth(l: Lts, count=None) -> int:
     accepted by `count` (default: everything but the silent step)."""
     if count is None:
         count = lambda lab: not isinstance(lab, Tau)
-    best = {}
-    for sid in _dag_order(l):
-        best[sid] = max(
-            ((1 if count(lab) else 0) + best[dst] for lab, dst in l.out(sid)),
-            default=0,
-        )
-    return best[l.initial]
+    return depths(l, [count])[0]
 
 
 def depths(l: Lts, counts) -> tuple:
-    """`depth(l, count)` for each predicate in counts, in one pass that
+    """Longest-path lengths for each predicate in counts, in one pass that
     carries a counter per predicate.  The predicates are asked once per
     distinct label, told apart by its mentioned variables too, since
     assignment labels that differ only in those compare equal."""

@@ -30,7 +30,7 @@ def node(cls):
     that keeps the node's hash in a hidden `_hash` slot.
 
     The `__init__` stores the fields, sets the hidden ones (`init=False`)
-    to their default, None, runs the class's own check (its
+    to their declared default, runs the class's own check (its
     `__post_init__`, if it defines one), and keeps `hash((cls, *compared
     fields))`.  So building a node costs one Python frame, two with a
     check.
@@ -50,16 +50,16 @@ def node(cls):
     for f in fields(built):
         if f.name == "_hash":
             continue
+        if f.default_factory is not MISSING:
+            raise TypeError("node field %s.%s: default_factory is not supported"
+                            % (built.__name__, f.name))
         ns["_set_" + f.name] = built.__dict__[f.name].__set__
+        ns["_default_" + f.name] = f.default
         if f.init:
-            if f.default is MISSING:
-                params.append(f.name)
-            else:
-                ns["_default_" + f.name] = f.default
-                params.append("%s=_default_%s" % (f.name, f.name))
+            params.append(f.name if f.default is MISSING else "%s=_default_%s" % (f.name, f.name))
             body.append("_set_%s(self, %s)" % (f.name, f.name))
-        else:
-            body.append("_set_%s(self, None)" % f.name)
+        elif f.default is not MISSING:
+            body.append("_set_%s(self, _default_%s)" % (f.name, f.name))
         if f.compare:
             compared.append(f.name)
     if ns["_node_check"] is not None:

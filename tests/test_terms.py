@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, field
 
 import pytest
 
@@ -415,6 +415,19 @@ def test_node_constructor():
         RecSpec((("X", EPS), ("X", DELTA)))
     built = [Seq(Assign("v", T.Upd(FlexVar("v"), 0, "1")), Act("a")) for _ in range(2)]
     assert built[0] is not built[1] and hash(built[0]) == hash(built[1])
+
+
+def test_node_hidden_field_defaults():
+    @T.node
+    class Tagged:
+        name: str
+        _tag: str = field(default="untagged", init=False, compare=False)
+
+    assert Tagged("a")._tag == "untagged" and Tagged("a") == Tagged(name="a")
+    with pytest.raises(TypeError, match="default_factory is not supported"):
+        @T.node
+        class Listed:
+            items: list = field(default_factory=list)
 
 
 def test_deep_chain_hashes_and_explores():
