@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -495,6 +496,86 @@ def test_lts_fingerprint_corpus_ignores_hash_seed():
 
 # ---------------------------------------------------------------------------
 # Exploration against a plain breadth-first loop over the public `step`.
+
+# ---------------------------------------------------------------------------
+# Read sets: `flexvars_term` against a reference that looks at every compared
+# field of every node, on law instances, compiled machines, the hand-built
+# terms and some explored states.
+
+_DATA_CLASSES = (T.FlexVar, T.MemLiteral, T.Upd, T.Apply1, T.Apply2)
+_COND_CLASSES = (T.TrueC, T.FalseC, T.PropAtom, T.DataEq, T.Not, T.And, T.Or, T.Implies)
+
+
+def _reads_reference(x):
+    """The names of the FlexVar nodes anywhere below x, plus the target of
+    every assignment below it."""
+    if isinstance(x, FlexVar):
+        return {x.name}
+    if isinstance(x, tuple):
+        return set().union(*map(_reads_reference, x))
+    if not dataclasses.is_dataclass(x):
+        return set()
+    out = {x.var} if isinstance(x, Assign) else set()
+    for f in dataclasses.fields(x):
+        if f.compare:
+            out |= _reads_reference(getattr(x, f.name))
+    return out
+
+
+def _nodes(x, seen):
+    """Every node below x, x included, into the dict seen."""
+    if isinstance(x, tuple):
+        for y in x:
+            _nodes(y, seen)
+    elif dataclasses.is_dataclass(x) and x not in seen:
+        seen[x] = None
+        for f in dataclasses.fields(x):
+            if f.compare:
+                _nodes(getattr(x, f.name), seen)
+
+
+def _read_set_corpus():
+    rng = random.Random(4242)
+    for name in sorted(AXIOMS):
+        yield from AXIOMS[name](Gen(zlib.crc32(name.encode())))
+    for _ in range(10):
+        yield proc_of_bbram(_random_program(rng, rng.randint(1, 6)))
+    yield sample_terms.abs_diff_term()
+    yield sample_terms.division_term()
+    for compose, component in ((compose_async, proc_of_smbram_async),
+                               (compose_sync, proc_of_smbram_sync)):
+        for _ in range(6):
+            progs = [_random_shared_program(rng, rng.randint(1, 3))
+                     for _ in range(rng.randint(2, 3))]
+            term = compose([component(i, p) for i, p in enumerate(progs, start=1)])
+            yield term
+            rho = Valuation.make({v: EMPTY_MEM for v in _reads_reference(term)})
+            yield from build_lts(term, rho, max_states=60).states
+    yield from build_lts(sample_terms.division_term(), sample_terms.division_valuation()).states
+
+
+def test_flexvars_term_matches_reference():
+    seen = {}
+    for t in _read_set_corpus():
+        _nodes(t, seen)
+    reading = {"data": 0, "cond": 0, "term": 0}
+    for x in seen:
+        if isinstance(x, _DATA_CLASSES):
+            kind, got = "data", T.flexvars_term(T.DataAct("d", (x,)))
+        elif isinstance(x, _COND_CLASSES):
+            kind, got = "cond", T.flexvars_term(Guard(x, EPS))
+        elif type(x) in _RULE_CLASSES:
+            kind, got = "term", T.flexvars_term(x)
+        else:
+            continue
+        want = _reads_reference(x)
+        assert got == want, x
+        reading[kind] += bool(want)
+    assert min(reading.values()) > 30, reading
+
+
+_RULE_CLASSES = T._LEAF | T._BINARY | T._UNARY_BODY | {T.Rec}
+
 
 def _bfs_over_step(t, rho):
     root = Eval(rho, t) if rho is not None else t
