@@ -15,7 +15,7 @@ from operator import add
 from . import terms as T
 from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
-    EMPTY_VALUATION, Valuation, eval_cond, eval_data, mentions_of, unfold,
+    EMPTY_VALUATION, Valuation, eval_cond, eval_data, flexvars_term, unfold,
 )
 
 
@@ -148,7 +148,7 @@ def _data_act(t, env, gamma, memo):
 
 def _assign(t, env, gamma, memo):
     val = _eval_data(t.e, env)
-    return False, [(Assignment(t.var, val, mentions_of(t)), T.EPS)]
+    return False, [(Assignment(t.var, val, t._flexvars or flexvars_term(t)), T.EPS)]
 
 
 def _alt(t, env, gamma, memo):
@@ -174,19 +174,26 @@ def _par(t, env, gamma, memo):
     entries of env for the flexible variables it reads, so a component
     that did not move is not stepped again.  A variable missing from env is
     missing from the key as well, and a step that raises keeps nothing.
-    The lookup is inline, so a `Par` level costs one frame like every other
-    rule."""
+    A parallel operand new to memo is stepped first, which gives its own
+    operands their entries, and it reads what they read; so no subterm is
+    walked twice.  The lookup is inline, so a `Par` level costs one frame
+    like every other rule."""
     l, r = t.l, t.r
     steps = []
     for u in (l, r):
         entry = memo.get(u)
-        if entry is None:
-            entry = memo[u] = (T.flexvars_term(u), {})
-        reads, results = entry
-        key = tuple([kv for kv in env.entries if kv[0] in reads])
-        hit = results.get(key)
-        if hit is None:
-            hit = results[key] = _RULES[type(u)](u, env, gamma, memo)
+        if entry is None and type(u) is T.Par:
+            hit = _par(u, env, gamma, memo)
+            reads = memo[u.l][0] | memo[u.r][0]
+            memo[u] = (reads, {tuple([kv for kv in env.entries if kv[0] in reads]): hit})
+        else:
+            if entry is None:
+                entry = memo[u] = (flexvars_term(u), {})
+            reads, results = entry
+            key = tuple([kv for kv in env.entries if kv[0] in reads])
+            hit = results.get(key)
+            if hit is None:
+                hit = results[key] = _RULES[type(u)](u, env, gamma, memo)
         steps.append(hit)
     (sl, ml), (sr, mr) = steps
     moves = [(a, T.Par(l2, r)) for a, l2 in ml]

@@ -179,20 +179,6 @@ _DATA = ByClass(_not_data, {
 })
 
 
-def flexvars_expr(e) -> frozenset:
-    if isinstance(e, FlexVar):
-        return frozenset((e.name,))
-    if isinstance(e, MemLiteral):
-        return frozenset()
-    if isinstance(e, Upd):
-        return flexvars_expr(e.base)
-    if isinstance(e, Apply1):
-        return flexvars_expr(e.e)
-    if isinstance(e, Apply2):
-        return flexvars_expr(e.e_priv) | flexvars_expr(e.e_shared)
-    raise ValueError("not a data expression: %r" % (e,))
-
-
 # ---------------------------------------------------------------------------
 # Conditions (quantifier-free)
 
@@ -307,20 +293,6 @@ _COND = ByClass(_not_cond, {
     TrueC: _true, FalseC: _false, PropAtom: _prop_atom, DataEq: _data_eq,
     Not: _not, And: _and, Or: _or, Implies: _implies,
 })
-
-
-def flexvars_cond(c) -> frozenset:
-    if isinstance(c, (TrueC, FalseC)):
-        return frozenset()
-    if isinstance(c, PropAtom):
-        return flexvars_expr(c.e)
-    if isinstance(c, DataEq):
-        return flexvars_expr(c.e1) | flexvars_expr(c.e2)
-    if isinstance(c, Not):
-        return flexvars_cond(c.c)
-    if isinstance(c, (And, Or, Implies)):
-        return flexvars_cond(c.l) | flexvars_cond(c.r)
-    raise ValueError("not a condition: %r" % (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +497,8 @@ class DataAct:
 class Assign:
     var: str
     e: object
-    # `mentions_of(self)`, filled in by its first call
-    _mentions: frozenset = field(default=None, init=False, compare=False, repr=False)
+    # `flexvars_term(self)`, filled in by its first call
+    _flexvars: frozenset = field(default=None, init=False, compare=False, repr=False)
 
 
 @node
@@ -611,6 +583,16 @@ class RecSpec:
         if len(rhs) != len(self.equations):
             raise ValueError("duplicate equation variable")
         object.__setattr__(self, "_rhs", rhs)
+        for name, t in self.equations:
+            todo = [t]
+            while todo:  # inner specs bind their own names and are skipped
+                t = todo.pop()
+                cls = type(t)
+                if cls is Var and t.name not in rhs:
+                    raise ValueError("free recursion variable %s in the equation for %s"
+                                     % (t.name, name))
+                if cls in _BINARY or cls in _UNARY_BODY:
+                    todo.extend(children(t))
 
     def rhs(self, name: str):
         try:
@@ -710,45 +692,36 @@ def with_children(t, kids):
     return Rec(t.var, RecSpec(tuple(zip(t.spec.vars(), kids))))
 
 
-def flexvars_term(t) -> frozenset:
-    """All flexible variables occurring in data positions of t (not counting
-    bindings by inner valuations).  A recursion constant's variables are
-    those of its whole spec; they are computed once per spec object and kept
-    in its hidden `_flexvars` field."""
-    if isinstance(t, Rec):
-        spec = t.spec
-        out = spec._flexvars
-        if out is None:
-            out = frozenset()
-            for _, rhs in spec.equations:
-                out |= flexvars_term(rhs)
-            object.__setattr__(spec, "_flexvars", out)
-        return out
-    out = mentions_of(t)
-    if isinstance(t, Guard):
-        out |= flexvars_cond(t.cond)
-    for c in children(t):
-        out |= flexvars_term(c)
+# The data and condition operands each node reads through, by field name.
+# A process term's other operands are its `children`, and a data action's
+# are its arguments.
+_READ_FIELDS = {
+    Upd: ("base",), Apply1: ("e",), Apply2: ("e_priv", "e_shared"), PropAtom: ("e",),
+    DataEq: ("e1", "e2"), Not: ("c",), And: ("l", "r"), Or: ("l", "r"), Implies: ("l", "r"),
+    Assign: ("e",), Guard: ("cond",),
+}
+
+
+def flexvars_term(x) -> frozenset:
+    """The flexible variables x reads, plus an assignment's target, for a
+    data expression, a condition or a process term x (inner valuations bind
+    nothing here).  A recursion constant reads what its spec's right-hand
+    sides read.  An assignment's set and a spec's are computed once and kept
+    in their hidden `_flexvars` field.  Each level of x costs one frame."""
+    cls = type(x)
+    if cls is FlexVar:
+        return frozenset((x.name,))
+    kept = x if cls is Assign else x.spec if cls is Rec else None
+    if kept is not None and kept._flexvars is not None:
+        return kept._flexvars
+    out = frozenset((x.var,)) if cls is Assign else frozenset()
+    for name in _READ_FIELDS.get(cls, ()):
+        out |= flexvars_term(getattr(x, name))
+    for y in x.args if cls is DataAct else () if cls in _DATA or cls in _COND else children(x):
+        out |= flexvars_term(y)
+    if kept is not None:
+        object.__setattr__(kept, "_flexvars", out)
     return out
-
-
-def mentions_of(t) -> frozenset:
-    """Flexible variables an atomic instruction touches: the assignment
-    target plus everything read by its expression or arguments.  An
-    assignment's set is computed once and kept in its hidden `_mentions`
-    field."""
-    if isinstance(t, Assign):
-        out = t._mentions
-        if out is None:
-            out = frozenset((t.var,)) | flexvars_expr(t.e)
-            object.__setattr__(t, "_mentions", out)
-        return out
-    if isinstance(t, DataAct):
-        out = frozenset()
-        for e in t.args:
-            out |= flexvars_expr(e)
-        return out
-    return frozenset()
 
 
 # ---------------------------------------------------------------------------

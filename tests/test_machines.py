@@ -351,7 +351,13 @@ def test_validators_accept_exactly_recompiling_terms(model):
     validate = {"ramp": validate_ramp, "apramp": validate_apramp, "spramp": validate_spramp}[model]
     accepted = 0
     for _ in range(300):
-        t = _mutant(rng, model, _random_programs(rng, model))
+        try:
+            t = _mutant(rng, model, _random_programs(rng, model))
+        except ValueError as err:
+            # deleting an equation that is jumped to leaves a free recursion
+            # variable, which no spec accepts: a term refused at construction
+            assert str(err).startswith("free recursion variable "), err
+            continue
         try:
             verdict = bool(validate(t))
         except ValueError:

@@ -561,15 +561,17 @@ def test_flexvars_term_matches_reference():
     reading = {"data": 0, "cond": 0, "term": 0}
     for x in seen:
         if isinstance(x, _DATA_CLASSES):
-            kind, got = "data", T.flexvars_term(T.DataAct("d", (x,)))
+            kind = "data"
+            assert T.flexvars_term(T.DataAct("d", (x,))) == _reads_reference(x), x
         elif isinstance(x, _COND_CLASSES):
-            kind, got = "cond", T.flexvars_term(Guard(x, EPS))
+            kind = "cond"
+            assert T.flexvars_term(Guard(x, EPS)) == _reads_reference(x), x
         elif type(x) in _RULE_CLASSES:
-            kind, got = "term", T.flexvars_term(x)
+            kind = "term"
         else:
             continue
         want = _reads_reference(x)
-        assert got == want, x
+        assert T.flexvars_term(x) == want, x
         reading[kind] += bool(want)
     assert min(reading.values()) > 30, reading
 
@@ -711,6 +713,25 @@ def test_deep_left_nested_chains_explore(wrap):
     # stay inside the default recursion limit only if no rule adds a second
     l = build_lts(_left_nested(900, wrap, Act("a")))
     assert len(l.states) == 2 and not l.exploded
+
+
+def test_par_chain_read_sets_cost_linear_time():
+    # a parallel operand's read set comes from its operands' memo entries,
+    # so exploring a left-nested chain walks each subterm once, not once per
+    # level above it
+    import cProfile
+    import pstats
+
+    calls = {}
+    for n in (450, 900):
+        prof = cProfile.Profile()
+        prof.enable()
+        l = build_lts(_left_nested(n, lambda t: Par(t, EPS), Act("a")))
+        prof.disable()
+        assert len(l.states) == 2
+        calls[n] = sum(nc for (_, _, name), (_, nc, *_) in pstats.Stats(prof).stats.items()
+                       if name == "flexvars_term")
+    assert calls[900] <= 2 * calls[450] <= 4 * 450, calls
 
 
 def test_rule_table_covers_every_process_term_class():

@@ -87,7 +87,9 @@ def test_valuation_set_matches_make(name):
 def test_flexvars():
     t = Seq(Assign("d", FlexVar("i")), Guard(T.DataEq(FlexVar("j"), MemLiteral(M1)), EPS))
     assert T.flexvars_term(t) == frozenset({"d", "i", "j"})
-    assert T.mentions_of(Assign("d", FlexVar("i"))) == frozenset({"d", "i"})
+    assert T.flexvars_term(Assign("d", FlexVar("i"))) == frozenset({"d", "i"})
+    assert T.flexvars_term(T.DataEq(FlexVar("j"), T.Upd(FlexVar("k"), 0, "1"))) == {"j", "k"}
+    assert T.flexvars_term(T.Not(TRUE)) == T.flexvars_term(MemLiteral(M1)) == frozenset()
 
 
 def test_action_sets():
@@ -402,7 +404,7 @@ def test_node_constructor():
     assert ActionSet("all").data is None
     spec = RecSpec((("X", EPS),))
     assert (spec._consts, spec._unfolded, spec._flexvars, spec._text) == (None,) * 4
-    assert Assign("v", FlexVar("v"))._mentions is None
+    assert Assign("v", FlexVar("v"))._flexvars is None
     with pytest.raises(FrozenInstanceError):
         Act("a").name = "b"
     with pytest.raises(TypeError):
@@ -415,6 +417,18 @@ def test_node_constructor():
         RecSpec((("X", EPS), ("X", DELTA)))
     built = [Seq(Assign("v", T.Upd(FlexVar("v"), 0, "1")), Act("a")) for _ in range(2)]
     assert built[0] is not built[1] and hash(built[0]) == hash(built[1])
+
+
+def test_spec_refuses_free_recursion_variables():
+    with pytest.raises(ValueError, match="^free recursion variable X9 in the equation for X1$"):
+        RecSpec((("X1", Guard(TRUE, Seq(Act("a"), Var("X9")))),))
+    with pytest.raises(ValueError, match="^free recursion variable Z in the equation for Y$"):
+        RecSpec((("X", EPS), ("Y", Alt(Var("X"), T.Encap(ActionSet("all"), Var("Z"))))))
+    # an inner constant binds its own names
+    inner = Rec("Y", RecSpec((("Y", Guard(TRUE, Seq(Act("b"), Var("Y")))),)))
+    assert RecSpec((("X", Alt(inner, Seq(Act("a"), Var("X")))),)).vars() == ("X",)
+    # the text such a spec would print reads its name back as an action
+    assert parse_term("rec X1 {X1 = True :-> a . X9}").spec.rhs("X1").body.r == Act("X9")
 
 
 def test_node_hidden_field_defaults():
