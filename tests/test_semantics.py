@@ -495,15 +495,13 @@ def test_lts_fingerprint_corpus_ignores_hash_seed():
 
 
 # ---------------------------------------------------------------------------
-# Exploration against a plain breadth-first loop over the public `step`.
-
-# ---------------------------------------------------------------------------
 # Read sets: `flexvars_term` against a reference that looks at every compared
 # field of every node, on law instances, compiled machines, the hand-built
 # terms and some explored states.
 
 _DATA_CLASSES = (T.FlexVar, T.MemLiteral, T.Upd, T.Apply1, T.Apply2)
 _COND_CLASSES = (T.TrueC, T.FalseC, T.PropAtom, T.DataEq, T.Not, T.And, T.Or, T.Implies)
+_RULE_CLASSES = T._LEAF | T._BINARY | T._UNARY_BODY | {T.Rec}
 
 
 def _reads_reference(x):
@@ -560,24 +558,17 @@ def test_flexvars_term_matches_reference():
         _nodes(t, seen)
     reading = {"data": 0, "cond": 0, "term": 0}
     for x in seen:
-        if isinstance(x, _DATA_CLASSES):
-            kind = "data"
-            assert T.flexvars_term(T.DataAct("d", (x,))) == _reads_reference(x), x
-        elif isinstance(x, _COND_CLASSES):
-            kind = "cond"
-            assert T.flexvars_term(Guard(x, EPS)) == _reads_reference(x), x
-        elif type(x) in _RULE_CLASSES:
-            kind = "term"
-        else:
-            continue
-        want = _reads_reference(x)
-        assert T.flexvars_term(x) == want, x
-        reading[kind] += bool(want)
+        kind = ("data" if isinstance(x, _DATA_CLASSES) else "cond" if isinstance(x, _COND_CLASSES)
+                else "term" if type(x) in _RULE_CLASSES else None)
+        if kind is not None:
+            want = _reads_reference(x)
+            assert T.flexvars_term(x) == want, x
+            reading[kind] += bool(want)
     assert min(reading.values()) > 30, reading
 
 
-_RULE_CLASSES = T._LEAF | T._BINARY | T._UNARY_BODY | {T.Rec}
-
+# ---------------------------------------------------------------------------
+# Exploration against a plain breadth-first loop over the public `step`.
 
 def _bfs_over_step(t, rho):
     root = Eval(rho, t) if rho is not None else t
