@@ -419,6 +419,20 @@ def test_node_constructor():
     assert built[0] is not built[1] and hash(built[0]) == hash(built[1])
 
 
+def test_node_repr_pinned():
+    assert repr(Seq(Act("a"), EPS)) == "Seq(l=Act(name='a'), r=Empty())"
+    assert (repr(Assignment("v", M1, frozenset({"v"})))
+            == "Assignment(var='v', value=MemState({0: '1'}), mentions=frozenset({'v'}))")
+    assert repr(ActionSet("all")) == "ActionSet(kind='all', data=None)"
+    spec = RecSpec((("X", Seq(Act("a"), Var("X"))),))
+    T.unfold(Rec("X", spec))
+    T.flexvars_term(Rec("X", spec))
+    assert spec._consts is not None and spec._unfolded is not None
+    assert repr(spec) == "RecSpec(equations=(('X', Seq(l=Act(name='a'), r=Var(name='X'))),))"
+    assert (repr(Valuation.make({"RM_1": EMPTY_MEM, "RM": M1}))
+            == "Valuation(entries=(('RM', MemState({0: '1'})), ('RM_1', MemState({}))))")
+
+
 def test_spec_refuses_free_recursion_variables():
     with pytest.raises(ValueError, match="^free recursion variable X9 in the equation for X1$"):
         RecSpec((("X1", Guard(TRUE, Seq(Act("a"), Var("X9")))),))
