@@ -13,7 +13,7 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import FrozenInstanceError
 from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 
@@ -26,55 +26,84 @@ from .ramops import CmpOp, Ini, Load, Store, apply_ini, apply_op, apply_prop, ap
 # Nodes
 
 def node(cls):
-    """`@dataclass(frozen=True, slots=True)` with one generated `__init__`
-    that keeps the node's hash in a hidden `_hash` slot.
+    """Build the slotted, frozen node class that `cls` declares by
+    annotations, in argument order.  A hidden field (named `_...`) is no
+    argument, neither compared nor shown, and starts at its declared default
+    (None if none).  Argument fields named in `cls.uncompared` are not compared.
 
-    The `__init__` stores the fields, sets the hidden ones (`init=False`)
-    to their declared default, runs the class's own check (its
-    `__post_init__`, if it defines one), and keeps `hash((cls, *compared
-    fields))`.  So building a node costs one Python frame, two with a
-    check.
-
-    Terms are immutable and states embed whole recursion specs, so hashing
-    them afresh on every dictionary lookup would cost time proportional to
-    the term's size.  A node's children are built, and so hashed, before
-    the node itself, so each hash reads only the kept hashes one level
-    down, and terms of any depth hash without recursion.
+    The generated `__init__` stores the fields, runs the class's check (its
+    `__post_init__`, if any) and keeps `hash((cls, *compared fields))` in a
+    hidden `_hash` slot: one frame per node, two with a check.  States embed
+    whole specs, so hashing afresh on every lookup would cost the term's
+    size; children are hashed before their parent, so each hash reads kept
+    hashes one level down and any depth hashes without recursion.  The
+    generated `__eq__` rejects on a hash mismatch and compares the compared
+    fields as one tuple, falling back to `_deep_eq` on a stack overflow.
     """
-    cls.__annotations__ = {**cls.__dict__.get("__annotations__", {}), "_hash": "int"}
-    cls._hash = field(init=False, compare=False, repr=False)
-    cls.__hash__ = _kept_hash
-    built = dataclass(frozen=True, slots=True, init=False)(cls)
-    ns = {"_node_cls": built, "_node_hash": hash, "_node_check": cls.__dict__.get("__post_init__")}
-    params, body, compared = ["self"], [], []
-    for f in fields(built):
-        if f.name == "_hash":
-            continue
-        if f.default_factory is not MISSING:
-            raise TypeError("node field %s.%s: default_factory is not supported"
-                            % (built.__name__, f.name))
-        ns["_set_" + f.name] = built.__dict__[f.name].__set__
-        ns["_default_" + f.name] = f.default
-        if f.init:
-            params.append(f.name if f.default is MISSING else "%s=_default_%s" % (f.name, f.name))
-            body.append("_set_%s(self, %s)" % (f.name, f.name))
-        elif f.default is not MISSING:
-            body.append("_set_%s(self, _default_%s)" % (f.name, f.name))
-        if f.compare:
-            compared.append(f.name)
-    if ns["_node_check"] is not None:
-        body.append("_node_check(self)")
-    ns["_set_hash"] = built.__dict__["_hash"].__set__
-    body.append("_set_hash(self, _node_hash((_node_cls, %s)))" % "".join(n + ", " for n in compared))
-    exec("def __init__(%s):\n    %s\n" % (", ".join(params), "\n    ".join(body)), ns)
-    init = ns["__init__"]
-    init.__qualname__ = built.__qualname__ + ".__init__"
-    built.__init__ = init
+    names = tuple(cls.__dict__.get("__annotations__", {}))
+    shown = tuple(n for n in names if not n.startswith("_"))
+    compared = tuple(n for n in shown if n not in cls.__dict__.get("uncompared", ()))
+    ns = {k: v for k, v in cls.__dict__.items() if k not in names + ("__dict__", "__weakref__")}
+    ns.update(__slots__=names + ("_hash",), __match_args__=shown, _compared=compared,
+              __hash__=_kept_hash, __repr__=_node_repr, __setattr__=_frozen, __delattr__=_frozen)
+    built = type(cls.__name__, cls.__bases__, ns)
+    code = {"_cls": built, "_hash": hash, "_check": ns.get("__post_init__"),
+            "_set_hash": built._hash.__set__, "_deep_eq": _deep_eq}
+    params = ["self"] + [n if n not in cls.__dict__ else "%s=_default_%s" % (n, n) for n in shown]
+    body = []
+    for n in names:
+        code["_set_" + n], code["_default_" + n] = getattr(built, n).__set__, cls.__dict__.get(n)
+        body.append("_set_%s(self, %s)" % (n, n if n in shown else "_default_" + n))
+    if code["_check"] is not None:
+        body.append("_check(self)")
+    body.append("_set_hash(self, _hash((_cls, %s)))" % "".join(n + ", " for n in compared))
+    side = lambda obj: "".join("%s.%s, " % (obj, n) for n in compared)
+    exec("def __init__(%s):\n    %s\n" % (", ".join(params), "\n    ".join(body))
+         + "def __eq__(self, other):\n"
+         "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
+         "    if self._hash != other._hash:\n        return False\n"
+         "    try:\n        return (%s) == (%s)\n"
+         "    except RecursionError:\n        return _deep_eq(self, other)\n"
+         % (side("self"), side("other")), code)
+    for name in ("__init__", "__eq__"):
+        code[name].__qualname__ = "%s.%s" % (built.__qualname__, name)
+        setattr(built, name, code[name])
     return built
 
 
 def _kept_hash(self):
     return self._hash
+
+
+def _node_repr(self):
+    return "%s(%s)" % (type(self).__qualname__, ", ".join(
+        "%s=%r" % (n, getattr(self, n)) for n in self.__match_args__))
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError("cannot %s field %r" % ("assign to" if value else "delete", name))
+
+
+def _deep_eq(a, b):
+    """`a == b` by the same compares as the generated `__eq__`, walked with
+    an explicit stack, so that terms of any depth compare."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        cls = type(a)
+        if a is b:
+            continue
+        if cls is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            todo.extend(zip(a, b))
+        elif cls is type(b) and hasattr(cls, "_compared"):
+            if a._hash != b._hash:
+                return False
+            todo.extend((getattr(a, n), getattr(b, n)) for n in cls._compared)
+        elif not a == b:
+            return False
+    return True
 
 
 class ByClass(dict):
@@ -367,7 +396,9 @@ class Assignment:
 
     var: str
     value: MemState
-    mentions: frozenset = field(compare=False)
+    mentions: frozenset
+
+    uncompared = ("mentions",)
 
 
 TAU_LABEL = Tau()
@@ -498,7 +529,7 @@ class Assign:
     var: str
     e: object
     # `flexvars_term(self)`, filled in by its first call
-    _flexvars: frozenset = field(default=None, init=False, compare=False, repr=False)
+    _flexvars: frozenset
 
 
 @node
@@ -568,15 +599,15 @@ class RecSpec:
 
     equations: tuple  # (name, ProcTerm) pairs
     # name -> right-hand side, filled in by the check
-    _rhs: dict = field(default=None, init=False, compare=False, repr=False)
+    _rhs: dict
     # var -> the constant Rec(var, self), filled in by `_rec_constants`
-    _consts: dict = field(default=None, init=False, compare=False, repr=False)
+    _consts: dict
     # var -> one-step unfolding of Rec(var, self), filled in by `unfold`
-    _unfolded: dict = field(default=None, init=False, compare=False, repr=False)
+    _unfolded: dict
     # the flexible variables of all right-hand sides, filled in by `flexvars_term`
-    _flexvars: frozenset = field(default=None, init=False, compare=False, repr=False)
+    _flexvars: frozenset
     # the equations as `syntax.format_term` prints them, filled in by it
-    _text: str = field(default=None, init=False, compare=False, repr=False)
+    _text: str
 
     def __post_init__(self):
         rhs = dict(self.equations)

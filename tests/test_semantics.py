@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -511,12 +510,9 @@ def _reads_reference(x):
         return {x.name}
     if isinstance(x, tuple):
         return set().union(*map(_reads_reference, x))
-    if not dataclasses.is_dataclass(x):
-        return set()
     out = {x.var} if isinstance(x, Assign) else set()
-    for f in dataclasses.fields(x):
-        if f.compare:
-            out |= _reads_reference(getattr(x, f.name))
+    for name in getattr(type(x), "_compared", ()):
+        out |= _reads_reference(getattr(x, name))
     return out
 
 
@@ -525,11 +521,10 @@ def _nodes(x, seen):
     if isinstance(x, tuple):
         for y in x:
             _nodes(y, seen)
-    elif dataclasses.is_dataclass(x) and x not in seen:
+    elif hasattr(type(x), "_compared") and x not in seen:
         seen[x] = None
-        for f in dataclasses.fields(x):
-            if f.compare:
-                _nodes(getattr(x, f.name), seen)
+        for name in type(x)._compared:
+            _nodes(getattr(x, name), seen)
 
 
 def _read_set_corpus():

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError, field
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -407,6 +407,11 @@ def test_node_constructor():
     assert Assign("v", FlexVar("v"))._flexvars is None
     with pytest.raises(FrozenInstanceError):
         Act("a").name = "b"
+    with pytest.raises(FrozenInstanceError):
+        del Act("a").name
+    assert not hasattr(Act("a"), "__dict__")
+    assert Seq.__match_args__ == ("l", "r")
+    assert "mentions" in Assignment.__match_args__
     with pytest.raises(TypeError):
         Act()
     with pytest.raises(ValueError, match="^projection depth is a natural$"):
@@ -447,13 +452,9 @@ def test_node_hidden_field_defaults():
     @T.node
     class Tagged:
         name: str
-        _tag: str = field(default="untagged", init=False, compare=False)
+        _tag: str = "untagged"
 
     assert Tagged("a")._tag == "untagged" and Tagged("a") == Tagged(name="a")
-    with pytest.raises(TypeError, match="default_factory is not supported"):
-        @T.node
-        class Listed:
-            items: list = field(default_factory=list)
 
 
 def test_deep_chain_hashes_and_explores():
@@ -463,6 +464,15 @@ def test_deep_chain_hashes_and_explores():
     assert hash(t) == hash(_seq_chain(3000))
     l = build_lts(t)
     assert (len(l.states), len(l.transitions), l.success) == (3001, 3000, {3000})
+
+
+def test_deep_equal_chains_compare():
+    from ramproc.semantics import build_lts
+
+    a, b = _seq_chain(3000), _seq_chain(3000)
+    assert a is not b and a == b and not a != b
+    assert RecSpec((("X", a),)) == RecSpec((("X", b),))
+    assert len(build_lts(Alt(a, b)).states) == 3001
 
 
 def test_shared_subterms_hash_once():
