@@ -47,24 +47,24 @@ def node(cls):
     ns.update(__slots__=names + ("_hash",), __match_args__=shown, _compared=compared,
               __hash__=_kept_hash, __repr__=_node_repr, __setattr__=_frozen, __delattr__=_frozen)
     built = type(cls.__name__, cls.__bases__, ns)
-    code = {"_cls": built, "_hash": hash, "_check": ns.get("__post_init__"),
+    code = {"_node_cls": built, "_node_hash": hash, "_node_check": ns.get("__post_init__"),
             "_set_hash": built._hash.__set__, "_deep_eq": _deep_eq}
     params = ["self"] + [n if n not in cls.__dict__ else "%s=_default_%s" % (n, n) for n in shown]
     body = []
     for n in names:
         code["_set_" + n], code["_default_" + n] = getattr(built, n).__set__, cls.__dict__.get(n)
         body.append("_set_%s(self, %s)" % (n, n if n in shown else "_default_" + n))
-    if code["_check"] is not None:
-        body.append("_check(self)")
-    body.append("_set_hash(self, _hash((_cls, %s)))" % "".join(n + ", " for n in compared))
-    side = lambda obj: "".join("%s.%s, " % (obj, n) for n in compared)
+    if code["_node_check"] is not None:
+        body.append("_node_check(self)")
+    body.append("_set_hash(self, _node_hash((_node_cls, %s)))" % "".join(n + ", " for n in compared))
+    mine, theirs = ("".join("%s.%s, " % (obj, n) for n in compared) for obj in ("self", "other"))
     exec("def __init__(%s):\n    %s\n" % (", ".join(params), "\n    ".join(body))
          + "def __eq__(self, other):\n"
          "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
          "    if self._hash != other._hash:\n        return False\n"
          "    try:\n        return (%s) == (%s)\n"
          "    except RecursionError:\n        return _deep_eq(self, other)\n"
-         % (side("self"), side("other")), code)
+         % (mine, theirs), code)
     for name in ("__init__", "__eq__"):
         code[name].__qualname__ = "%s.%s" % (built.__qualname__, name)
         setattr(built, name, code[name])
@@ -90,9 +90,9 @@ def _deep_eq(a, b):
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
-        cls = type(a)
         if a is b:
             continue
+        cls = type(a)
         if cls is tuple and type(b) is tuple:
             if len(a) != len(b):
                 return False

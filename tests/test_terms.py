@@ -455,6 +455,9 @@ def test_node_hidden_field_defaults():
         _tag: str = "untagged"
 
     assert Tagged("a")._tag == "untagged" and Tagged("a") == Tagged(name="a")
+    assert repr(Tagged("a")).endswith("Tagged(name='a')")
+    with pytest.raises(TypeError):
+        Tagged("a", "b")
 
 
 def test_deep_chain_hashes_and_explores():
