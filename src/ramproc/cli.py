@@ -94,11 +94,11 @@ def cmd_run(args) -> int:
     if args.lts:
         _export_lts(l, args.lts, args.format)
     if l.exploded:
-        print("undecided: exploration stopped at %d states" % len(l.states))
+        print("undecided: exploration stopped at %d states" % len(l))
         return 3
     halts = semantics.eventually_halts(l)
     print("halts: %s" % ("yes" if halts else "no"))
-    print("states: %d  transitions: %d" % (len(l.states), len(l.transitions)))
+    print("states: %d  transitions: %d" % (len(l), len(l.transitions)))
     if not halts:
         return 2
     print("steps (non-silent, longest run): %d" % semantics.depth(l))

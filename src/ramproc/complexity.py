@@ -54,7 +54,7 @@ def _halting_lts(t, rho, max_states) -> Lts:
 
 
 def _report(name, l: Lts, value, per_component=()) -> MeasureReport:
-    return MeasureReport(name, value, tuple(per_component), len(l.states), len(l.transitions))
+    return MeasureReport(name, value, tuple(per_component), len(l), len(l.transitions))
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,7 +275,7 @@ def _check_one(l: Lts, args, expected, bound) -> CheckRow:
     if l.exploded:
         return CheckRow(
             args, expected, None, None, bound, "undecided",
-            "exploration stopped at %d states" % len(l.states),
+            "exploration stopped at %d states" % len(l),
         )
     halts = eventually_halts(l)
     if expected is None:

@@ -9,8 +9,10 @@ argument before right, communication pairs in that induced order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import add
+from itertools import count
+from operator import add, itemgetter
 
 from . import terms as T
 from .terms import (
@@ -54,6 +56,7 @@ class CommFunction:
 DEFAULT_GAMMA = CommFunction.make({("sync", "sync"): "synced"})
 
 _SYNC_RENAME = T.ActionMap.make({"synced": "sync"})
+_SYNC_SET = T.ActionSet.labels(("sync",))
 
 
 def sync_merge_expand(l, r):
@@ -61,10 +64,7 @@ def sync_merge_expand(l, r):
     communication, block lone handshakes, rename the joint action back."""
     return T.Rename(
         _SYNC_RENAME,
-        T.Encap(
-            T.ActionSet.labels(("sync",)),
-            T.Par(T.Rename(_SYNC_RENAME, l), T.Rename(_SYNC_RENAME, r)),
-        ),
+        T.Encap(_SYNC_SET, T.Par(T.Rename(_SYNC_RENAME, l), T.Rename(_SYNC_RENAME, r))),
     )
 
 
@@ -319,8 +319,10 @@ _UNSET = object()
 class Lts:
     """A finite labeled transition graph with explicit termination states.
 
-    When exploration hits the state cap, `exploded` is set and the graph is
-    partial; consumers must treat it as inconclusive.
+    `states` holds the state terms in exploration order; after an
+    exploration on state vectors it rebuilds each one on demand
+    (`_StateTerms`).  When exploration hits the state cap, `exploded` is
+    set and the graph is partial; consumers must treat it as inconclusive.
     """
 
     def __init__(self):
@@ -343,7 +345,7 @@ class Lts:
 
     def out(self, sid: int):
         if self._out is None:
-            adj = [[] for _ in self.states]
+            adj = [[] for _ in range(len(self))]
             for src, lab, dst in self.transitions:
                 adj[src].append((lab, dst))
             self._out = adj
@@ -359,9 +361,19 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
     when a valuation is given).
 
     Each state's moves are `step`'s, and the operands of parallel merges
-    are stepped once per call for each valuation of what they read.
+    are stepped once per call for each valuation of what they read.  A
+    machine composition (see `_machine_tree`) is explored on state vectors;
+    every other term on terms.  Both give the same LTS.
     """
     root = T.Eval(rho, t) if rho is not None else t
+    shape = _machine_tree(root)
+    if shape is not None:
+        return _build_vectors(root, *shape, max_states, gamma)
+    return _build_terms(root, max_states, gamma)
+
+
+def _build_terms(root, max_states, gamma) -> Lts:
+    """`build_lts` on terms: breadth first over the step rules."""
     memo = {}
     l = Lts()
     l.add_state(root)
@@ -384,10 +396,176 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
     return l
 
 
+# Machine compositions on state vectors.  A state Eval(rho, body) is a
+# tuple of ints: a memory id per variable of rho (interned per variable), a
+# component id per leaf (interned from its term), and a bit per SyncMerge,
+# set once the merge has become its `sync_merge_expand` form on its first
+# move.  Leaves step through `_RULES`, memoized on the component id and the
+# memory ids of what it reads; merges combine their operands' moves as
+# `_par` and `_sync_merge` do, so the moves, their order and deduplication
+# are `_build_terms`'s.
+
+_MERGES = (T.Par, T.SyncMerge)
+_COMMUNICATING = frozenset((Plain, DataAction))  # the labels `_communicate` can pair
+
+
+def _machine_tree(root):
+    """(tree, leaves, SyncMerge count) of a machine composition, or None.
+
+    root is one when it is Eval(rho, body), with body a tree of Par and
+    SyncMerge nodes over Rec leaves that reads only variables of rho, and
+    rho's names sorted and distinct.  In the tree a leaf is its position in
+    the state vector, and a merge is (l, r, bit), where bit is the position
+    of a SyncMerge's bit and None for a Par.
+    """
+    if type(root) is not T.Eval or type(root.body) not in _MERGES:
+        return None
+    body, names = root.body, root.rho.names()
+    leaves = list(T.flatten(body, _MERGES))
+    if (list(names) != sorted(set(names)) or any(type(u) is not T.Rec for u in leaves)
+            or not flexvars_term(body) <= set(names)):
+        return None
+    slots, bits = count(len(names)), count(len(names) + len(leaves))
+
+    def walk(t):
+        if type(t) is T.Rec:
+            return next(slots)
+        return walk(t.l), walk(t.r), next(bits) if type(t) is T.SyncMerge else None
+
+    return walk(body), leaves, next(bits) - len(names) - len(leaves)
+
+
+def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
+    """`_build_terms` for a machine composition, on state vectors."""
+    names = root.rho.names()
+    mem_at = {name: i for i, name in enumerate(names)}
+    mems = [[m] for _, m in root.rho.entries]  # per variable: id -> memory
+    mem_ids = [{m: 0} for _, m in root.rho.entries]
+    comps, comp_ids = [], {}  # id -> (term, its read key), and back
+    term_memo, leaf_memo = {}, {}
+
+    def intern(u):
+        cid = comp_ids.get(u)
+        if cid is None:
+            cid = comp_ids[u] = len(comps)
+            reads = [mem_at[x] for x in sorted(flexvars_term(u)) if x in mem_at]
+            comps.append((u, itemgetter(*reads) if reads else lambda v: ()))
+        return cid
+
+    def change(node, a, u):
+        """A leaf move's changes: its component, and an assignment's memory."""
+        if type(a) is not Assignment:
+            return ((node, intern(u)),)
+        i = mem_at[a.var]
+        mid = mem_ids[i].get(a.value)
+        if mid is None:
+            mid = mem_ids[i][a.value] = len(mems[i])
+            mems[i].append(a.value)
+        return (node, intern(u)), (i, mid)
+
+    def valuation(v):
+        return Valuation(tuple([(x, mems[i][v[i]]) for i, x in enumerate(names)]))
+
+    def moves(node, v):
+        """(success, moves) of a tree node, each move a label and the
+        (position, value) changes it makes to v."""
+        if type(node) is int:
+            cid = v[node]
+            u, reads = comps[cid]
+            key = (node, cid, reads(v))
+            hit = leaf_memo.get(key)
+            if hit is None:
+                s, m = _RULES[type(u)](u, valuation(v), gamma, term_memo)
+                hit = leaf_memo[key] = s, [(a, change(node, a, u2)) for a, u2 in m]
+            return hit
+        l, r, bit = node
+        sl, ml = moves(l, v)
+        sr, mr = moves(r, v)
+        if bit is not None:
+            rename = _SYNC_RENAME.apply_label
+            ml = [(rename(a), ch) for a, ch in ml]
+            mr = [(rename(b), ch) for b, ch in mr]
+        out = ml + mr
+        for a, cl in ml:
+            if type(a) in _COMMUNICATING:
+                for b, cr in mr:
+                    c = _communicate(a, b, gamma)
+                    if c is not None:
+                        out.append((c, cl + cr))
+        if bit is not None:
+            out = [(rename(a), ch + ((bit, 1),)) for a, ch in out
+                   if not _SYNC_SET.contains_label(a)]
+        return sl and sr, out
+
+    def term(v):
+        def build(node):
+            if type(node) is int:
+                return comps[v[node]][0]
+            l, r, bit = node
+            l, r = build(l), build(r)
+            if bit is None:
+                return T.Par(l, r)
+            return sync_merge_expand(l, r) if v[bit] else T.SyncMerge(l, r)
+
+        return T.Eval(valuation(v), build(tree))
+
+    vectors = [(0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs]
+    l = Lts()
+    l.states = _StateTerms(vectors, term, valuation)
+    index = l.index = {vectors[0]: 0}
+    for sid, v in enumerate(vectors):  # grows while it is walked
+        succ, ms = moves(tree, v)
+        if succ:
+            l.success.add(sid)
+        seen = {}  # vector -> its labels so far
+        for lab, ch in ms:
+            w = list(v)
+            for pos, val in ch:
+                w[pos] = val
+            w = tuple(w)
+            labs = seen.setdefault(w, [])
+            if lab in labs:
+                continue
+            labs.append(lab)
+            dst = index.get(w)
+            if dst is None:
+                if len(vectors) >= max_states:
+                    l.exploded = True
+                    return l
+                dst = index[w] = len(vectors)
+                vectors.append(w)
+            l.transitions.append((sid, lab, dst))
+    return l
+
+
+class _StateTerms(Sequence):
+    """The state terms of an LTS explored on vectors, each rebuilt from its
+    vector when asked for; `valuation(sid)` decodes only the valuation.
+    It compares equal to the list of the same terms."""
+
+    def __init__(self, vectors, term, valuation):
+        self._vectors, self._term, self._valuation = vectors, term, valuation
+
+    def __len__(self):
+        return len(self._vectors)
+
+    def __getitem__(self, sid):
+        if isinstance(sid, slice):
+            return [self[i] for i in range(len(self))[sid]]
+        return self._term(self._vectors[sid])
+
+    def valuation(self, sid):
+        return self._valuation(self._vectors[sid])
+
+    def __eq__(self, other):
+        ok = isinstance(other, (list, _StateTerms))
+        return list(self) == list(other) if ok else NotImplemented
+
+
 def _check_bounded(l: Lts):
     if l.exploded:
         raise UndecidedError(
-            "undecided at this bound: exploration stopped at %d states" % len(l.states)
+            "undecided at this bound: exploration stopped at %d states" % len(l)
         )
 
 
@@ -396,7 +574,7 @@ def eventually_halts(l: Lts) -> bool:
     _check_bounded(l)
     if _topo_order(l) is None:
         return False
-    for sid in range(len(l.states)):
+    for sid in range(len(l)):
         if not l.out(sid) and sid not in l.success:
             return False
     return True
@@ -410,8 +588,8 @@ def _topo_order(l: Lts):
         return l._order
     l._order = None
     order = []
-    color = [0] * len(l.states)  # 0 unseen, 1 on stack, 2 done
-    for start in range(len(l.states)):
+    color = [0] * len(l)  # 0 unseen, 1 on stack, 2 done
+    for start in range(len(l)):
         if color[start]:
             continue
         stack = [(start, iter([d for _, d in l.out(start)]))]
@@ -479,7 +657,10 @@ def count_maximal_paths(l: Lts) -> int:
 
 
 def terminal_valuations(l: Lts):
-    """Valuations carried by termination-capable states, in state order."""
+    """Valuations carried by termination-capable states, in state order.
+    States explored as vectors decode only their valuation."""
+    if type(l.states) is _StateTerms:
+        return tuple(map(l.states.valuation, sorted(l.success)))
     out = []
     for sid in sorted(l.success):
         term = l.states[sid]
@@ -558,7 +739,7 @@ def lts_to_dot(l: Lts) -> str:
     from .terms import format_label
 
     lines = ["digraph lts {"]
-    for i in range(len(l.states)):
+    for i in range(len(l)):
         shape = "doublecircle" if i in l.success else "circle"
         lines.append('  s%d [shape=%s, label="%d"];' % (i, shape, i))
     lines.append("  init [shape=point];")

@@ -76,8 +76,29 @@ def _kept_hash(self):
 
 
 def _node_repr(self):
-    return "%s(%s)" % (type(self).__qualname__, ", ".join(
-        "%s=%r" % (n, getattr(self, n)) for n in self.__match_args__))
+    """`Cls(field=value, ...)` over the shown fields, as the dataclass repr
+    prints it.  Nodes and the tuples that hold them are spelled out with an
+    explicit stack, so any depth prints; other values print by `repr`."""
+    out, todo = [], [(self,)]  # a str is text to emit, a 1-tuple a value
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x = item[0]
+        if hasattr(type(x), "_compared"):
+            parts = ["%s(" % type(x).__qualname__]
+            for k, n in enumerate(x.__match_args__):
+                parts += ["%s%s=" % (", " if k else "", n), (getattr(x, n),)]
+            todo += reversed(parts + [")"])
+        elif type(x) is tuple:
+            parts = ["("]
+            for k, y in enumerate(x):
+                parts += [", ", (y,)] if k else [(y,)]
+            todo += reversed(parts + [",)" if len(x) == 1 else ")"])
+        else:
+            out.append(repr(x))
+    return "".join(out)
 
 
 def _frozen(self, name, *value):

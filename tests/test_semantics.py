@@ -26,7 +26,9 @@ from ramproc.machines import (
 )
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Load, Store, UnOp
+from ramproc import semantics
 from ramproc.semantics import (
+    DEFAULT_GAMMA,
     CommFunction,
     SemanticsError,
     UndecidedError,
@@ -439,13 +441,13 @@ def _random_shared_program(rng, n_ops):
     return Program(tuple(instrs), SMBRAM)
 
 
-def _fingerprint_corpus():
-    """(label, Lts) pairs of the corpus, in a fixed order."""
+def _corpus_inputs():
+    """(label, `build_lts` arguments) of the corpus, in a fixed order."""
     rng = random.Random(6061)
     for k in range(40):
         prog = _random_program(rng, rng.randint(1, 6))
         rho = Valuation.make({"RM": _random_mem(rng)})
-        yield "ramp-%d" % k, build_lts(proc_of_bbram(prog), rho, max_states=300)
+        yield "ramp-%d" % k, (proc_of_bbram(prog), rho, 300, DEFAULT_GAMMA)
     for model, component, compose in (("apramp", proc_of_smbram_async, compose_async),
                                       ("spramp", proc_of_smbram_sync, compose_sync)):
         for k in range(40):
@@ -454,13 +456,19 @@ def _fingerprint_corpus():
             term = compose([component(i, p) for i, p in enumerate(progs, start=1)])
             rho = Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(term)})
             rho = rho.set("RM", _random_mem(rng))
-            yield "%s-%d" % (model, k), build_lts(term, rho, max_states=250)
+            yield "%s-%d" % (model, k), (term, rho, 250, DEFAULT_GAMMA)
     for name in sorted(AXIOMS):
         g = Gen(zlib.crc32(name.encode()) * 1000003)
         for k in range(2):
             lhs, rhs = AXIOMS[name](g)
-            yield "%s-%d-lhs" % (name, k), build_lts(lhs, None, 2000, gamma=GAMMA)
-            yield "%s-%d-rhs" % (name, k), build_lts(rhs, None, 2000, gamma=GAMMA)
+            yield "%s-%d-lhs" % (name, k), (lhs, None, 2000, GAMMA)
+            yield "%s-%d-rhs" % (name, k), (rhs, None, 2000, GAMMA)
+
+
+def _fingerprint_corpus():
+    """(label, Lts) pairs of the corpus, in a fixed order."""
+    for label, args in _corpus_inputs():
+        yield label, build_lts(*args)
 
 
 def _corpus_digest():
@@ -616,13 +624,148 @@ _BRANCHER = "mov:#1:0\nloa:@0:1\njmp:eq:1:#1:5\nsto:#1:@0\nhalt\n"
                  Eval(Valuation.make({"RM": MemState({1: "11", 2: "1"})}), _DIV)), None),
     # equal component terms reading one memory
     lambda: (Par(_DIV, _DIV), Valuation.make({"RM": MemState({1: "11", 2: "01"})})),
+    # evaluated leaves under an outer valuation: explored on terms
+    lambda: (Par(Eval(Valuation.make({"RM": MemState({1: "11", 2: "1"})}), _DIV),
+                 Eval(Valuation.make({"RM": MemState({1: "1", 2: "1"})}), _DIV)),
+             Valuation.make({"RM": EMPTY_MEM})),
 ], ids=["store-load", "load-store-load", "branch-on-shared", "two-branchers",
-        "spramp-branch", "same-term-own-memories", "same-term-shared-memory"])
+        "spramp-branch", "same-term-own-memories", "same-term-shared-memory",
+        "eval-leaves-under-eval"])
 def test_build_lts_matches_plain_step_exploration(build):
     term, rho = build()
     l = build_lts(term, rho)
     assert not l.exploded
     assert (l.states, l.transitions, l.success) == _bfs_over_step(term, rho)
+
+
+# ---------------------------------------------------------------------------
+# Machine compositions are explored on state vectors; the term explorer,
+# `_build_terms`, is the referee.
+
+def _explore_both(term, rho, max_states=100000, gamma=DEFAULT_GAMMA):
+    """The vector path's LTS and the term path's, after checking that
+    `build_lts` takes the vector path and the two export byte for byte."""
+    root = Eval(rho, term)
+    assert semantics._machine_tree(root) is not None
+    fast = build_lts(term, rho, max_states, gamma)
+    slow = semantics._build_terms(root, max_states, gamma)
+    assert type(fast.states) is semantics._StateTerms and type(slow.states) is list
+    assert json.dumps(lts_to_json(fast)) == json.dumps(lts_to_json(slow))
+    assert fast.success == slow.success and fast.exploded == slow.exploded
+    return fast, slow
+
+
+def test_vector_path_matches_terms_on_the_corpus():
+    checked = 0
+    for label, (term, rho, max_states, gamma) in _corpus_inputs():
+        if label.startswith(("apramp", "spramp")):
+            _explore_both(term, rho, max_states, gamma)
+            checked += 1
+    assert checked == 80
+
+
+def _straight_line(rng, m):
+    """m straight-line instructions with one store, like the benchmark's
+    parallel components."""
+    ops = [rng.choice(["add:0:#1:1", "sub:1:#1:2", "mov:1:2", "loa:@0:3", "not:2:1"])
+           for _ in range(m)]
+    ops[rng.randrange(m)] = "sto:1:@0"
+    return "\n".join(ops + ["halt"]) + "\n"
+
+
+@pytest.mark.parametrize("build, states", [
+    (lambda rng: _apramp([_straight_line(rng, 5) for _ in range(4)]), 7 ** 4),
+    (lambda rng: _spramp([_straight_line(rng, 5) for _ in range(6)]), 6 * 2 ** 6 + 1),
+], ids=["apramp-4x5", "spramp-6x5"])
+def test_vector_path_matches_terms_on_benchmark_shapes(build, states):
+    term, rho = build(random.Random(states))
+    fast, _ = _explore_both(term, rho)
+    assert len(fast) == states and not fast.exploded
+    for cap in (1, 2, states // 3, states - 1):
+        fast, _ = _explore_both(term, rho, max_states=cap)
+        assert fast.exploded and len(fast) == cap
+
+
+def _rec(*equations):
+    return Rec(equations[0][0], RecSpec(equations))
+
+
+_A_THEN_B = _rec(("A", Seq(Act("a"), Var("B"))), ("B", Alt(Seq(Act("b"), Var("A")), EPS)))
+_B_OR_D = _rec(("C", Alt(Seq(Act("b"), Var("C")), Seq(Act("d"), Var("E")))), ("E", EPS))
+_SENDS = _rec(("S", Seq(T.DataAct("s", (FlexVar("x"),)), Var("T"))),
+              ("T", Seq(Assign("x", T.Apply1(UnOp("not", Dir(0), Dir(0)), FlexVar("x"))),
+                        Var("S"))))
+_RECEIVES = _rec(("R", Alt(Seq(T.DataAct("r", (MemLiteral(MemState({0: "0"})),)), Var("R")),
+                           Seq(Act("sync"), Var("R")))))
+
+
+@pytest.mark.parametrize("term", [
+    Par(_A_THEN_B, _B_OR_D),
+    Par(Par(_A_THEN_B, _SENDS), _RECEIVES),
+    SyncMerge(_A_THEN_B, Par(_B_OR_D, _RECEIVES)),
+    Par(SyncMerge(_RECEIVES, _RECEIVES), SyncMerge(_SENDS, _B_OR_D)),
+    # a | sync communicates to synced below the merge, which renames it
+    SyncMerge(Par(_A_THEN_B, _RECEIVES), Par(_RECEIVES, _A_THEN_B)),
+], ids=["par", "nested-par", "sync-over-par", "par-over-syncs", "synced-below-sync"])
+def test_vector_path_matches_terms_under_other_communications(term):
+    rho = Valuation.make({"x": MemState({0: "1"})})  # flips between 1 and 0
+    gamma = CommFunction.make({("a", "b"): "c", ("b", "d"): "e", ("s", "r"): "t",
+                               ("sync", "sync"): "synced", ("a", "sync"): "synced"})
+    fast, _ = _explore_both(term, rho, 2000, gamma)
+    _explore_both(term, rho, 2000)
+    assert {getattr(lab, "name", None) for _, lab, _ in fast.transitions} & {"c", "e", "t"}
+
+
+def test_vector_path_raises_as_the_term_path_does():
+    loop = _rec(("X", Var("X")))
+    for term in (Par(_A_THEN_B, loop), SyncMerge(loop, Par(loop, _A_THEN_B))):
+        root = Eval(Valuation(), term)
+        assert semantics._machine_tree(root) is not None
+        messages = []
+        for explore in (lambda: build_lts(term, Valuation()),
+                        lambda: semantics._build_terms(root, 100, DEFAULT_GAMMA)):
+            with pytest.raises(SemanticsError) as info:
+                explore()
+            messages.append(str(info.value))
+        assert messages == ["recursion does not reach a guarded form"] * 2
+
+
+@pytest.mark.parametrize("term, rho", [
+    (_DIV, Valuation.make({"RM": EMPTY_MEM})),
+    (Par(_DIV, Act("a")), Valuation.make({"RM": EMPTY_MEM})),
+    (Par(_DIV, _DIV), Valuation.make({"RM_1": EMPTY_MEM})),
+    (Par(_DIV, _DIV), Valuation((("RM", EMPTY_MEM), ("A", EMPTY_MEM)))),
+    (Par(_DIV, _DIV), None),
+    (Eval(Valuation.make({"RM": EMPTY_MEM}), Par(_DIV, _DIV)), Valuation()),
+], ids=["one-leaf", "action-leaf", "unbound-read", "unsorted-names", "no-valuation",
+        "eval-body"])
+def test_other_terms_stay_on_the_term_path(term, rho):
+    root = Eval(rho, term) if rho is not None else term
+    assert semantics._machine_tree(root) is None
+
+
+def test_vector_states_are_rebuilt_only_when_asked_for(monkeypatch):
+    from ramproc import complexity
+
+    term, rho = _apramp([_WRITER, _BRANCHER])
+    want = semantics._build_terms(Eval(rho, term), 10000, DEFAULT_GAMMA)
+
+    def no_terms(self, i):
+        raise AssertionError("state term rebuilt")
+
+    monkeypatch.setattr(semantics._StateTerms, "__getitem__", no_terms)
+    l = build_lts(term, rho)
+    assert len(l) == len(want.states) and l.transitions == want.transitions
+    assert terminal_valuations(l) == terminal_valuations(want)
+    assert eventually_halts(l) and depth(l) == depth(want)
+    assert complexity.aputm(term, rho).states == len(want.states)
+    monkeypatch.undo()
+    assert l.states == want.states and want.states == l.states and l.states != tuple(l.states)
+    assert l.states[-1] == want.states[-1] and l.states[5:1:-2] == want.states[5:1:-2]
+    assert list(reversed(l.states))[-1] == want.states[0]
+    assert hash(want.states[0]) == hash(l.states[0])
+    with pytest.raises(TypeError):
+        hash(l.states)
 
 
 def test_step_returns_deduplicated_tuples():

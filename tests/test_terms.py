@@ -7,6 +7,7 @@ from ramproc import terms as T
 from ramproc.machines import SMBRAM, parse_program, proc_of_bbram, proc_of_smbram_async
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store
+from ramproc.semantics import SemanticsError, step
 from ramproc.syntax import parse_term
 from ramproc.terms import (
     DELTA,
@@ -436,6 +437,21 @@ def test_node_repr_pinned():
     assert repr(spec) == "RecSpec(equations=(('X', Seq(l=Act(name='a'), r=Var(name='X'))),))"
     assert (repr(Valuation.make({"RM_1": EMPTY_MEM, "RM": M1}))
             == "Valuation(entries=(('RM', MemState({0: '1'})), ('RM_1', MemState({}))))")
+
+
+def test_node_repr_any_depth():
+    # the repr walks nodes and tuples with an explicit stack, so a deep term
+    # prints, and so does an error message that embeds one
+    chain = Act("a")
+    for _ in range(3000):
+        chain = Seq(chain, EPS)
+    assert repr(chain) == "Seq(l=" * 3000 + "Act(name='a')" + ", r=Empty())" * 3000
+    cond = TRUE
+    for _ in range(3000):
+        cond = T.Not(cond)
+    with pytest.raises(SemanticsError) as info:
+        step(Seq(EPS, cond))
+    assert str(info.value) == "cannot step " + "Not(c=" * 3000 + "TrueC()" + ")" * 3000
 
 
 def test_spec_refuses_free_recursion_variables():
