@@ -9,6 +9,7 @@ argument before right, communication pairs in that induced order.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -19,6 +20,7 @@ from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
     EMPTY_VALUATION, Valuation, eval_cond, eval_data, flexvars_term, unfold,
 )
+from .ramops import Ini, apply_op, apply_prop, apply_shared
 
 
 class SemanticsError(ValueError):
@@ -352,7 +354,7 @@ class Lts:
         return self._out[sid]
 
     def __len__(self):
-        return len(self.states)
+        return len(self.index)
 
 
 def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
@@ -362,14 +364,34 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
 
     Each state's moves are `step`'s, and the operands of parallel merges
     are stepped once per call for each valuation of what they read.  A
-    machine composition (see `_machine_tree`) is explored on state vectors;
-    every other term on terms.  Both give the same LTS.
+    machine, sequential or a composition (see `_machine_tree`), is explored
+    on state vectors; every other term on terms.  Both give the same LTS.
+    A term too deep for the step rules raises SemanticsError.
     """
     root = T.Eval(rho, t) if rho is not None else t
-    shape = _machine_tree(root)
-    if shape is not None:
-        return _build_vectors(root, *shape, max_states, gamma)
-    return _build_terms(root, max_states, gamma)
+    try:
+        shape = _machine_tree(root)
+        if shape is not None:
+            return _build_vectors(root, *shape, max_states, gamma)
+        return _build_terms(root, max_states, gamma)
+    except RecursionError:
+        raise SemanticsError(
+            "term too deep to explore: it nests %d operators, and the step rules ran out of "
+            "stack (recursion limit %d)" % (_height(root), sys.getrecursionlimit())) from None
+
+
+def _height(t):
+    """The number of operator levels of t, counted without recursion."""
+    height, todo = {}, [t]
+    while todo:
+        u = todo[-1]
+        kids = T.children(u) if type(u) in _RULES else ()
+        deeper = [c for c in kids if id(c) not in height]
+        if deeper:
+            todo += deeper
+            continue
+        height[id(todo.pop())] = 1 + max([height[id(c)] for c in kids], default=0)
+    return height[id(t)]
 
 
 def _build_terms(root, max_states, gamma) -> Lts:
@@ -396,125 +418,136 @@ def _build_terms(root, max_states, gamma) -> Lts:
     return l
 
 
-# Machine compositions on state vectors.  A state Eval(rho, body) is a
-# tuple of ints: a memory id per variable of rho (interned per variable), a
-# component id per leaf (interned from its term), and a bit per SyncMerge,
-# set once the merge has become its `sync_merge_expand` form on its first
-# move.  Leaves step through `_RULES`, memoized on the component id and the
-# memory ids of what it reads; merges combine their operands' moves as
-# `_par` and `_sync_merge` do, so the moves, their order and deduplication
-# are `_build_terms`'s.
+# Machines on state vectors.  A state Eval(rho, body) is a tuple of ints: a
+# memory id per variable of rho (interned per variable), a component id per
+# leaf (interned from its term), and a bit per SyncMerge, set once the merge
+# has become its `sync_merge_expand` form on its first move.  A component
+# that is a recursion constant X, or `eps . X`, whose right-hand side is in
+# `T.validate_linear`'s grammar is compiled once into its guarded summands;
+# the guards and assignments then read the memories straight from the
+# vector.  Any other component steps through `_RULES`.  In a composition,
+# leaf steps are memoized on the component id and the memory ids of what it
+# reads; merges combine their operands' moves as `_par` and `_sync_merge`
+# do, so the moves, their order and deduplication are `_build_terms`'s.
 
 _MERGES = (T.Par, T.SyncMerge)
 _COMMUNICATING = frozenset((Plain, DataAction))  # the labels `_communicate` can pair
 
 
 def _machine_tree(root):
-    """(tree, leaves, SyncMerge count) of a machine composition, or None.
+    """(tree, leaves, SyncMerge count) of a machine, or None.
 
-    root is one when it is Eval(rho, body), with body a tree of Par and
-    SyncMerge nodes over Rec leaves that reads only variables of rho, and
-    rho's names sorted and distinct.  In the tree a leaf is its position in
-    the state vector, and a merge is (l, r, bit), where bit is the position
-    of a SyncMerge's bit and None for a Par.
+    root is one when it is Eval(rho, body), with body a Rec constant (a
+    sequential machine) or a tree of Par and SyncMerge nodes over Rec
+    leaves (a composition), that reads only variables of rho, and rho's
+    names sorted and distinct.  In the tree a leaf is its position in the
+    state vector, and a merge is (l, r, bit), where bit is the position of
+    a SyncMerge's bit and None for a Par; a lone leaf is the whole tree.
     """
-    if type(root) is not T.Eval or type(root.body) not in _MERGES:
+    if type(root) is not T.Eval:
         return None
     body, names = root.body, root.rho.names()
-    leaves = list(T.flatten(body, _MERGES))
+    leaves = [body] if type(body) is T.Rec else list(T.flatten(body, _MERGES))
     if (list(names) != sorted(set(names)) or any(type(u) is not T.Rec for u in leaves)
             or not flexvars_term(body) <= set(names)):
         return None
     slots, bits = count(len(names)), count(len(names) + len(leaves))
+    return _positions(body, slots, bits), leaves, next(bits) - len(names) - len(leaves)
 
-    def walk(t):
-        if type(t) is T.Rec:
-            return next(slots)
-        return walk(t.l), walk(t.r), next(bits) if type(t) is T.SyncMerge else None
 
-    return walk(body), leaves, next(bits) - len(names) - len(leaves)
+def _positions(t, slots, bits):
+    """`_machine_tree`'s tree of t, numbering leaves from slots and merge bits
+    from bits."""
+    if type(t) is T.Rec:
+        return next(slots)
+    return (_positions(t.l, slots, bits), _positions(t.r, slots, bits),
+            next(bits) if type(t) is T.SyncMerge else None)
 
 
 def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
-    """`_build_terms` for a machine composition, on state vectors."""
+    """`_build_terms` for a machine, on state vectors."""
     names = root.rho.names()
-    mem_at = {name: i for i, name in enumerate(names)}
-    mems = [[m] for _, m in root.rho.entries]  # per variable: id -> memory
-    mem_ids = [{m: 0} for _, m in root.rho.entries]
-    comps, comp_ids = [], {}  # id -> (term, its read key), and back
+    mem_at, mems, mem_ids = {}, [], []  # per variable: position, id -> memory, and back
+    for i, (x, m) in enumerate(root.rho.entries):
+        mem_at[x] = i
+        mems.append([m])
+        mem_ids.append({m: 0})
+    comps, comp_ids = [], {}  # id -> term, and back
+    summands, reads = [], []  # per id: summands (None: never stepped, True: once), read key
+    single = type(tree) is int  # a sequential machine: one leaf, no merges
     term_memo, leaf_memo = {}, {}
 
     def intern(u):
         cid = comp_ids.get(u)
         if cid is None:
             cid = comp_ids[u] = len(comps)
-            reads = [mem_at[x] for x in sorted(flexvars_term(u)) if x in mem_at]
-            comps.append((u, itemgetter(*reads) if reads else lambda v: ()))
+            comps.append(u)
+            summands.append(None)
+            if not single:
+                rs = [mem_at[x] for x in sorted(flexvars_term(u)) if x in mem_at]
+                reads.append(itemgetter(*rs) if rs else lambda v: ())
         return cid
 
+    def mem_id(i, m):
+        mid = mem_ids[i].get(m)
+        if mid is None:
+            mid = mem_ids[i][m] = len(mems[i])
+            mems[i].append(m)
+        return mid
+
+    def valuation(v):
+        return Valuation(tuple(zip(names, map(list.__getitem__, mems, v))))
+
     def change(node, a, u):
-        """A leaf move's changes: its component, and an assignment's memory."""
+        """A `_RULES` leaf move's changes: its component, and an assignment's memory."""
         if type(a) is not Assignment:
             return ((node, intern(u)),)
         i = mem_at[a.var]
-        mid = mem_ids[i].get(a.value)
-        if mid is None:
-            mid = mem_ids[i][a.value] = len(mems[i])
-            mems[i].append(a.value)
-        return (node, intern(u)), (i, mid)
+        return (node, intern(u)), (i, mem_id(i, a.value))
 
-    def valuation(v):
-        return Valuation(tuple([(x, mems[i][v[i]]) for i, x in enumerate(names)]))
+    def leaf(node, v):
+        """(success, moves) of the component at position node.  A component
+        is compiled when it steps the second time: compiling costs more than
+        a step through `_RULES`, and in short runs most components step once."""
+        cid = v[node]
+        ss = summands[cid]
+        if ss is True:
+            ss = summands[cid] = _compile(comps[cid], mem_at, mems, valuation, intern, mem_id)
+        elif ss is None:
+            summands[cid] = True
+        if ss is None or ss is False:
+            u = comps[cid]
+            s, m = _RULES[type(u)](u, valuation(v), gamma, term_memo)
+            return s, [(a, change(node, a, u2)) for a, u2 in m]
+        succ, out = False, []
+        for hold, make, nxt in ss:
+            if hold is None or hold(v):
+                if nxt is None:
+                    succ = True
+                else:
+                    a, ch = make(v)
+                    out.append((a, ((node, nxt),) + ch))
+        return succ, out
 
-    def moves(node, v):
-        """(success, moves) of a tree node, each move a label and the
-        (position, value) changes it makes to v."""
-        if type(node) is int:
-            cid = v[node]
-            u, reads = comps[cid]
-            key = (node, cid, reads(v))
-            hit = leaf_memo.get(key)
-            if hit is None:
-                s, m = _RULES[type(u)](u, valuation(v), gamma, term_memo)
-                hit = leaf_memo[key] = s, [(a, change(node, a, u2)) for a, u2 in m]
-            return hit
-        l, r, bit = node
-        sl, ml = moves(l, v)
-        sr, mr = moves(r, v)
-        if bit is not None:
-            rename = _SYNC_RENAME.apply_label
-            ml = [(rename(a), ch) for a, ch in ml]
-            mr = [(rename(b), ch) for b, ch in mr]
-        out = ml + mr
-        for a, cl in ml:
-            if type(a) in _COMMUNICATING:
-                for b, cr in mr:
-                    c = _communicate(a, b, gamma)
-                    if c is not None:
-                        out.append((c, cl + cr))
-        if bit is not None:
-            out = [(rename(a), ch + ((bit, 1),)) for a, ch in out
-                   if not _SYNC_SET.contains_label(a)]
-        return sl and sr, out
+    def memo_leaf(node, v):
+        """`leaf`, memoized on the component and the memories it reads.  A
+        lone leaf meets each state once, so it goes without."""
+        cid = v[node]
+        key = (node, cid, reads[cid](v))
+        hit = leaf_memo.get(key)
+        if hit is None:
+            hit = leaf_memo[key] = leaf(node, v)
+        return hit
 
     def term(v):
-        def build(node):
-            if type(node) is int:
-                return comps[v[node]][0]
-            l, r, bit = node
-            l, r = build(l), build(r)
-            if bit is None:
-                return T.Par(l, r)
-            return sync_merge_expand(l, r) if v[bit] else T.SyncMerge(l, r)
-
-        return T.Eval(valuation(v), build(tree))
+        return T.Eval(valuation(v), _tree_term(tree, v, comps))
 
     vectors = [(0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs]
     l = Lts()
     l.states = _StateTerms(vectors, term, valuation)
     index = l.index = {vectors[0]: 0}
     for sid, v in enumerate(vectors):  # grows while it is walked
-        succ, ms = moves(tree, v)
+        succ, ms = leaf(tree, v) if single else _tree_moves(tree, v, memo_leaf, gamma)
         if succ:
             l.success.add(sid)
         seen = {}  # vector -> its labels so far
@@ -538,6 +571,113 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     return l
 
 
+def _tree_moves(node, v, leaf, gamma):
+    """(success, moves) of a tree node in state v, each move a label and the
+    (position, value) changes it makes to v; `leaf` steps the leaves."""
+    if type(node) is int:
+        return leaf(node, v)
+    l, r, bit = node
+    sl, ml = _tree_moves(l, v, leaf, gamma)
+    sr, mr = _tree_moves(r, v, leaf, gamma)
+    if bit is not None:
+        rename = _SYNC_RENAME.apply_label
+        ml = [(rename(a), ch) for a, ch in ml]
+        mr = [(rename(b), ch) for b, ch in mr]
+    out = ml + mr
+    for a, cl in ml:
+        if type(a) in _COMMUNICATING:
+            for b, cr in mr:
+                c = _communicate(a, b, gamma)
+                if c is not None:
+                    out.append((c, cl + cr))
+    if bit is not None:
+        out = [(rename(a), ch + ((bit, 1),)) for a, ch in out
+               if not _SYNC_SET.contains_label(a)]
+    return sl and sr, out
+
+
+def _tree_term(node, v, comps):
+    """The process term of a tree node in state v, comps the component terms."""
+    if type(node) is int:
+        return comps[v[node]]
+    l, r, bit = node
+    l, r = _tree_term(l, v, comps), _tree_term(r, v, comps)
+    if bit is None:
+        return T.Par(l, r)
+    return sync_merge_expand(l, r) if v[bit] else T.SyncMerge(l, r)
+
+
+def _compile(u, mem_at, mems, valuation, intern, mem_id):
+    """Component u's summands in `_RULES` order, or False when u is not a
+    linear equation.  A summand is (condition, label maker, successor id):
+    the condition is a test of the state vector (None when it is True), the
+    maker gives the label and the memory changes of the move, and both are
+    None in a success summand.  Memories are read from the vector through
+    mem_at and mems, and interned with mem_id; successors with intern.
+    Every variable u reads is bound (`_machine_tree`), so no summand raises
+    the unbound-variable errors of `_guard` and `_eval_data`; any other
+    error is the one eval_cond or eval_data raises on the term path."""
+    if type(u) is T.Seq and type(u.l) is T.Empty:
+        u = u.r
+    if type(u) is not T.Rec:
+        return False
+
+    def read(x):
+        i, col = mem_at[x], mems[mem_at[x]]
+        return lambda v: col[v[i]]
+
+    def data(e):
+        if type(e) is T.FlexVar:
+            return read(e.name)
+        if type(e) is T.Apply1 and type(e.e) is T.FlexVar and type(e.op) is not Ini:
+            op, x = e.op, read(e.e.name)
+            return lambda v: apply_op(op, x(v))
+        if type(e) is T.Apply2 and type(e.e_priv) is T.FlexVar is type(e.e_shared):
+            op, p, s = e.op, read(e.e_priv.name), read(e.e_shared.name)
+            return lambda v: apply_shared(op, p(v), s(v))
+        return lambda v: eval_data(e, valuation(v))
+
+    def cond(c):
+        if type(c) is T.TrueC:
+            return None
+        if type(c) is T.PropAtom:
+            p, x, bit = c.p, data(c.e), c.expected
+            return lambda v: apply_prop(p, x(v)) == bit
+        return lambda v: eval_cond(c, valuation(v))
+
+    def label(a):
+        """The maker for prefix a, or None when a is not atomic or silent."""
+        if type(a) is T.Assign:
+            var, i, x, mentions = a.var, mem_at[a.var], data(a.e), a._flexvars or flexvars_term(a)
+
+            def assign(v):
+                m = x(v)
+                return Assignment(var, m, mentions), ((i, mem_id(i, m)),)
+            return assign
+        if type(a) is T.DataAct:
+            name, xs = a.name, [data(e) for e in a.args]
+            return lambda v: (DataAction(name, tuple([x(v) for x in xs])), ())
+        if type(a) is T.Act or type(a) is T.Silent:
+            const = (Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
+            return lambda v: const
+        return None
+
+    out, todo = [], [unfold(u)]
+    while todo:
+        s = todo.pop()
+        body = s.body if type(s) is T.Guard else None
+        if type(s) is T.Alt:
+            todo += (s.r, s.l)
+        elif type(body) is T.Empty:
+            out.append((cond(s.cond), None, None))
+        elif (type(body) is T.Seq and type(body.r) is T.Rec
+              and (make := label(body.l)) is not None):
+            out.append((cond(s.cond), make, intern(T.Seq(T.EPS, body.r))))
+        elif type(s) is not T.Dead:
+            return False
+    return out
+
+
 class _StateTerms(Sequence):
     """The state terms of an LTS explored on vectors, each rebuilt from its
     vector when asked for; `valuation(sid)` decodes only the valuation.
@@ -553,6 +693,9 @@ class _StateTerms(Sequence):
         if isinstance(sid, slice):
             return [self[i] for i in range(len(self))[sid]]
         return self._term(self._vectors[sid])
+
+    def __iter__(self):
+        return map(self._term, self._vectors)
 
     def valuation(self, sid):
         return self._valuation(self._vectors[sid])

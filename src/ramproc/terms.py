@@ -375,7 +375,7 @@ class Valuation:
         return Valuation(entries[:i] + ((name, mem),) + entries[j:])
 
     def names(self):
-        return tuple(k for k, _ in self.entries)
+        return tuple(map(itemgetter(0), self.entries))
 
     def __contains__(self, name):
         return any(k == name for k, _ in self.entries)
@@ -509,10 +509,11 @@ class ActionMap:
         return name
 
     def apply_label(self, l):
-        if isinstance(l, Plain):
-            return Plain(self.apply_name(l.name))
-        if isinstance(l, DataAction):
-            return DataAction(self.apply_name(l.name), l.args)
+        """l renamed; l itself when the map leaves its name alone."""
+        if isinstance(l, (Plain, DataAction)):
+            name = self.apply_name(l.name)
+            if name != l.name:
+                return Plain(name) if type(l) is Plain else DataAction(name, l.args)
         return l
 
 

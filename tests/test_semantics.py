@@ -652,16 +652,23 @@ def _explore_both(term, rho, max_states=100000, gamma=DEFAULT_GAMMA):
     assert type(fast.states) is semantics._StateTerms and type(slow.states) is list
     assert json.dumps(lts_to_json(fast)) == json.dumps(lts_to_json(slow))
     assert fast.success == slow.success and fast.exploded == slow.exploded
+    assert fast.states == slow.states and _mentions(fast) == _mentions(slow)
     return fast, slow
+
+
+def _mentions(l):
+    """The variables each transition's assignment mentions, which labels do
+    not compare."""
+    return [getattr(lab, "mentions", None) for _, lab, _ in l.transitions]
 
 
 def test_vector_path_matches_terms_on_the_corpus():
     checked = 0
     for label, (term, rho, max_states, gamma) in _corpus_inputs():
-        if label.startswith(("apramp", "spramp")):
+        if label.startswith(("ramp-", "apramp-", "spramp-")):
             _explore_both(term, rho, max_states, gamma)
             checked += 1
-    assert checked == 80
+    assert checked == 120
 
 
 def _straight_line(rng, m):
@@ -673,14 +680,26 @@ def _straight_line(rng, m):
     return "\n".join(ops + ["halt"]) + "\n"
 
 
-@pytest.mark.parametrize("build, states", [
-    (lambda rng: _apramp([_straight_line(rng, 5) for _ in range(4)]), 7 ** 4),
-    (lambda rng: _spramp([_straight_line(rng, 5) for _ in range(6)]), 6 * 2 ** 6 + 1),
-], ids=["apramp-4x5", "spramp-6x5"])
-def test_vector_path_matches_terms_on_benchmark_shapes(build, states):
+def _ramp(text, regs, **extra):
+    """A sequential machine and its valuation: RM holds regs, and each
+    extra variable its memory."""
+    return proc_of_bbram(parse_program(text)), Valuation.make({"RM": MemState(regs), **extra})
+
+
+# The benchmark's never-halting loop: register 1 doubles on every pass.
+_DOUBLING = "add:1:#1:1\nadd:1:1:1\njmp:eq:#0:#0:2\nhalt\n"
+
+
+@pytest.mark.parametrize("build, states, halts", [
+    (lambda rng: _apramp([_straight_line(rng, 5) for _ in range(4)]), 7 ** 4, True),
+    (lambda rng: _spramp([_straight_line(rng, 5) for _ in range(6)]), 6 * 2 ** 6 + 1, True),
+    (lambda rng: _ramp(sample_terms.DIVISION_PROGRAM, {1: "00010011", 2: "11"}), 267, True),
+    (lambda rng: _ramp(_DOUBLING, {1: "1"}), 600, False),
+], ids=["apramp-4x5", "spramp-6x5", "division", "doubling"])
+def test_vector_path_matches_terms_on_benchmark_shapes(build, states, halts):
     term, rho = build(random.Random(states))
-    fast, _ = _explore_both(term, rho)
-    assert len(fast) == states and not fast.exploded
+    fast, _ = _explore_both(term, rho, max_states=states)
+    assert len(fast) == states and fast.exploded != halts
     for cap in (1, 2, states // 3, states - 1):
         fast, _ = _explore_both(term, rho, max_states=cap)
         assert fast.exploded and len(fast) == cap
@@ -718,7 +737,7 @@ def test_vector_path_matches_terms_under_other_communications(term):
 
 def test_vector_path_raises_as_the_term_path_does():
     loop = _rec(("X", Var("X")))
-    for term in (Par(_A_THEN_B, loop), SyncMerge(loop, Par(loop, _A_THEN_B))):
+    for term in (loop, Par(_A_THEN_B, loop), SyncMerge(loop, Par(loop, _A_THEN_B))):
         root = Eval(Valuation(), term)
         assert semantics._machine_tree(root) is not None
         messages = []
@@ -730,35 +749,78 @@ def test_vector_path_raises_as_the_term_path_does():
         assert messages == ["recursion does not reach a guarded form"] * 2
 
 
+_FLIP = Assign("RM", T.Apply1(UnOp("not", Dir(0), Dir(0)), FlexVar("RM")))
+_IS_ONE = T.PropAtom(CmpOp("eq", Dir(0), Imm(1)), FlexVar("RM"), 1)
+# X's prefix is no atomic action, so X is not a linear equation and steps
+# through the rules
+_NOT_LINEAR = _rec(("X", Guard(TRUE, Seq(Seq(_FLIP, Act("a")), Var("Y")))),
+                   ("Y", Alt(Guard(_IS_ONE, Seq(TAU, Var("X"))),
+                             Alt(Guard(T.Not(_IS_ONE), Seq(Act("b"), Var("X"))), Guard(TRUE, EPS)))))
+_LINEAR_SENDS = _rec(
+    ("S", Guard(TRUE, Seq(T.DataAct("s", (FlexVar("x"),)), Var("T")))),
+    ("T", Alt(Guard(TRUE, Seq(Assign("x", T.Apply1(UnOp("not", Dir(0), Dir(0)), FlexVar("x"))),
+                              Var("S"))),
+              Guard(TRUE, Seq(Act("b"), Var("S"))))))
+
+
+@pytest.mark.parametrize("term, rho, linear", [
+    (*_ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"}), True),
+    # an extra variable that nothing reads, as `run --mem X=FILE` makes
+    (*_ramp(sample_terms.DIVISION_PROGRAM, {1: "0011", 2: "1"}, X=MemState({0: "1"})), True),
+    # the loop of the four-variable division term, whose data are no
+    # machine instruction's
+    (sample_terms.division_term().r.r,
+     sample_terms.division_valuation().set("r", MemState({0: "1101"})), True),
+    (_LINEAR_SENDS, Valuation.make({"x": MemState({0: "1"})}), True),
+    (_NOT_LINEAR, Valuation.make({"RM": MemState({0: "0"})}), False),
+], ids=["division", "unread-variable", "four-variable-division", "actions", "not-linear"])
+def test_one_leaf_machines_explore_on_vectors(monkeypatch, term, rho, linear):
+    # a lone recursion constant is a machine with no merges: its equations
+    # are compiled to summands when they step again, and an equation that
+    # is not linear keeps stepping through the rules
+    compiled = []
+    real = semantics._compile
+    monkeypatch.setattr(semantics, "_compile", lambda *a: compiled.append(real(*a)) or compiled[-1])
+    _explore_both(term, rho)
+    assert compiled and all(type(c) is list for c in compiled) == linear
+
+
 @pytest.mark.parametrize("term, rho", [
-    (_DIV, Valuation.make({"RM": EMPTY_MEM})),
     (Par(_DIV, Act("a")), Valuation.make({"RM": EMPTY_MEM})),
     (Par(_DIV, _DIV), Valuation.make({"RM_1": EMPTY_MEM})),
     (Par(_DIV, _DIV), Valuation((("RM", EMPTY_MEM), ("A", EMPTY_MEM)))),
     (Par(_DIV, _DIV), None),
     (Eval(Valuation.make({"RM": EMPTY_MEM}), Par(_DIV, _DIV)), Valuation()),
-], ids=["one-leaf", "action-leaf", "unbound-read", "unsorted-names", "no-valuation",
+], ids=["action-leaf", "unbound-read", "unsorted-names", "no-valuation",
         "eval-body"])
 def test_other_terms_stay_on_the_term_path(term, rho):
     root = Eval(rho, term) if rho is not None else term
     assert semantics._machine_tree(root) is None
 
 
-def test_vector_states_are_rebuilt_only_when_asked_for(monkeypatch):
-    from ramproc import complexity
+def test_vector_states_are_rebuilt_only_when_asked_for(monkeypatch, tmp_path, capsys):
+    from ramproc import cli, complexity
 
     term, rho = _apramp([_WRITER, _BRANCHER])
     want = semantics._build_terms(Eval(rho, term), 10000, DEFAULT_GAMMA)
 
-    def no_terms(self, i):
+    def no_terms(self, *i):
         raise AssertionError("state term rebuilt")
 
     monkeypatch.setattr(semantics._StateTerms, "__getitem__", no_terms)
+    monkeypatch.setattr(semantics._StateTerms, "__iter__", no_terms)
     l = build_lts(term, rho)
     assert len(l) == len(want.states) and l.transitions == want.transitions
     assert terminal_valuations(l) == terminal_valuations(want)
     assert eventually_halts(l) and depth(l) == depth(want)
     assert complexity.aputm(term, rho).states == len(want.states)
+    # a sequential machine: `run` without --lts, sutm and swm
+    (tmp_path / "div.rp").write_text(sample_terms.DIVISION_PROGRAM)
+    (tmp_path / "div.mem").write_text("1=101\n2=01\n")
+    assert cli.main(["run", str(tmp_path / "div.rp"), "--mem", "RM=%s" % (tmp_path / "div.mem")]) == 0
+    assert "final memory: RM = [0:01, 1:101, 2:01, 3:1]" in capsys.readouterr().out.splitlines()
+    seq_rho = Valuation.make({"RM": MemState({1: "101", 2: "01"})})
+    assert complexity.sutm(_DIV, seq_rho).value == complexity.swm(_DIV, seq_rho).value == 10
     monkeypatch.undo()
     assert l.states == want.states and want.states == l.states and l.states != tuple(l.states)
     assert l.states[-1] == want.states[-1] and l.states[5:1:-2] == want.states[5:1:-2]
@@ -842,6 +904,15 @@ def test_deep_left_nested_chains_explore(wrap):
     # stay inside the default recursion limit only if no rule adds a second
     l = build_lts(_left_nested(900, wrap, Act("a")))
     assert len(l.states) == 2 and not l.exploded
+
+
+@pytest.mark.parametrize("explore", [build_lts, normalize_basic], ids=["build_lts", "normalize_basic"])
+def test_too_deep_terms_raise_a_semantics_error(explore):
+    # 2,000 levels need more Python frames than the recursion limit gives
+    with pytest.raises(SemanticsError) as info:
+        explore(_left_nested(2000, lambda t: Seq(t, EPS), Act("a")))
+    assert type(info.value) is SemanticsError
+    assert str(info.value).startswith("term too deep to explore: it nests 2001 operators")
 
 
 def test_par_chain_read_sets_cost_linear_time():
