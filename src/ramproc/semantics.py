@@ -103,15 +103,19 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
     """One-step behavior of t under an ambient valuation.
 
     Returns (success, moves): whether t can terminate now, and the ordered
-    deduplicated (label, successor) pairs.
+    deduplicated (label, successor) pairs.  A term too deep for the step
+    rules raises SemanticsError.
     """
     env = rho if rho is not None else EMPTY_VALUATION
-    success, moves = _RULES[type(t)](t, env, gamma, {})
+    try:
+        success, moves = _RULES[type(t)](t, env, gamma)
+    except RecursionError:
+        raise _too_deep(t) from None
     return success, _dedup(moves)
 
 
 # The one-step rules, one function per process-term class, all called as
-# `_RULES[type(t)](t, env, gamma, memo)` and returning (success, moves) of t
+# `_RULES[type(t)](t, env, gamma)` and returning (success, moves) of t
 # under env.  A rule steps each operand through the table itself, so each
 # operator level costs one Python frame and deep terms explore as far as
 # the recursion limit allows.
@@ -122,102 +126,75 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
 # concatenation, by mapping labels and successors, by filtering, or by the
 # ordered communication product, and under each of these a repeated operand
 # move only yields repeats of moves produced earlier.
-#
-# `memo` is the memo of `_par`, kept for one `step` or `build_lts` call.
-# The rules never change a list they got from a sub-call, so memoized lists
-# can be shared.
 
-def _empty(t, env, gamma, memo):
+def _empty(t, env, gamma):
     return True, []
 
 
-def _dead(t, env, gamma, memo):
+def _dead(t, env, gamma):
     return False, []
 
 
-def _silent(t, env, gamma, memo):
+def _silent(t, env, gamma):
     return False, [(TAU_LABEL, T.EPS)]
 
 
-def _act(t, env, gamma, memo):
+def _act(t, env, gamma):
     return False, [(Plain(t.name), T.EPS)]
 
 
-def _data_act(t, env, gamma, memo):
+def _data_act(t, env, gamma):
     args = tuple(_eval_data(e, env) for e in t.args)
     return False, [(DataAction(t.name, args), T.EPS)]
 
 
-def _assign(t, env, gamma, memo):
+def _assign(t, env, gamma):
     val = _eval_data(t.e, env)
     return False, [(Assignment(t.var, val, t._flexvars or flexvars_term(t)), T.EPS)]
 
 
-def _alt(t, env, gamma, memo):
+def _alt(t, env, gamma):
     l, r = t.l, t.r
-    sl, ml = _RULES[type(l)](l, env, gamma, memo)
-    sr, mr = _RULES[type(r)](r, env, gamma, memo)
+    sl, ml = _RULES[type(l)](l, env, gamma)
+    sr, mr = _RULES[type(r)](r, env, gamma)
     return sl or sr, ml + mr
 
 
-def _seq(t, env, gamma, memo):
+def _seq(t, env, gamma):
     l, r = t.l, t.r
-    sl, ml = _RULES[type(l)](l, env, gamma, memo)
+    sl, ml = _RULES[type(l)](l, env, gamma)
     moves = [(a, T.Seq(l2, r)) for a, l2 in ml]
     sr = False
     if sl:
-        sr, mr = _RULES[type(r)](r, env, gamma, memo)
+        sr, mr = _RULES[type(r)](r, env, gamma)
         moves.extend(mr)
     return sl and sr, moves
 
 
-def _par(t, env, gamma, memo):
-    """The operands' rules are kept in memo under the operand and the
-    entries of env for the flexible variables it reads, so a component
-    that did not move is not stepped again.  A variable missing from env is
-    missing from the key as well, and a step that raises keeps nothing.
-    A parallel operand new to memo is stepped first, which gives its own
-    operands their entries, and it reads what they read; so no subterm is
-    walked twice.  The lookup is inline, so a `Par` level costs one frame
-    like every other rule."""
+def _par(t, env, gamma):
     l, r = t.l, t.r
-    steps = []
-    for u in (l, r):
-        entry = memo.get(u)
-        if entry is None and type(u) is T.Par:
-            hit = _par(u, env, gamma, memo)
-            reads = memo[u.l][0] | memo[u.r][0]
-            memo[u] = (reads, {tuple([kv for kv in env.entries if kv[0] in reads]): hit})
-        else:
-            if entry is None:
-                entry = memo[u] = (flexvars_term(u), {})
-            reads, results = entry
-            key = tuple([kv for kv in env.entries if kv[0] in reads])
-            hit = results.get(key)
-            if hit is None:
-                hit = results[key] = _RULES[type(u)](u, env, gamma, memo)
-        steps.append(hit)
-    (sl, ml), (sr, mr) = steps
+    sl, ml = _RULES[type(l)](l, env, gamma)
+    sr, mr = _RULES[type(r)](r, env, gamma)
     moves = [(a, T.Par(l2, r)) for a, l2 in ml]
     moves.extend((b, T.Par(l, r2)) for b, r2 in mr)
     moves.extend(_communications(ml, mr, gamma))
     return sl and sr, moves
 
 
-def _left_merge(t, env, gamma, memo):
+def _left_merge(t, env, gamma):
     l, r = t.l, t.r
-    _, ml = _RULES[type(l)](l, env, gamma, memo)
+    _, ml = _RULES[type(l)](l, env, gamma)
     return False, [(a, T.Par(l2, r)) for a, l2 in ml]
 
 
-def _comm_merge(t, env, gamma, memo):
+def _comm_merge(t, env, gamma):
     l, r = t.l, t.r
-    _, ml = _RULES[type(l)](l, env, gamma, memo)
-    _, mr = _RULES[type(r)](r, env, gamma, memo)
+    _, ml = _RULES[type(l)](l, env, gamma)
+    _, mr = _RULES[type(r)](r, env, gamma)
     return False, _communications(ml, mr, gamma)
 
 
-def _guard(t, env, gamma, memo):
+def _guard(t, env, gamma):
     try:
         hold = eval_cond(t.cond, env)
     except LookupError as err:
@@ -225,24 +202,24 @@ def _guard(t, env, gamma, memo):
     if not hold:
         return False, []
     b = t.body
-    return _RULES[type(b)](b, env, gamma, memo)
+    return _RULES[type(b)](b, env, gamma)
 
 
-def _encap(t, env, gamma, memo):
+def _encap(t, env, gamma):
     b, acts = t.body, t.acts
-    s, m = _RULES[type(b)](b, env, gamma, memo)
+    s, m = _RULES[type(b)](b, env, gamma)
     return s, [(a, T.Encap(acts, u)) for a, u in m if not acts.contains_label(a)]
 
 
-def _abstr(t, env, gamma, memo):
+def _abstr(t, env, gamma):
     b, acts = t.body, t.acts
-    s, m = _RULES[type(b)](b, env, gamma, memo)
+    s, m = _RULES[type(b)](b, env, gamma)
     return s, [(TAU_LABEL if acts.contains_label(a) else a, T.Abstr(acts, u)) for a, u in m]
 
 
-def _eval(t, env, gamma, memo):
+def _eval(t, env, gamma):
     b, rho = t.body, t.rho
-    s, m = _RULES[type(b)](b, rho, gamma, memo)
+    s, m = _RULES[type(b)](b, rho, gamma)
     moves = []
     for a, u in m:
         rho2 = rho.set(a.var, a.value) if isinstance(a, Assignment) else rho
@@ -250,9 +227,9 @@ def _eval(t, env, gamma, memo):
     return s, moves
 
 
-def _proj(t, env, gamma, memo):
+def _proj(t, env, gamma):
     b, n = t.body, t.n
-    s, m = _RULES[type(b)](b, env, gamma, memo)
+    s, m = _RULES[type(b)](b, env, gamma)
     moves = []
     has_visible = False
     for a, u in m:
@@ -265,31 +242,31 @@ def _proj(t, env, gamma, memo):
     return s or (n == 0 and has_visible), moves
 
 
-def _rename(t, env, gamma, memo):
+def _rename(t, env, gamma):
     b, f = t.body, t.f
-    s, m = _RULES[type(b)](b, env, gamma, memo)
+    s, m = _RULES[type(b)](b, env, gamma)
     return s, [(f.apply_label(a), T.Rename(f, u)) for a, u in m]
 
 
-def _sync_merge(t, env, gamma, memo):
-    return _rename(sync_merge_expand(t.l, t.r), env, gamma, memo)
+def _sync_merge(t, env, gamma):
+    return _rename(sync_merge_expand(t.l, t.r), env, gamma)
 
 
-def _rec(t, env, gamma, memo):
+def _rec(t, env, gamma):
     u, n = t, 0
     while isinstance(u, T.Rec):
         u = unfold(u)
         n += 1
         if n > 1000:
             raise SemanticsError("recursion does not reach a guarded form")
-    return _RULES[type(u)](u, env, gamma, memo)
+    return _RULES[type(u)](u, env, gamma)
 
 
-def _var(t, env, gamma, memo):
+def _var(t, env, gamma):
     raise SemanticsError("free recursion variable %s" % t.name)
 
 
-def _stuck(t, env, gamma, memo):
+def _stuck(t, env, gamma):
     raise SemanticsError("cannot step %r" % (t,))
 
 
@@ -362,10 +339,9 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
     """Explore the reachable states of t (wrapped in an evaluation context
     when a valuation is given).
 
-    Each state's moves are `step`'s, and the operands of parallel merges
-    are stepped once per call for each valuation of what they read.  A
-    machine, sequential or a composition (see `_machine_tree`), is explored
-    on state vectors; every other term on terms.  Both give the same LTS.
+    Each state's moves are `step`'s.  A machine, sequential or a
+    composition (see `_machine_tree`), is explored on state vectors; every
+    other term on terms.  Both give the same LTS.
     A term too deep for the step rules raises SemanticsError.
     """
     root = T.Eval(rho, t) if rho is not None else t
@@ -375,9 +351,14 @@ def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
             return _build_vectors(root, *shape, max_states, gamma)
         return _build_terms(root, max_states, gamma)
     except RecursionError:
-        raise SemanticsError(
-            "term too deep to explore: it nests %d operators, and the step rules ran out of "
-            "stack (recursion limit %d)" % (_height(root), sys.getrecursionlimit())) from None
+        raise _too_deep(root) from None
+
+
+def _too_deep(t):
+    """The error for a term whose step rules ran out of stack."""
+    return SemanticsError(
+        "term too deep to explore: it nests %d operators, and the step rules ran out of "
+        "stack (recursion limit %d)" % (_height(t), sys.getrecursionlimit()))
 
 
 def _height(t):
@@ -396,7 +377,6 @@ def _height(t):
 
 def _build_terms(root, max_states, gamma) -> Lts:
     """`build_lts` on terms: breadth first over the step rules."""
-    memo = {}
     l = Lts()
     l.add_state(root)
     frontier = 0
@@ -404,7 +384,7 @@ def _build_terms(root, max_states, gamma) -> Lts:
         sid = frontier
         frontier += 1
         t = l.states[sid]
-        succ, moves = _RULES[type(t)](t, EMPTY_VALUATION, gamma, memo)
+        succ, moves = _RULES[type(t)](t, EMPTY_VALUATION, gamma)
         if succ:
             l.success.add(sid)
         for lab, u in _dedup(moves):
@@ -422,13 +402,13 @@ def _build_terms(root, max_states, gamma) -> Lts:
 # memory id per variable of rho (interned per variable), a component id per
 # leaf (interned from its term), and a bit per SyncMerge, set once the merge
 # has become its `sync_merge_expand` form on its first move.  A component
-# that is a recursion constant X, or `eps . X`, whose right-hand side is in
-# `T.validate_linear`'s grammar is compiled once into its guarded summands;
-# the guards and assignments then read the memories straight from the
-# vector.  Any other component steps through `_RULES`.  In a composition,
-# leaf steps are memoized on the component id and the memory ids of what it
-# reads; merges combine their operands' moves as `_par` and `_sync_merge`
-# do, so the moves, their order and deduplication are `_build_terms`'s.
+# is a recursion constant X, or `eps . X`, of a linear spec, and is compiled
+# into its guarded summands the first time it steps; the guards and
+# assignments then read the memories straight from the vector.  In a
+# composition, leaf steps are memoized on the component id and the memory
+# ids of what it reads; merges combine their operands' moves as `_par` and
+# `_sync_merge` do, so the moves, their order and deduplication are
+# `_build_terms`'s.
 
 _MERGES = (T.Par, T.SyncMerge)
 _COMMUNICATING = frozenset((Plain, DataAction))  # the labels `_communicate` can pair
@@ -439,8 +419,9 @@ def _machine_tree(root):
 
     root is one when it is Eval(rho, body), with body a Rec constant (a
     sequential machine) or a tree of Par and SyncMerge nodes over Rec
-    leaves (a composition), that reads only variables of rho, and rho's
-    names sorted and distinct.  In the tree a leaf is its position in the
+    leaves (a composition), each of whose equations passes
+    `T.validate_linear`, that reads only variables of rho, and rho's names
+    sorted and distinct.  In the tree a leaf is its position in the
     state vector, and a merge is (l, r, bit), where bit is the position of
     a SyncMerge's bit and None for a Par; a lone leaf is the whole tree.
     """
@@ -449,6 +430,7 @@ def _machine_tree(root):
     body, names = root.body, root.rho.names()
     leaves = [body] if type(body) is T.Rec else list(T.flatten(body, _MERGES))
     if (list(names) != sorted(set(names)) or any(type(u) is not T.Rec for u in leaves)
+            or not all(T.validate_linear(e) for u in leaves for _, e in u.spec.equations)
             or not flexvars_term(body) <= set(names)):
         return None
     slots, bits = count(len(names)), count(len(names) + len(leaves))
@@ -473,9 +455,9 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
         mems.append([m])
         mem_ids.append({m: 0})
     comps, comp_ids = [], {}  # id -> term, and back
-    summands, reads = [], []  # per id: summands (None: never stepped, True: once), read key
+    summands, reads = [], []  # per id: summands (None until it steps), read key
     single = type(tree) is int  # a sequential machine: one leaf, no merges
-    term_memo, leaf_memo = {}, {}
+    leaf_memo = {}
 
     def intern(u):
         cid = comp_ids.get(u)
@@ -498,27 +480,12 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     def valuation(v):
         return Valuation(tuple(zip(names, map(list.__getitem__, mems, v))))
 
-    def change(node, a, u):
-        """A `_RULES` leaf move's changes: its component, and an assignment's memory."""
-        if type(a) is not Assignment:
-            return ((node, intern(u)),)
-        i = mem_at[a.var]
-        return (node, intern(u)), (i, mem_id(i, a.value))
-
     def leaf(node, v):
-        """(success, moves) of the component at position node.  A component
-        is compiled when it steps the second time: compiling costs more than
-        a step through `_RULES`, and in short runs most components step once."""
+        """(success, moves) of the component at position node."""
         cid = v[node]
         ss = summands[cid]
-        if ss is True:
+        if ss is None:
             ss = summands[cid] = _compile(comps[cid], mem_at, mems, valuation, intern, mem_id)
-        elif ss is None:
-            summands[cid] = True
-        if ss is None or ss is False:
-            u = comps[cid]
-            s, m = _RULES[type(u)](u, valuation(v), gamma, term_memo)
-            return s, [(a, change(node, a, u2)) for a, u2 in m]
         succ, out = False, []
         for hold, make, nxt in ss:
             if hold is None or hold(v):
@@ -608,19 +575,18 @@ def _tree_term(node, v, comps):
 
 
 def _compile(u, mem_at, mems, valuation, intern, mem_id):
-    """Component u's summands in `_RULES` order, or False when u is not a
-    linear equation.  A summand is (condition, label maker, successor id):
-    the condition is a test of the state vector (None when it is True), the
-    maker gives the label and the memory changes of the move, and both are
-    None in a success summand.  Memories are read from the vector through
-    mem_at and mems, and interned with mem_id; successors with intern.
-    Every variable u reads is bound (`_machine_tree`), so no summand raises
-    the unbound-variable errors of `_guard` and `_eval_data`; any other
-    error is the one eval_cond or eval_data raises on the term path."""
-    if type(u) is T.Seq and type(u.l) is T.Empty:
+    """Component u's summands in `_RULES` order, u a recursion constant of
+    a linear spec or `eps` before one.  A summand is (condition, label
+    maker, successor id): the condition is a test of the state vector (None
+    when it is True), the maker gives the label and the memory changes of
+    the move, and both are None in a success summand.  Memories are read
+    from the vector through mem_at and mems, and interned with mem_id;
+    successors with intern.  Every variable u reads is bound
+    (`_machine_tree`), so no summand raises the unbound-variable errors of
+    `_guard` and `_eval_data`; any other error is the one eval_cond or
+    eval_data raises on the term path."""
+    if type(u) is T.Seq:
         u = u.r
-    if type(u) is not T.Rec:
-        return False
 
     def read(x):
         i, col = mem_at[x], mems[mem_at[x]]
@@ -646,7 +612,7 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
         return lambda v: eval_cond(c, valuation(v))
 
     def label(a):
-        """The maker for prefix a, or None when a is not atomic or silent."""
+        """The maker for prefix a, an atomic or silent action."""
         if type(a) is T.Assign:
             var, i, x, mentions = a.var, mem_at[a.var], data(a.e), a._flexvars or flexvars_term(a)
 
@@ -657,24 +623,18 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
         if type(a) is T.DataAct:
             name, xs = a.name, [data(e) for e in a.args]
             return lambda v: (DataAction(name, tuple([x(v) for x in xs])), ())
-        if type(a) is T.Act or type(a) is T.Silent:
-            const = (Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
-            return lambda v: const
-        return None
+        const = (Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
+        return lambda v: const
 
     out, todo = [], [unfold(u)]
-    while todo:
+    while todo:  # alternatives of guarded summands and deadlocks
         s = todo.pop()
-        body = s.body if type(s) is T.Guard else None
         if type(s) is T.Alt:
             todo += (s.r, s.l)
-        elif type(body) is T.Empty:
+        elif type(s) is T.Guard and type(s.body) is T.Empty:
             out.append((cond(s.cond), None, None))
-        elif (type(body) is T.Seq and type(body.r) is T.Rec
-              and (make := label(body.l)) is not None):
-            out.append((cond(s.cond), make, intern(T.Seq(T.EPS, body.r))))
-        elif type(s) is not T.Dead:
-            return False
+        elif type(s) is T.Guard:
+            out.append((cond(s.cond), label(s.body.l), intern(T.Seq(T.EPS, s.body.r))))
     return out
 
 

@@ -644,16 +644,32 @@ def test_build_lts_matches_plain_step_exploration(build):
 
 def _explore_both(term, rho, max_states=100000, gamma=DEFAULT_GAMMA):
     """The vector path's LTS and the term path's, after checking that
-    `build_lts` takes the vector path and the two export byte for byte."""
+    `build_lts` takes the vector path and the two export the same states
+    and transitions.  A mismatch is reported at the first state or
+    transition that differs, so the report stays short on a large LTS."""
     root = Eval(rho, term)
     assert semantics._machine_tree(root) is not None
     fast = build_lts(term, rho, max_states, gamma)
     slow = semantics._build_terms(root, max_states, gamma)
     assert type(fast.states) is semantics._StateTerms and type(slow.states) is list
-    assert json.dumps(lts_to_json(fast)) == json.dumps(lts_to_json(slow))
+    fast_json, slow_json = lts_to_json(fast), lts_to_json(slow)
+    for key in ("states", "transitions"):
+        xs, ys = fast_json[key], slow_json[key]
+        i = _first_difference(xs, ys)
+        assert i is None, "%s differ first at %d: %r != %r" % (key, i, xs[i:i + 1], ys[i:i + 1])
+    for key in ("initial", "exploded"):
+        assert fast_json[key] == slow_json[key], key
     assert fast.success == slow.success and fast.exploded == slow.exploded
     assert fast.states == slow.states and _mentions(fast) == _mentions(slow)
     return fast, slow
+
+
+def _first_difference(xs, ys):
+    """The first index where the lists xs and ys differ, or None."""
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if x != y:
+            return i
+    return None if len(xs) == len(ys) else min(len(xs), len(ys))
 
 
 def _mentions(l):
@@ -709,13 +725,18 @@ def _rec(*equations):
     return Rec(equations[0][0], RecSpec(equations))
 
 
-_A_THEN_B = _rec(("A", Seq(Act("a"), Var("B"))), ("B", Alt(Seq(Act("b"), Var("A")), EPS)))
-_B_OR_D = _rec(("C", Alt(Seq(Act("b"), Var("C")), Seq(Act("d"), Var("E")))), ("E", EPS))
-_SENDS = _rec(("S", Seq(T.DataAct("s", (FlexVar("x"),)), Var("T"))),
-              ("T", Seq(Assign("x", T.Apply1(UnOp("not", Dir(0), Dir(0)), FlexVar("x"))),
-                        Var("S"))))
-_RECEIVES = _rec(("R", Alt(Seq(T.DataAct("r", (MemLiteral(MemState({0: "0"})),)), Var("R")),
-                           Seq(Act("sync"), Var("R")))))
+def _then(a, x):
+    """The guarded linear summand `True :-> a . x`."""
+    return Guard(TRUE, Seq(a, Var(x)))
+
+
+_DONE = Guard(TRUE, EPS)
+_FLIP_X = Assign("x", T.Apply1(UnOp("not", Dir(0), Dir(0)), FlexVar("x")))
+_RECEIVED = T.DataAct("r", (MemLiteral(MemState({0: "0"})),))
+_A_THEN_B = _rec(("A", _then(Act("a"), "B")), ("B", Alt(_then(Act("b"), "A"), _DONE)))
+_B_OR_D = _rec(("C", Alt(_then(Act("b"), "C"), _then(Act("d"), "E"))), ("E", _DONE))
+_SENDS = _rec(("S", _then(T.DataAct("s", (FlexVar("x"),)), "T")), ("T", _then(_FLIP_X, "S")))
+_RECEIVES = _rec(("R", Alt(_then(_RECEIVED, "R"), _then(Act("sync"), "R"))))
 
 
 @pytest.mark.parametrize("term", [
@@ -735,24 +756,20 @@ def test_vector_path_matches_terms_under_other_communications(term):
     assert {getattr(lab, "name", None) for _, lab, _ in fast.transitions} & {"c", "e", "t"}
 
 
-def test_vector_path_raises_as_the_term_path_does():
-    loop = _rec(("X", Var("X")))
-    for term in (loop, Par(_A_THEN_B, loop), SyncMerge(loop, Par(loop, _A_THEN_B))):
-        root = Eval(Valuation(), term)
-        assert semantics._machine_tree(root) is not None
-        messages = []
-        for explore in (lambda: build_lts(term, Valuation()),
-                        lambda: semantics._build_terms(root, 100, DEFAULT_GAMMA)):
-            with pytest.raises(SemanticsError) as info:
-                explore()
-            messages.append(str(info.value))
-        assert messages == ["recursion does not reach a guarded form"] * 2
+_LOOP = _rec(("X", Var("X")))
+
+
+def test_unguarded_loops_raise_on_the_term_path():
+    for term in (_LOOP, Par(_A_THEN_B, _LOOP), SyncMerge(_LOOP, Par(_LOOP, _A_THEN_B))):
+        with pytest.raises(SemanticsError) as info:
+            build_lts(term, Valuation())
+        assert type(info.value) is SemanticsError
+        assert str(info.value) == "recursion does not reach a guarded form"
 
 
 _FLIP = Assign("RM", T.Apply1(UnOp("not", Dir(0), Dir(0)), FlexVar("RM")))
 _IS_ONE = T.PropAtom(CmpOp("eq", Dir(0), Imm(1)), FlexVar("RM"), 1)
-# X's prefix is no atomic action, so X is not a linear equation and steps
-# through the rules
+# X's prefix is no atomic action, so X is not a linear equation
 _NOT_LINEAR = _rec(("X", Guard(TRUE, Seq(Seq(_FLIP, Act("a")), Var("Y")))),
                    ("Y", Alt(Guard(_IS_ONE, Seq(TAU, Var("X"))),
                              Alt(Guard(T.Not(_IS_ONE), Seq(Act("b"), Var("X"))), Guard(TRUE, EPS)))))
@@ -763,26 +780,24 @@ _LINEAR_SENDS = _rec(
               Guard(TRUE, Seq(Act("b"), Var("S"))))))
 
 
-@pytest.mark.parametrize("term, rho, linear", [
-    (*_ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"}), True),
+@pytest.mark.parametrize("term, rho", [
+    _ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"}),
     # an extra variable that nothing reads, as `run --mem X=FILE` makes
-    (*_ramp(sample_terms.DIVISION_PROGRAM, {1: "0011", 2: "1"}, X=MemState({0: "1"})), True),
+    _ramp(sample_terms.DIVISION_PROGRAM, {1: "0011", 2: "1"}, X=MemState({0: "1"})),
     # the loop of the four-variable division term, whose data are no
     # machine instruction's
     (sample_terms.division_term().r.r,
-     sample_terms.division_valuation().set("r", MemState({0: "1101"})), True),
-    (_LINEAR_SENDS, Valuation.make({"x": MemState({0: "1"})}), True),
-    (_NOT_LINEAR, Valuation.make({"RM": MemState({0: "0"})}), False),
-], ids=["division", "unread-variable", "four-variable-division", "actions", "not-linear"])
-def test_one_leaf_machines_explore_on_vectors(monkeypatch, term, rho, linear):
+     sample_terms.division_valuation().set("r", MemState({0: "1101"}))),
+    (_LINEAR_SENDS, Valuation.make({"x": MemState({0: "1"})})),
+], ids=["division", "unread-variable", "four-variable-division", "actions"])
+def test_one_leaf_machines_explore_on_vectors(monkeypatch, term, rho):
     # a lone recursion constant is a machine with no merges: its equations
-    # are compiled to summands when they step again, and an equation that
-    # is not linear keeps stepping through the rules
+    # are compiled to summands the first time they step
     compiled = []
     real = semantics._compile
     monkeypatch.setattr(semantics, "_compile", lambda *a: compiled.append(real(*a)) or compiled[-1])
     _explore_both(term, rho)
-    assert compiled and all(type(c) is list for c in compiled) == linear
+    assert compiled and all(type(c) is list and c for c in compiled)
 
 
 @pytest.mark.parametrize("term, rho", [
@@ -791,8 +806,18 @@ def test_one_leaf_machines_explore_on_vectors(monkeypatch, term, rho, linear):
     (Par(_DIV, _DIV), Valuation((("RM", EMPTY_MEM), ("A", EMPTY_MEM)))),
     (Par(_DIV, _DIV), None),
     (Eval(Valuation.make({"RM": EMPTY_MEM}), Par(_DIV, _DIV)), Valuation()),
+    # leaves whose specs are not linear
+    (_LOOP, Valuation()),
+    (Par(_A_THEN_B, _LOOP), Valuation()),
+    (_rec(("A", Seq(Act("a"), Var("B"))), ("B", Alt(Seq(Act("b"), Var("A")), EPS))), Valuation()),
+    (Par(_A_THEN_B, _rec(("C", Alt(Seq(Act("b"), Var("C")), Seq(Act("d"), Var("E")))),
+                         ("E", EPS))), Valuation()),
+    (_NOT_LINEAR, Valuation.make({"RM": MemState({0: "0"})})),
+    # Z is not linear, and no step reaches it
+    (_rec(("A", _then(Act("a"), "A")), ("Z", Seq(Act("z"), Var("A")))), Valuation()),
 ], ids=["action-leaf", "unbound-read", "unsorted-names", "no-valuation",
-        "eval-body"])
+        "eval-body", "loop", "par-with-loop", "unguarded", "par-with-unguarded", "not-linear",
+        "unreachable-not-linear"])
 def test_other_terms_stay_on_the_term_path(term, rho):
     root = Eval(rho, term) if rho is not None else term
     assert semantics._machine_tree(root) is None
@@ -906,32 +931,14 @@ def test_deep_left_nested_chains_explore(wrap):
     assert len(l.states) == 2 and not l.exploded
 
 
-@pytest.mark.parametrize("explore", [build_lts, normalize_basic], ids=["build_lts", "normalize_basic"])
+@pytest.mark.parametrize("explore", [step, build_lts, normalize_basic],
+                         ids=["step", "build_lts", "normalize_basic"])
 def test_too_deep_terms_raise_a_semantics_error(explore):
     # 2,000 levels need more Python frames than the recursion limit gives
     with pytest.raises(SemanticsError) as info:
         explore(_left_nested(2000, lambda t: Seq(t, EPS), Act("a")))
     assert type(info.value) is SemanticsError
     assert str(info.value).startswith("term too deep to explore: it nests 2001 operators")
-
-
-def test_par_chain_read_sets_cost_linear_time():
-    # a parallel operand's read set comes from its operands' memo entries,
-    # so exploring a left-nested chain walks each subterm once, not once per
-    # level above it
-    import cProfile
-    import pstats
-
-    calls = {}
-    for n in (450, 900):
-        prof = cProfile.Profile()
-        prof.enable()
-        l = build_lts(_left_nested(n, lambda t: Par(t, EPS), Act("a")))
-        prof.disable()
-        assert len(l.states) == 2
-        calls[n] = sum(nc for (_, _, name), (_, nc, *_) in pstats.Stats(prof).stats.items()
-                       if name == "flexvars_term")
-    assert calls[900] <= 2 * calls[450] <= 4 * 450, calls
 
 
 def test_rule_table_covers_every_process_term_class():
