@@ -166,7 +166,6 @@ class FunctionSpec:
     arity: int
     oracle: object
     inputs: tuple = ()
-    name: str = ""
 
 
 def all_inputs(arity: int, max_len: int):

@@ -306,21 +306,12 @@ class Lts:
 
     def __init__(self):
         self.states = []
-        self.index = {}
         self.success = set()
         self.transitions = []
         self.initial = 0
         self.exploded = False
         self._out = None
         self._order = _UNSET
-
-    def add_state(self, term) -> int:
-        sid = self.index.get(term)
-        if sid is None:
-            sid = len(self.states)
-            self.index[term] = sid
-            self.states.append(term)
-        return sid
 
     def out(self, sid: int):
         if self._out is None:
@@ -331,7 +322,7 @@ class Lts:
         return self._out[sid]
 
     def __len__(self):
-        return len(self.index)
+        return len(self.states)
 
 
 def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
@@ -378,22 +369,20 @@ def _height(t):
 def _build_terms(root, max_states, gamma) -> Lts:
     """`build_lts` on terms: breadth first over the step rules."""
     l = Lts()
-    l.add_state(root)
-    frontier = 0
-    while frontier < len(l.states):
-        sid = frontier
-        frontier += 1
-        t = l.states[sid]
+    states, index = l.states, {root: 0}
+    states.append(root)
+    for sid, t in enumerate(states):  # grows while it is walked
         succ, moves = _RULES[type(t)](t, EMPTY_VALUATION, gamma)
         if succ:
             l.success.add(sid)
         for lab, u in _dedup(moves):
-            dst = l.index.get(u)
+            dst = index.get(u)
             if dst is None:
-                if len(l.states) >= max_states:
+                if len(states) >= max_states:
                     l.exploded = True
                     return l
-                dst = l.add_state(u)
+                dst = index[u] = len(states)
+                states.append(u)
             l.transitions.append((sid, lab, dst))
     return l
 
@@ -512,7 +501,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     vectors = [(0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs]
     l = Lts()
     l.states = _StateTerms(vectors, term, valuation)
-    index = l.index = {vectors[0]: 0}
+    index = {vectors[0]: 0}
     for sid, v in enumerate(vectors):  # grows while it is walked
         succ, ms = leaf(tree, v) if single else _tree_moves(tree, v, memo_leaf, gamma)
         if succ:
@@ -576,15 +565,17 @@ def _tree_term(node, v, comps):
 
 def _compile(u, mem_at, mems, valuation, intern, mem_id):
     """Component u's summands in `_RULES` order, u a recursion constant of
-    a linear spec or `eps` before one.  A summand is (condition, label
-    maker, successor id): the condition is a test of the state vector (None
-    when it is True), the maker gives the label and the memory changes of
-    the move, and both are None in a success summand.  Memories are read
-    from the vector through mem_at and mems, and interned with mem_id;
-    successors with intern.  Every variable u reads is bound
-    (`_machine_tree`), so no summand raises the unbound-variable errors of
-    `_guard` and `_eval_data`; any other error is the one eval_cond or
-    eval_data raises on the term path."""
+    a linear spec or `eps` before one, read from u's equation by
+    `T.linear_summands`.  A summand is (condition, label maker, successor
+    id): the condition is a test of the state vector (None when it is
+    True), the maker gives the label and the memory changes of the move,
+    and both are None in a success summand.  A prefix into Y leads to
+    `eps . Y` over the spec's constant for Y, the term the step rules
+    reach.  Memories are read from the vector through mem_at and mems, and
+    interned with mem_id; successors with intern.  Every variable u reads
+    is bound (`_machine_tree`), so no summand raises the unbound-variable
+    errors of `_guard` and `_eval_data`; any other error is the one
+    eval_cond or eval_data raises on the term path."""
     if type(u) is T.Seq:
         u = u.r
 
@@ -626,16 +617,10 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
         const = (Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
         return lambda v: const
 
-    out, todo = [], [unfold(u)]
-    while todo:  # alternatives of guarded summands and deadlocks
-        s = todo.pop()
-        if type(s) is T.Alt:
-            todo += (s.r, s.l)
-        elif type(s) is T.Guard and type(s.body) is T.Empty:
-            out.append((cond(s.cond), None, None))
-        elif type(s) is T.Guard:
-            out.append((cond(s.cond), label(s.body.l), intern(T.Seq(T.EPS, s.body.r))))
-    return out
+    consts = T._rec_constants(u.spec)
+    return [(cond(c), None, None) if a is None
+            else (cond(c), label(a), intern(T.Seq(T.EPS, consts[y])))
+            for c, a, y in T.linear_summands(u.spec.rhs(u.var))]
 
 
 class _StateTerms(Sequence):

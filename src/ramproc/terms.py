@@ -37,8 +37,9 @@ def node(cls):
     whole specs, so hashing afresh on every lookup would cost the term's
     size; children are hashed before their parent, so each hash reads kept
     hashes one level down and any depth hashes without recursion.  The
-    generated `__eq__` rejects on a hash mismatch and compares the compared
-    fields as one tuple, falling back to `_deep_eq` on a stack overflow.
+    generated `__eq__` compares the compared fields as one tuple, falling
+    back to `_deep_eq` on a stack overflow.  It does not check the kept
+    hash first: dict and set lookups have matched it before they compare.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     shown = tuple(n for n in names if not n.startswith("_"))
@@ -61,7 +62,6 @@ def node(cls):
     exec("def __init__(%s):\n    %s\n" % (", ".join(params), "\n    ".join(body))
          + "def __eq__(self, other):\n"
          "    if other.__class__ is not self.__class__:\n        return NotImplemented\n"
-         "    if self._hash != other._hash:\n        return False\n"
          "    try:\n        return (%s) == (%s)\n"
          "    except RecursionError:\n        return _deep_eq(self, other)\n"
          % (mine, theirs), code)
@@ -106,8 +106,10 @@ def _frozen(self, name, *value):
 
 
 def _deep_eq(a, b):
-    """`a == b` by the same compares as the generated `__eq__`, walked with
-    an explicit stack, so that terms of any depth compare."""
+    """`a == b` by the generated `__eq__`'s compares, walked with an
+    explicit stack, so that terms of any depth compare.  A node pair whose
+    kept hashes differ is unequal at once, which bounds the walk on unequal
+    deep terms."""
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
@@ -704,13 +706,7 @@ _UNARY_BODY = frozenset((Encap, Abstr, Guard, Eval, Proj, Rename))  # fields: he
 _LEAF = frozenset((Empty, Dead, Silent, Act, DataAct, Assign, Var))
 
 
-def is_atomic(t) -> bool:
-    """Atomic action terms: plain actions, data actions, assignments."""
-    return isinstance(t, (Act, DataAct, Assign))
-
-
-def is_atomic_or_silent(t) -> bool:
-    return is_atomic(t) or isinstance(t, Silent)
+_PREFIX = frozenset((Act, DataAct, Assign, Silent))  # atomic actions and the silent step
 
 
 # ---------------------------------------------------------------------------
@@ -847,22 +843,32 @@ def canonical_rename(t):
 # ---------------------------------------------------------------------------
 # Grammar validators
 
+def linear_summands(t):
+    """The summands of a linear term t, left to right, or None when t is not
+    linear.  A linear term is deadlock, a guarded success, a guarded atomic
+    or silent prefix into a variable, or an alternative of linear terms.  A
+    summand is (condition, prefix, variable name); a success has prefix and
+    name None, and deadlock has no summands.  The walk keeps its own stack,
+    so any number of summands reads."""
+    out, todo = [], [t]
+    while todo:
+        s = todo.pop()
+        cls = type(s)
+        if cls is Alt:
+            todo += (s.r, s.l)
+        elif cls is Guard and type(s.body) is Empty:
+            out.append((s.cond, None, None))
+        elif (cls is Guard and type(s.body) is Seq and type(s.body.l) in _PREFIX
+              and type(s.body.r) is Var):
+            out.append((s.cond, s.body.l, s.body.r.name))
+        elif cls is not Dead:
+            return None
+    return out
+
+
 def validate_linear(t) -> bool:
-    """Linear terms: deadlock, a guarded success, a guarded action prefix
-    into a variable, or an alternative of linear terms."""
-    if isinstance(t, Dead):
-        return True
-    if isinstance(t, Guard):
-        if isinstance(t.body, Empty):
-            return True
-        return (
-            isinstance(t.body, Seq)
-            and is_atomic_or_silent(t.body.l)
-            and isinstance(t.body.r, Var)
-        )
-    if isinstance(t, Alt):
-        return validate_linear(t.l) and validate_linear(t.r)
-    return False
+    """True iff t is linear (see `linear_summands`)."""
+    return linear_summands(t) is not None
 
 
 def flatten(t, node):
@@ -877,20 +883,12 @@ def flatten(t, node):
 def validate_guarded(E: RecSpec) -> bool:
     """A linear spec is guarded when no cycle of silent-prefixed summands
     exists: edges X -> Y for summands of shape (cond :-> tau . Y)."""
-    for name, rhs in E.equations:
-        if not validate_linear(rhs):
-            raise ValueError("right-hand side for %s is not linear" % (name,))
     edges = {}
     for name, rhs in E.equations:
-        outs = set()
-        for s in flatten(rhs, Alt):
-            if (
-                isinstance(s, Guard)
-                and isinstance(s.body, Seq)
-                and isinstance(s.body.l, Silent)
-            ):
-                outs.add(s.body.r.name)
-        edges[name] = outs
+        summands = linear_summands(rhs)
+        if summands is None:
+            raise ValueError("right-hand side for %s is not linear" % (name,))
+        edges[name] = {y for _, a, y in summands if type(a) is Silent}
     try:  # the tau-edge graph has a topological order iff it has no cycle
         TopologicalSorter(edges).prepare()
     except CycleError:

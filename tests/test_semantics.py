@@ -800,6 +800,27 @@ def test_one_leaf_machines_explore_on_vectors(monkeypatch, term, rho):
     assert compiled and all(type(c) is list and c for c in compiled)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: _ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"}),
+    lambda: _apramp([_WRITER, _BRANCHER]),
+    lambda: _spramp([_WRITER, _BRANCHER, _READER]),
+], ids=["sequential", "apramp", "spramp"])
+def test_vector_path_compiles_without_unfolding(monkeypatch, build):
+    # components compile straight from their spec's summands
+    term, rho = build()
+    slow = semantics._build_terms(Eval(rho, term), 10000, DEFAULT_GAMMA)
+
+    def unfold(t):
+        raise AssertionError("unfolded %s" % t.var)
+    monkeypatch.setattr(T, "unfold", unfold)
+    monkeypatch.setattr(semantics, "unfold", unfold)  # the name the term rules call
+    fast = build_lts(term, rho)
+    assert type(fast.states) is semantics._StateTerms
+    assert (fast.states, fast.transitions, fast.success) == (slow.states, slow.transitions,
+                                                             slow.success)
+    assert _mentions(fast) == _mentions(slow)
+
+
 @pytest.mark.parametrize("term, rho", [
     (Par(_DIV, Act("a")), Valuation.make({"RM": EMPTY_MEM})),
     (Par(_DIV, _DIV), Valuation.make({"RM_1": EMPTY_MEM})),

@@ -221,6 +221,42 @@ def test_validate_linear():
     assert not T.validate_linear(Guard(TRUE, Seq(Act("a"), Act("b"))))
 
 
+# A compiled machine: X1 jumps to X3 when register 1 holds 1 and falls
+# through to X2 otherwise, X2 adds 1 to register 1, X3 halts.
+_JUMPS = proc_of_bbram(parse_program("jmp:eq:1:#1:3\nadd:1:#1:1\nhalt\n")).spec
+_KEEP = Assign("RM", FlexVar("RM"))
+_ADD = Assign("RM", T.Apply1(BinOp("add", Dir(1), Imm(1), Dir(1)), FlexVar("RM")))
+
+
+def _holds(bit):
+    return PropAtom(CmpOp("eq", Dir(1), Imm(1)), FlexVar("RM"), bit)
+
+
+@pytest.mark.parametrize("t, want", [
+    (_JUMPS.rhs("X1"), [(_holds(1), _KEEP, "X3"), (_holds(0), _KEEP, "X2")]),
+    (_JUMPS.rhs("X2"), [(TRUE, _ADD, "X3")]),
+    (_JUMPS.rhs("X3"), [(TRUE, None, None)]),
+    (DELTA, []),
+    (Alt(DELTA, Alt(Guard(T.FALSE, Seq(TAU, Var("X"))), Guard(TRUE, EPS))),
+     [(T.FALSE, TAU, "X"), (TRUE, None, None)]),
+    (Alt(Guard(TRUE, EPS), Guard(TRUE, Seq(Seq(Act("a"), Act("b")), Var("X")))), None),
+    (Alt(Guard(TRUE, EPS), EPS), None),
+], ids=["jmp", "op", "halt", "deadlock", "alt-deadlock", "seq-prefix", "unguarded-success"])
+def test_linear_summands(t, want):
+    assert T.linear_summands(t) == want
+    assert T.validate_linear(t) == (want is not None)
+
+
+def test_long_linear_right_hand_sides_validate():
+    # 3,000 summands nest deeper than the recursion limit
+    rhs = Guard(TRUE, EPS)
+    for k in range(3000):
+        rhs = Alt(rhs, Guard(TRUE, Seq(Act("a%d" % k), Var("X"))))
+    assert T.validate_linear(rhs)
+    assert T.validate_guarded(RecSpec((("X", rhs),)))
+    assert len(T.linear_summands(rhs)) == 3001
+
+
 def test_validate_guarded_rejects_tau_cycle():
     good = RecSpec((
         ("X", Guard(TRUE, Seq(TAU, Var("Y")))),
