@@ -28,8 +28,42 @@ def ntob(n: int) -> str:
 
 def bton(w: str) -> int:
     """Bit string to natural number.  Tolerates leading (high-index) zeros."""
-    check_bits(w)
+    return num(check_bits(w))
+
+
+# The operations themselves, on strings already known to be bit strings:
+# `num` is `bton`, and the tables map each operation name to its function.
+# They check nothing, so they are for the contents of a `MemState`, which
+# holds only checked strings (`ramops.compile_op` and its siblings); the
+# public functions below check their arguments, then call them.
+
+def num(w: str) -> int:
     return int(w[::-1] or "0", 2)
+
+
+def _bitwise(f, w1, w2):
+    n = max(len(w1), len(w2))
+    return format(f(num(w1), num(w2)), "0%db" % n)[::-1] if n else ""
+
+
+_FLIP = str.maketrans("01", "10")
+
+BINARY = {
+    "add": lambda w1, w2: bin(num(w1) + num(w2))[:1:-1],
+    "sub": lambda w1, w2: bin(max(num(w1) - num(w2), 0))[:1:-1],
+    "and": lambda w1, w2: _bitwise(int.__and__, w1, w2),
+    "or": lambda w1, w2: _bitwise(int.__or__, w1, w2),
+}
+UNARY = {
+    "not": lambda w: w.translate(_FLIP),
+    "shl": lambda w: "0" + w if w else w,
+    "shr": lambda w: w[1:],
+}
+COMPARE = {
+    "eq": lambda w1, w2: int(num(w1) == num(w2)),
+    "gt": lambda w1, w2: int(num(w1) > num(w2)),
+    "beq": lambda w1, w2: int(w1 == w2),
+}
 
 
 def bin_arith(op: str, w1: str, w2: str) -> str:
@@ -38,12 +72,11 @@ def bin_arith(op: str, w1: str, w2: str) -> str:
     Results round-trip through the numeric interpretation, so they never
     carry leading zeros ("0" is the only string for zero).
     """
-    a, b = bton(w1), bton(w2)
-    if op == "add":
-        return ntob(a + b)
-    if op == "sub":
-        return ntob(max(a - b, 0))
-    raise ValueError("unknown arithmetic op %r" % (op,))
+    check_bits(w1)
+    check_bits(w2)
+    if op not in ARITH_OPS:
+        raise ValueError("unknown arithmetic op %r" % (op,))
+    return BINARY[op](w1, w2)
 
 
 def bin_logic(op: str, w1: str, w2: str) -> str:
@@ -53,43 +86,31 @@ def bin_logic(op: str, w1: str, w2: str) -> str:
     """
     check_bits(w1)
     check_bits(w2)
-    n = max(len(w1), len(w2))
-    p1 = w1.ljust(n, "0")
-    p2 = w2.ljust(n, "0")
-    if op == "and":
-        return "".join("1" if a == b == "1" else "0" for a, b in zip(p1, p2))
-    if op == "or":
-        return "".join("1" if "1" in (a, b) else "0" for a, b in zip(p1, p2))
-    raise ValueError("unknown logic op %r" % (op,))
+    if op not in ("and", "or"):
+        raise ValueError("unknown logic op %r" % (op,))
+    return BINARY[op](w1, w2)
 
 
 def bnot(w: str) -> str:
-    check_bits(w)
-    return "".join("1" if c == "0" else "0" for c in w)
+    return UNARY["not"](check_bits(w))
 
 
 def shift(op: str, w: str) -> str:
     """shl prepends a 0 at the LSB end (doubles the value), shr drops the LSB
     (halves, rounding down).  Both leave the empty string alone."""
     check_bits(w)
-    if op == "shl":
-        return "0" + w if w else w
-    if op == "shr":
-        return w[1:]
-    raise ValueError("unknown shift op %r" % (op,))
+    if op not in ("shl", "shr"):
+        raise ValueError("unknown shift op %r" % (op,))
+    return UNARY[op](w)
 
 
 def compare(op: str, w1: str, w2: str) -> int:
     """eq / gt compare numeric values; beq compares the raw sequences."""
     check_bits(w1)
     check_bits(w2)
-    if op == "eq":
-        return int(bton(w1) == bton(w2))
-    if op == "gt":
-        return int(bton(w1) > bton(w2))
-    if op == "beq":
-        return int(w1 == w2)
-    raise ValueError("unknown comparison %r" % (op,))
+    if op not in COMPARE:
+        raise ValueError("unknown comparison %r" % (op,))
+    return COMPARE[op](w1, w2)
 
 
 def format_bits(w: str) -> str:

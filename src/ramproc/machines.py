@@ -20,7 +20,7 @@ from itertools import zip_longest
 from . import ramops
 from . import terms as T
 from .memory import MemState
-from .ramops import BinOp, CmpOp, Ini, Load, Store, UnOp, apply_op, apply_prop
+from .ramops import BinOp, CmpOp, Ini, Load, Store, UnOp, compile_op, compile_prop
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,23 +349,30 @@ def run_bbram(prog: Program, sigma: MemState, fuel: int) -> RunResult:
     """Program-counter interpreter for basic programs.
 
     Running off the end of the sequence counts as not halting; `fuel` bounds
-    the number of executed instructions.
+    the number of executed instructions.  Each instruction's kernel is
+    resolved once, before the run.
     """
     if prog.kind != BBRAM:
         raise ValueError("expected a basic program")
+    # per line: None for halt, (kernel, target) for a jump, (kernel, None) for an op
+    code = [None if isinstance(ins, Halt)
+            else (compile_prop(ins.p), ins.target) if isinstance(ins, Jmp)
+            else (compile_op(ins.o), None)
+            for ins in prog.instrs]
     pc = 1
     ops = jmps = 0
     for _ in range(fuel):
-        if pc < 1 or pc > len(prog):
+        if pc > len(code):
             return RunResult(None, ops, jmps)
-        ins = prog.instrs[pc - 1]
-        if isinstance(ins, Halt):
+        line = code[pc - 1]
+        if line is None:
             return RunResult(sigma, ops, jmps)
-        if isinstance(ins, Jmp):
-            jmps += 1
-            pc = ins.target if apply_prop(ins.p, sigma) == 1 else pc + 1
-        else:
+        k, target = line
+        if target is None:
             ops += 1
-            sigma = apply_op(ins.o, sigma)
+            sigma = k(sigma)
             pc += 1
+        else:
+            jmps += 1
+            pc = target if k(sigma) == 1 else pc + 1
     return RunResult(None, ops, jmps)

@@ -24,10 +24,6 @@ class MemState:
                 check_bits(w)
                 if w:
                     d[i] = w
-        self._fill(d)
-
-    def _fill(self, d: dict) -> None:
-        """Take d, a checked dict of the non-empty registers, as the contents."""
         self._regs = d
         self._hash = hash(frozenset(d.items()))
 
@@ -44,15 +40,20 @@ class MemState:
         return self._put(i, w)
 
     def _put(self, i: int, w: str) -> "MemState":
-        """`set` without checks, for register operations, whose register
-        numbers and bit strings come from `bits` functions or from states."""
-        d = dict(self._regs)
+        """`set` without checks, for the register kernels of `ramops`.
+
+        Every string a state holds has been checked, by `__init__`, `set`
+        or `parse_bits`, and the kernels rely on it: they read registers
+        without checking and hand `_put` only strings computed from such
+        contents or immediates, and register numbers that are naturals."""
+        d = self._regs.copy()
         if w:
             d[i] = w
         else:
             d.pop(i, None)
         m = object.__new__(MemState)
-        m._fill(d)
+        m._regs = d
+        m._hash = hash(frozenset(d.items()))
         return m
 
     def registers(self):

@@ -6,6 +6,15 @@ Operand addressing: `#n` immediate, `n` direct, `@n` indirect (the register
 whose number is stored in register n).  All valuations read the pre-state;
 an instruction writes at most one register, chosen from the pre-state too.
 
+The semantics is given once, by kernels: `compile_op`, `compile_prop` and
+`compile_shared` resolve a descriptor's operands once and return a closure
+over memories, and `apply_op`, `apply_prop` and `apply_shared` compile and
+call.  A kernel reads registers and computes on them without checking them,
+through the unchecked cores of `bits`.  It relies on the `MemState`
+invariant: a memory holds only checked bit strings.  The constructor and
+`set` check, and `_put`, which the kernels write through, is handed only
+strings the cores computed from such contents or from immediates.
+
 Canonical text forms: `add:#1:@2:5`, `mov:3:@0`, `gt:1:#0`, `ini:#2`,
 `loa:@1:4`, `sto:#7:@1`.
 """
@@ -15,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bits
-from .bits import bton, ntob
+from .bits import ntob, num
 from .memory import EMPTY_MEM, MemState, merge_n, split_n
 
 BIN_NAMES = ("add", "sub", "and", "or")
@@ -136,53 +145,105 @@ SINGLE_MEM = (BinOp, UnOp)
 SHARED_MEM = (Load, Store)
 
 
+# Kernels: each descriptor is resolved once into a closure over memories.
+# An immediate becomes its bit string, a direct operand its register number
+# and an indirect one a read of its address register.  The closures read a
+# memory's register dict straight and compute with the unchecked `bits`
+# tables: a `MemState` holds only checked bit strings, and `_put` keeps it so.
+
+def _source(s):
+    """Source operand s as a function of a register dict (pre-state)."""
+    if isinstance(s, Dir):
+        i = s.i
+        return lambda r: r.get(i, "")
+    if isinstance(s, Imm):
+        w = ntob(s.n)
+        return lambda r: w
+    if isinstance(s, Ind):
+        addr = _dest(s)
+        return lambda r: r.get(addr(r), "")
+    raise ValueError("not a source operand: %r" % (s,))
+
+
+def _dest(d):
+    """Destination operand d as a function of a register dict (pre-state)."""
+    if isinstance(d, Dir):
+        i = d.i
+        return lambda r: i
+    if isinstance(d, Ind):
+        i = d.i
+        return lambda r: num(r.get(i, ""))
+    raise ValueError("immediate destination")
+
+
 def src_val(sigma: MemState, s) -> str:
     """Value of a source operand in sigma (pre-state)."""
-    if isinstance(s, Imm):
-        return ntob(s.n)
-    if isinstance(s, Dir):
-        return sigma.get(s.i)
-    if isinstance(s, Ind):
-        return sigma.get(bton(sigma.get(s.i)))
-    raise ValueError("not a source operand: %r" % (s,))
+    return _source(s)(sigma._regs)
 
 
 def dst_reg(sigma: MemState, d) -> int:
     """Register a destination operand picks out in sigma (pre-state)."""
-    if isinstance(d, Dir):
-        return d.i
-    if isinstance(d, Ind):
-        return bton(sigma.get(d.i))
-    raise ValueError("immediate destination")
+    return _dest(d)(sigma._regs)
+
+
+def compile_op(o):
+    """The kernel of a single-memory, non-comparison operator: a function
+    from a memory to its post-state."""
+    if isinstance(o, BinOp):
+        f, x1, x2 = bits.BINARY[o.name], _source(o.s1), _source(o.s2)
+        value = lambda r: f(x1(r), x2(r))
+    elif isinstance(o, UnOp) and o.name == "mov":
+        value = _source(o.s1)
+    elif isinstance(o, UnOp):
+        f, x = bits.UNARY[o.name], _source(o.s1)
+        value = lambda r: f(x(r))
+    else:
+        raise ValueError("apply_op takes a binary or unary operator, got %r" % (o,))
+    if isinstance(o.d, Dir):
+        i = o.d.i
+        return lambda sigma: sigma._put(i, value(sigma._regs))
+    dst = _dest(o.d)
+    return lambda sigma: sigma._put(dst(sigma._regs), value(sigma._regs))
+
+
+def compile_prop(p):
+    """The kernel of a comparison: a function from a memory to 0 or 1."""
+    if not isinstance(p, CmpOp):
+        raise ValueError("apply_prop takes a comparison, got %r" % (p,))
+    f, x1, x2 = bits.COMPARE[p.name], _source(p.s1), _source(p.s2)
+    return lambda sigma: f(x1(sigma._regs), x2(sigma._regs))
+
+
+def compile_shared(o):
+    """The kernel of load or store: a function of the (private, shared)
+    memories giving the updated private memory for a load and the updated
+    shared one for a store; the other memory is read only.  The address
+    register and the destination are read in the private memory."""
+    if isinstance(o, Load):
+        addr, dst = _dest(o.addr), _dest(o.d)
+
+        def load(sigma_p, sigma_s):
+            r = sigma_p._regs
+            return sigma_p._put(dst(r), sigma_s._regs.get(addr(r), ""))
+        return load
+    if isinstance(o, Store):
+        addr, x = _dest(o.addr), _source(o.s)
+
+        def store(sigma_p, sigma_s):
+            r = sigma_p._regs
+            return sigma_s._put(addr(r), x(r))
+        return store
+    raise ValueError("apply_shared takes load or store, got %r" % (o,))
 
 
 def apply_op(o, sigma: MemState) -> MemState:
     """Interpret a single-memory, non-comparison operator."""
-    if isinstance(o, BinOp):
-        v1 = src_val(sigma, o.s1)
-        v2 = src_val(sigma, o.s2)
-        if o.name in bits.ARITH_OPS:
-            w = bits.bin_arith(o.name, v1, v2)
-        else:
-            w = bits.bin_logic(o.name, v1, v2)
-        return sigma._put(dst_reg(sigma, o.d), w)
-    if isinstance(o, UnOp):
-        v = src_val(sigma, o.s1)
-        if o.name == "not":
-            w = bits.bnot(v)
-        elif o.name == "mov":
-            w = v
-        else:
-            w = bits.shift(o.name, v)
-        return sigma._put(dst_reg(sigma, o.d), w)
-    raise ValueError("apply_op takes a binary or unary operator, got %r" % (o,))
+    return compile_op(o)(sigma)
 
 
 def apply_prop(p, sigma: MemState) -> int:
     """Interpret a comparison; 0 or 1, sigma untouched."""
-    if not isinstance(p, CmpOp):
-        raise ValueError("apply_prop takes a comparison, got %r" % (p,))
-    return bits.compare(p.name, src_val(sigma, p.s1), src_val(sigma, p.s2))
+    return compile_prop(p)(sigma)
 
 
 def apply_ini(i: int) -> MemState:
@@ -194,18 +255,8 @@ def apply_ini(i: int) -> MemState:
 
 
 def apply_shared(o, sigma_p: MemState, sigma_s: MemState) -> MemState:
-    """Interpret load/store over (private, shared) memories.
-
-    Load returns the updated private memory, store the updated shared one;
-    the other operand memory is read only.
-    """
-    if isinstance(o, Load):
-        addr = bton(sigma_p.get(o.addr.i))
-        return sigma_p._put(dst_reg(sigma_p, o.d), sigma_s.get(addr))
-    if isinstance(o, Store):
-        addr = bton(sigma_p.get(o.addr.i))
-        return sigma_s._put(addr, src_val(sigma_p, o.s))
-    raise ValueError("apply_shared takes load or store, got %r" % (o,))
+    """Interpret load/store over (private, shared) memories (`compile_shared`)."""
+    return compile_shared(o)(sigma_p, sigma_s)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
     EMPTY_VALUATION, Valuation, eval_cond, eval_data, flexvars_term, unfold,
 )
-from .ramops import Ini, apply_op, apply_prop, apply_shared
+from .ramops import Ini, compile_op, compile_prop, compile_shared
 
 
 class SemanticsError(ValueError):
@@ -302,6 +302,8 @@ class Lts:
     exploration on state vectors it rebuilds each one on demand
     (`_StateTerms`).  When exploration hits the state cap, `exploded` is
     set and the graph is partial; consumers must treat it as inconclusive.
+    The out-lists, (label, target) per state in transition order, are
+    filled by the explorers or built from `transitions` when first asked for.
     """
 
     def __init__(self):
@@ -314,12 +316,15 @@ class Lts:
         self._order = _UNSET
 
     def out(self, sid: int):
+        return self._outs()[sid]
+
+    def _outs(self):
         if self._out is None:
             adj = [[] for _ in range(len(self))]
             for src, lab, dst in self.transitions:
                 adj[src].append((lab, dst))
             self._out = adj
-        return self._out[sid]
+        return self._out
 
     def __len__(self):
         return len(self.states)
@@ -369,12 +374,13 @@ def _height(t):
 def _build_terms(root, max_states, gamma) -> Lts:
     """`build_lts` on terms: breadth first over the step rules."""
     l = Lts()
-    states, index = l.states, {root: 0}
+    states, index, outs = l.states, {root: 0}, []
     states.append(root)
     for sid, t in enumerate(states):  # grows while it is walked
         succ, moves = _RULES[type(t)](t, EMPTY_VALUATION, gamma)
         if succ:
             l.success.add(sid)
+        outs.append(out := [])
         for lab, u in _dedup(moves):
             dst = index.get(u)
             if dst is None:
@@ -384,6 +390,8 @@ def _build_terms(root, max_states, gamma) -> Lts:
                 dst = index[u] = len(states)
                 states.append(u)
             l.transitions.append((sid, lab, dst))
+            out.append((lab, dst))
+    l._out = outs
     return l
 
 
@@ -501,11 +509,12 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     vectors = [(0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs]
     l = Lts()
     l.states = _StateTerms(vectors, term, valuation)
-    index = {vectors[0]: 0}
+    index, outs = {vectors[0]: 0}, []
     for sid, v in enumerate(vectors):  # grows while it is walked
         succ, ms = leaf(tree, v) if single else _tree_moves(tree, v, memo_leaf, gamma)
         if succ:
             l.success.add(sid)
+        outs.append(out := [])
         seen = {}  # vector -> its labels so far
         for lab, ch in ms:
             w = list(v)
@@ -524,6 +533,8 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
                 dst = index[w] = len(vectors)
                 vectors.append(w)
             l.transitions.append((sid, lab, dst))
+            out.append((lab, dst))
+    l._out = outs
     return l
 
 
@@ -587,19 +598,19 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
         if type(e) is T.FlexVar:
             return read(e.name)
         if type(e) is T.Apply1 and type(e.e) is T.FlexVar and type(e.op) is not Ini:
-            op, x = e.op, read(e.e.name)
-            return lambda v: apply_op(op, x(v))
+            k, x = compile_op(e.op), read(e.e.name)
+            return lambda v: k(x(v))
         if type(e) is T.Apply2 and type(e.e_priv) is T.FlexVar is type(e.e_shared):
-            op, p, s = e.op, read(e.e_priv.name), read(e.e_shared.name)
-            return lambda v: apply_shared(op, p(v), s(v))
+            k, p, s = compile_shared(e.op), read(e.e_priv.name), read(e.e_shared.name)
+            return lambda v: k(p(v), s(v))
         return lambda v: eval_data(e, valuation(v))
 
     def cond(c):
         if type(c) is T.TrueC:
             return None
         if type(c) is T.PropAtom:
-            p, x, bit = c.p, data(c.e), c.expected
-            return lambda v: apply_prop(p, x(v)) == bit
+            k, x, bit = compile_prop(c.p), data(c.e), c.expected
+            return lambda v: k(x(v)) == bit
         return lambda v: eval_cond(c, valuation(v))
 
     def label(a):
@@ -662,41 +673,32 @@ def eventually_halts(l: Lts) -> bool:
     _check_bounded(l)
     if _topo_order(l) is None:
         return False
-    for sid in range(len(l)):
-        if not l.out(sid) and sid not in l.success:
-            return False
-    return True
+    success = l.success
+    return all(out or sid in success for sid, out in enumerate(l._outs()))
 
 
 def _topo_order(l: Lts):
     """States in reverse-topological order (successors first), or None when
-    the graph has a cycle.  It is computed once per LTS and kept on it, like
-    its out-lists."""
+    the graph has a cycle: Kahn's algorithm, run forwards and reversed.  It
+    is computed once per LTS and kept on it, like its out-lists."""
     if l._order is not _UNSET:
         return l._order
-    l._order = None
+    indegree = [0] * len(l)
+    for _, _, dst in l.transitions:
+        indegree[dst] += 1
+    outs = l._outs()
+    ready = [sid for sid, n in enumerate(indegree) if not n]
     order = []
-    color = [0] * len(l)  # 0 unseen, 1 on stack, 2 done
-    for start in range(len(l)):
-        if color[start]:
-            continue
-        stack = [(start, iter([d for _, d in l.out(start)]))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            for dst in it:
-                if color[dst] == 1:
-                    return None
-                if color[dst] == 0:
-                    color[dst] = 1
-                    stack.append((dst, iter([d for _, d in l.out(dst)])))
-                    break
-            else:
-                color[node] = 2
-                order.append(node)
-                stack.pop()
-    l._order = order
-    return order
+    while ready:
+        sid = ready.pop()
+        order.append(sid)
+        for _, dst in outs[sid]:
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                ready.append(dst)
+    order.reverse()
+    l._order = order if len(order) == len(l) else None
+    return l._order
 
 
 def _dag_order(l: Lts):
@@ -722,25 +724,28 @@ def depths(l: Lts, counts) -> tuple:
     assignment labels that differ only in those compare equal."""
     zero = (0,) * len(counts)
     weights = {}
-    best = {}
+    best = [zero] * len(l)
+    outs = l._outs()
     for sid in _dag_order(l):
         paths = []
-        for lab, dst in l.out(sid):
+        for lab, dst in outs[sid]:
             key = (lab, lab.mentions) if isinstance(lab, Assignment) else lab
             w = weights.get(key)
             if w is None:
-                w = weights[key] = tuple(1 if count(lab) else 0 for count in counts)
-            paths.append(map(add, w, best[dst]))
-        best[sid] = tuple(map(max, zero, *paths)) if paths else zero
+                w = weights[key] = tuple([1 if count(lab) else 0 for count in counts])
+            paths.append(tuple(map(add, w, best[dst])))
+        if paths:
+            best[sid] = paths[0] if len(paths) == 1 else tuple(map(max, *paths))
     return best[l.initial]
 
 
 def count_maximal_paths(l: Lts) -> int:
     """Number of maximal runs (ending in a state with no outgoing step)."""
-    total = {}
+    total = [1] * len(l)
+    outs = l._outs()
     for sid in _dag_order(l):
-        outs = l.out(sid)
-        total[sid] = sum(total[d] for _, d in outs) if outs else 1
+        if outs[sid]:
+            total[sid] = sum([total[d] for _, d in outs[sid]])
     return total[l.initial]
 
 

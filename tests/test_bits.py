@@ -127,3 +127,17 @@ def test_check_bits_matches_character_definition():
     for w in sample:
         assert _verdict(check_bits, w) == _verdict(_check_bits_by_characters, w), w
     assert sum(_verdict(check_bits, w)[0] == "ok" for w in sample) > 500
+
+
+@pytest.mark.parametrize("call", [
+    bton, bnot, format_bits,
+    lambda w: bin_arith("add", "1", w), lambda w: bin_arith("sub", w, "1"),
+    lambda w: bin_logic("and", w, ""), lambda w: bin_logic("or", "1", w),
+    lambda w: shift("shl", w), lambda w: shift("shr", w),
+    lambda w: compare("eq", w, "1"), lambda w: compare("gt", "1", w), lambda w: compare("beq", w, w),
+], ids=lambda f: getattr(f, "__name__", "op"))
+@pytest.mark.parametrize("bad", ["12", "1_0", " 1", "0b1", None])
+def test_public_operations_check_their_arguments(call, bad):
+    # int(..., 2) alone would take the underscore, the space and the prefix
+    with pytest.raises(ValueError, match="bit string must consist of 0/1 characters"):
+        call(bad)

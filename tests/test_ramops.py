@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
+from ramproc import bits
 from ramproc.memory import EMPTY_MEM, MemState, merge_n
 from ramproc.ramops import (
+    BIN_NAMES,
+    CMP_NAMES,
+    UN_NAMES,
     BinOp,
     CmpOp,
     Dir,
@@ -15,6 +21,9 @@ from ramproc.ramops import (
     apply_op,
     apply_prop,
     apply_shared,
+    compile_op,
+    compile_prop,
+    compile_shared,
     dst_reg,
     format_op,
     merged_shared_op,
@@ -138,3 +147,123 @@ def test_format_parse_roundtrip():
         parse_op("add:1:2")
     with pytest.raises(ValueError):
         parse_op("frob:1:2:3")
+
+
+# ---------------------------------------------------------------------------
+# Kernels against the checked `bits` functions
+
+def _value(sigma, s):
+    if isinstance(s, Imm):
+        return bits.ntob(s.n)
+    if isinstance(s, Dir):
+        return sigma.get(s.i)
+    return sigma.get(bits.bton(sigma.get(s.i)))
+
+
+def _register(sigma, d):
+    return d.i if isinstance(d, Dir) else bits.bton(sigma.get(d.i))
+
+
+def _reference(o, sigma, shared):
+    """What o does, composed from the checked public functions of `bits`
+    and the checked `MemState.set`."""
+    if isinstance(o, BinOp):
+        combine = bits.bin_arith if o.name in bits.ARITH_OPS else bits.bin_logic
+        w = combine(o.name, _value(sigma, o.s1), _value(sigma, o.s2))
+        return sigma.set(_register(sigma, o.d), w)
+    if isinstance(o, UnOp):
+        v = _value(sigma, o.s1)
+        w = v if o.name == "mov" else bits.bnot(v) if o.name == "not" else bits.shift(o.name, v)
+        return sigma.set(_register(sigma, o.d), w)
+    if isinstance(o, CmpOp):
+        return bits.compare(o.name, _value(sigma, o.s1), _value(sigma, o.s2))
+    if isinstance(o, Load):
+        return sigma.set(_register(sigma, o.d), shared.get(_register(sigma, o.addr)))
+    return shared.set(_register(sigma, o.addr), _value(sigma, o.s))
+
+
+WIDE = "".join(random.Random(16).choice("01") for _ in range(199)) + "1"
+CONTENTS = ["", "0", "1", "01", "11", "0100", "000", "1" + "0" * 40, WIDE, "1" * 200]
+
+
+def _operand(rng, kinds=(Imm, Dir, Ind)):
+    kind = rng.choice(kinds)
+    if kind is Imm:
+        return Imm(rng.choice([0, 1, 2, 5, 2 ** 70]))
+    return kind(rng.randrange(6))
+
+
+def _descriptor(rng):
+    roll = rng.randrange(5)
+    dst = (Dir, Ind)
+    if roll == 0:
+        return BinOp(rng.choice(BIN_NAMES), _operand(rng), _operand(rng), _operand(rng, dst))
+    if roll == 1:
+        return UnOp(rng.choice(UN_NAMES), _operand(rng), _operand(rng, dst))
+    if roll == 2:
+        return CmpOp(rng.choice(CMP_NAMES), _operand(rng), _operand(rng))
+    if roll == 3:
+        return Load(Ind(rng.randrange(6)), _operand(rng, dst))
+    return Store(_operand(rng), Ind(rng.randrange(6)))
+
+
+def _memory(rng):
+    return MemState({i: rng.choice(CONTENTS) for i in range(6) if rng.random() < 0.7})
+
+
+OPERANDS = {BinOp: ("s1", "s2", "d"), UnOp: ("s1", "d"), CmpOp: ("s1", "s2"),
+            Load: ("addr", "d"), Store: ("s", "addr")}
+
+
+def test_kernels_match_checked_composition():
+    rng = random.Random(1616)
+    names, kinds = set(), {}
+    for _ in range(2500):
+        o = _descriptor(rng)
+        sigma, shared = _memory(rng), _memory(rng)
+        if isinstance(o, CmpOp):
+            got = compile_prop(o)(sigma)
+            assert got == apply_prop(o, sigma)
+        elif isinstance(o, (Load, Store)):
+            got = compile_shared(o)(sigma, shared)
+            assert got == apply_shared(o, sigma, shared)
+        else:
+            got = compile_op(o)(sigma)
+            assert got == apply_op(o, sigma)
+        want = _reference(o, sigma, shared)
+        assert got == want and type(got) is type(want), o
+        names.add(getattr(o, "name", type(o).__name__))
+        for f in OPERANDS[type(o)]:
+            kinds.setdefault((type(o), f), set()).add(type(getattr(o, f)))
+    assert names == set(BIN_NAMES + UN_NAMES + CMP_NAMES + ("Load", "Store"))
+    assert len(kinds) == sum(map(len, OPERANDS.values()))
+    for (_, f), seen in kinds.items():
+        assert seen == ({Ind} if f == "addr" else {Dir, Ind} if f == "d" else {Imm, Dir, Ind})
+
+
+def test_kernels_on_chosen_memories():
+    wide_addr = MemState({0: WIDE, 1: "0100", 2: "1"})
+    # an indirect read through a wide address finds an empty register
+    assert compile_op(UnOp("mov", Ind(0), Dir(3)))(wide_addr) == wide_addr.set(3, "")
+    # and an indirect write lands on that register
+    out = compile_op(UnOp("mov", Imm(1), Ind(0)))(wide_addr)
+    assert out.get(bits.bton(WIDE)) == "1"
+    # leading zeros: numerically equal, but not the same sequence
+    m = MemState({0: "1", 1: "10"})
+    assert compile_prop(CmpOp("eq", Dir(0), Dir(1)))(m) == 1
+    assert compile_prop(CmpOp("beq", Dir(0), Dir(1)))(m) == 0
+    # and/or keep leading zeros, add/sub drop them
+    assert compile_op(BinOp("or", Dir(1), Dir(9), Dir(2)))(m).get(2) == "10"
+    assert compile_op(BinOp("add", Dir(1), Imm(0), Dir(2)))(m).get(2) == "1"
+    # an empty address register points at register 0
+    assert compile_shared(Load(Ind(7), Dir(1)))(EMPTY_MEM, MemState({0: "11"})) == MemState({1: "11"})
+
+
+@pytest.mark.parametrize("compile_, wrong, message", [
+    (compile_op, CmpOp("eq", Dir(0), Dir(1)), "apply_op takes a binary or unary operator"),
+    (compile_prop, UnOp("mov", Dir(0), Dir(1)), "apply_prop takes a comparison"),
+    (compile_shared, Ini(1), "apply_shared takes load or store"),
+])
+def test_kernel_errors_match_apply(compile_, wrong, message):
+    with pytest.raises(ValueError, match=message):
+        compile_(wrong)
