@@ -7,7 +7,7 @@ any state you can build satisfies it.
 
 from __future__ import annotations
 
-from .bits import check_bits, format_bits, parse_bits
+from .bits import check_bits, parse_bits
 
 
 class MemState:
@@ -113,8 +113,9 @@ def split_n(sigma: MemState, n: int):
 
 
 def format_mem(sigma: MemState) -> str:
-    """Inline literal used in term syntax: `[0:11, 3:101]`, `[]` for all-empty."""
-    return "[" + ", ".join("%d:%s" % (i, format_bits(w)) for i, w in sigma.items()) + "]"
+    """Inline literal used in term syntax: `[0:11, 3:101]`, `[]` for all-empty.
+    A state holds only checked, non-empty strings, so each prints as itself."""
+    return "[" + ", ".join(["%d:%s" % iw for iw in sigma.items()]) + "]"
 
 
 def parse_mem(text: str) -> MemState:
@@ -153,4 +154,4 @@ def load_mem_file(path) -> MemState:
 
 
 def dump_mem_file(sigma: MemState) -> str:
-    return "".join("%d=%s\n" % (i, format_bits(w)) for i, w in sigma.items())
+    return "".join(["%d=%s\n" % iw for iw in sigma.items()])

@@ -47,7 +47,7 @@ COND_OPS = {
     "and": (T.And, 3, False),
     "not": (T.Not, 4, False),
 }
-_TERM_TOKEN = {cls: (tok, level) for tok, (cls, level) in TERM_OPS.items()}
+_TERM_TOKEN = {cls: (" %s " % tok, level) for tok, (cls, level) in TERM_OPS.items()}
 _COND_TOKEN = {cls: (tok, level, right) for tok, (cls, level, right) in COND_OPS.items()}
 _GUARD_LEVEL = TERM_OPS[":->"][1]
 
@@ -459,16 +459,45 @@ def format_action_set(s: T.ActionSet) -> str:
 
 
 def format_term(t, ctx: int = 0) -> str:
-    """`t` as text, parenthesized if it binds looser than `ctx`.  It calls
-    itself directly, with no helper frame in between, to print deep chains."""
+    """`t` as text, parenthesized if it binds looser than `ctx`.  It walks
+    down each left spine in a loop and keeps what is still to print on an
+    explicit stack of text and (term, context) pairs, as `terms` prints a
+    node's repr, so chains of any length and nesting print."""
+    out, todo = [], [(t, ctx)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, ctx = item
+        while True:
+            cls = type(t)
+            if cls in _TERM_TOKEN:
+                tok, level = _TERM_TOKEN[cls]
+                if ctx > level:
+                    out.append("(")
+                    todo.append(")")
+                if cls is T.Guard:
+                    out.append("%s :-> " % format_cond(t.cond))
+                    t, ctx = t.body, level
+                else:
+                    todo += [(t.r, level + 1), tok]
+                    t, ctx = t.l, level
+                continue
+            if cls in _WRAPPER_OF:
+                keyword, show = _WRAPPER_OF[cls]
+                out.append("%s%s(" % (keyword, show(getattr(t, cls.__match_args__[0]))))
+                todo.append(")")
+                t, ctx = t.body, 0
+                continue
+            out.append(_format_leaf(t))
+            break
+    return "".join(out)
+
+
+def _format_leaf(t) -> str:
+    """A process term without process-term operands, as text."""
     cls = type(t)
-    if cls in _TERM_TOKEN:
-        tok, level = _TERM_TOKEN[cls]
-        if cls is T.Guard:
-            s = "%s :-> %s" % (format_cond(t.cond), format_term(t.body, level))
-        else:
-            s = "%s %s %s" % (format_term(t.l, level), tok, format_term(t.r, level + 1))
-        return "(%s)" % s if ctx > level else s
     if cls in _CONSTANT_NAME:
         return _CONSTANT_NAME[cls]
     if cls is T.Act or cls is T.Var:
@@ -477,9 +506,6 @@ def format_term(t, ctx: int = 0) -> str:
         return "%s(%s)" % (t.name, ", ".join(format_expr(e) for e in t.args))
     if cls is T.Assign:
         return "%s := %s" % (t.var, format_expr(t.e))
-    if cls in _WRAPPER_OF:
-        keyword, show = _WRAPPER_OF[cls]
-        return "%s%s(%s)" % (keyword, show(getattr(t, cls.__match_args__[0])), format_term(t.body))
     if cls is T.Rec:
         # a spec is printed once and kept: states share it, and it is most of their text
         spec = t.spec

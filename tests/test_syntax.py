@@ -167,6 +167,30 @@ def test_format_deep_seq_chains():
     assert format_term(right) == "a . " + "(a . " * 899 + "a" + ")" * 899
 
 
+@pytest.mark.parametrize("n", [3000, 20000])
+def test_long_chains_print_and_read_back(n):
+    for op, tok in ((Seq, " . "), (Alt, " + "), (Par, " || ")):
+        left = Act("a0")
+        for k in range(1, n):
+            left = op(left, Act("a%d" % (k % 7)))
+        text = format_term(left)
+        assert text == tok.join("a%d" % (k % 7) for k in range(n))
+        assert parse_term(text) == left
+    right = Act("a")
+    for _ in range(n - 1):
+        right = Seq(Act("a"), right)
+    assert format_term(right) == "a . " + "(a . " * (n - 2) + "a" + ")" * (n - 2)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_term(format_term(right))
+
+
+def test_deep_prefixes_and_wrappers_print():
+    t = Act("b")
+    for k in range(5000):
+        t = Guard(TRUE, t) if k % 2 else T.Encap(T.ActionSet.labels(["a"]), t)
+    assert format_term(t) == "True :-> encap{a}(" * 2500 + "b" + ")" * 2500
+
+
 def test_guard_needs_parens_inside_seq():
     t = Seq(Guard(TRUE, Act("a")), Act("b"))
     s = format_term(t)
