@@ -42,10 +42,10 @@ class MemState:
     def _put(self, i: int, w: str) -> "MemState":
         """`set` without checks, for the register kernels of `ramops`.
 
-        Every string a state holds has been checked, by `__init__`, `set`
-        or `parse_bits`, and the kernels rely on it: they read registers
-        without checking and hand `_put` only strings computed from such
-        contents or immediates, and register numbers that are naturals."""
+        A state holds only checked bit strings (`__init__` and `set` check
+        them), and the kernels rely on it: they read registers without
+        checking and hand `_put` only strings computed from such contents
+        or from immediates, and register numbers that are naturals."""
         d = self._regs.copy()
         if w:
             d[i] = w

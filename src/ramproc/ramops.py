@@ -12,8 +12,8 @@ over memories, and `apply_op`, `apply_prop` and `apply_shared` compile and
 call.  A kernel reads registers and computes on them without checking them,
 through the unchecked cores of `bits`.  It relies on the `MemState`
 invariant: a memory holds only checked bit strings.  The constructor and
-`set` check, and `_put`, which the kernels write through, is handed only
-strings the cores computed from such contents or from immediates.
+`set` check, and `MemState._put`, which the kernels write through, is
+handed only strings the cores computed from such contents or immediates.
 
 Canonical text forms: `add:#1:@2:5`, `mov:3:@0`, `gt:1:#0`, `ini:#2`,
 `loa:@1:4`, `sto:#7:@1`.
@@ -145,14 +145,10 @@ SINGLE_MEM = (BinOp, UnOp)
 SHARED_MEM = (Load, Store)
 
 
-# Kernels: each descriptor is resolved once into a closure over memories.
-# An immediate becomes its bit string, a direct operand its register number
-# and an indirect one a read of its address register.  The closures read a
-# memory's register dict straight and compute with the unchecked `bits`
-# tables: a `MemState` holds only checked bit strings, and `_put` keeps it so.
-
 def _source(s):
-    """Source operand s as a function of a register dict (pre-state)."""
+    """Source operand s, resolved once, as a function of a memory's register
+    dict (pre-state): an immediate is its bit string, a direct operand a
+    register number, an indirect one a read of its address register."""
     if isinstance(s, Dir):
         i = s.i
         return lambda r: r.get(i, "")
