@@ -141,3 +141,51 @@ def test_public_operations_check_their_arguments(call, bad):
     # int(..., 2) alone would take the underscore, the space and the prefix
     with pytest.raises(ValueError, match="bit string must consist of 0/1 characters"):
         call(bad)
+
+
+def _number(w):
+    return sum(1 << k for k, c in enumerate(w) if c == "1")
+
+
+def _string(n):
+    out = ""
+    while n:
+        out, n = out + "01"[n & 1], n >> 1
+    return out or "0"
+
+
+# The operations by their definitions, character by character; the register
+# kernels are checked against the public functions, and these against this.
+DEFINITIONS = {
+    "add": lambda a, b: _string(_number(a) + _number(b)),
+    "sub": lambda a, b: _string(max(_number(a) - _number(b), 0)),
+    "and": lambda a, b: "".join("1" if x == y == "1" else "0"
+                                for x, y in zip(a.ljust(len(b), "0"), b.ljust(len(a), "0"))),
+    "or": lambda a, b: "".join("1" if "1" in (x, y) else "0"
+                               for x, y in zip(a.ljust(len(b), "0"), b.ljust(len(a), "0"))),
+    "not": lambda a: "".join("1" if c == "0" else "0" for c in a),
+    "shl": lambda a: "0" + a if a else a,
+    "shr": lambda a: a[1:],
+    "eq": lambda a, b: int(_number(a) == _number(b)),
+    "gt": lambda a, b: int(_number(a) > _number(b)),
+    "beq": lambda a, b: int(a == b),
+}
+PUBLIC = {
+    "add": lambda a, b: bin_arith("add", a, b), "sub": lambda a, b: bin_arith("sub", a, b),
+    "and": lambda a, b: bin_logic("and", a, b), "or": lambda a, b: bin_logic("or", a, b),
+    "not": bnot, "shl": lambda a: shift("shl", a), "shr": lambda a: shift("shr", a),
+    "eq": lambda a, b: compare("eq", a, b), "gt": lambda a, b: compare("gt", a, b),
+    "beq": lambda a, b: compare("beq", a, b),
+}
+
+
+def test_operations_match_their_definitions():
+    rng = random.Random(1617)
+    pool = ["", "0", "1", "01", "10", "000", "0100", "1" + "0" * 40]
+    pool += ["".join(rng.choice("01") for _ in range(rng.choice([3, 8, 200]))) for _ in range(12)]
+    for name, define in DEFINITIONS.items():
+        arity = define.__code__.co_argcount
+        for _ in range(300):
+            args = [rng.choice(pool) for _ in range(arity)]
+            assert PUBLIC[name](*args) == define(*args), (name, args)
+    assert bton("0" * 199 + "1") == 1 << 199 == _number("0" * 199 + "1")
