@@ -12,11 +12,11 @@ evaluated term eventually halts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import terms as T
 from .machines import APRAMP, RAMP, SPRAMP, validate_apramp, validate_ramp, validate_spramp
 from .memory import EMPTY_MEM
+from .nodes import node
 from .semantics import (
     Lts, SemanticsError, build_lts, depth, depths, eventually_halts, terminal_valuations,
 )
@@ -26,7 +26,7 @@ class MeasureUndefinedError(SemanticsError):
     """The term does not eventually halt, so no step count exists."""
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class MeasureReport:
     measure: str
     value: int
@@ -57,7 +57,7 @@ def _report(name, l: Lts, value, per_component=()) -> MeasureReport:
     return MeasureReport(name, value, tuple(per_component), len(l), len(l.transitions))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Measure:
     """A step-count measure: the CLI model and machine shape it is defined
     for, and which labels count as steps (None: every non-silent one).  A
@@ -151,7 +151,7 @@ def check_measure_class(measure: str, t):
 # ---------------------------------------------------------------------------
 # Computing functions on bit strings
 
-@dataclass(frozen=True, slots=True)
+@node
 class FunctionSpec:
     """A partial function on bit-string tuples with an input enumeration.
 
@@ -197,7 +197,7 @@ def input_valuation(args, extra_vars=()) -> T.Valuation:
     return T.Valuation.make(env)
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CheckRow:
     args: tuple
     expected: object  # str | None
@@ -208,7 +208,7 @@ class CheckRow:
     note: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Verdict:
     rows: tuple
 

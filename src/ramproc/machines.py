@@ -13,17 +13,17 @@ to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import zip_longest
 
 from . import ramops
 from . import terms as T
 from .memory import MemState
+from .nodes import node
 from .ramops import BinOp, CmpOp, Ini, Load, Store, UnOp, compile_op, compile_prop
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Op:
     o: object
 
@@ -36,7 +36,7 @@ class Op:
             raise ValueError("not an instruction operator: %r" % (self.o,))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Jmp:
     p: CmpOp
     target: int
@@ -48,7 +48,7 @@ class Jmp:
             raise ValueError("jump targets are 1-based")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Halt:
     pass
 
@@ -59,7 +59,7 @@ BBRAM = "bbram"
 SMBRAM = "smbram"
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Program:
     instrs: tuple
     kind: str = BBRAM
@@ -331,7 +331,7 @@ def validate_spramp(t) -> int:
 # ---------------------------------------------------------------------------
 # Direct interpreter (independent of the process semantics)
 
-@dataclass(frozen=True, slots=True)
+@node
 class RunResult:
     """Outcome of a direct run: final memory (None when the run did not
     halt), and how many operator and jump instructions were executed."""

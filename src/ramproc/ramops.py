@@ -21,18 +21,17 @@ Canonical text forms: `add:#1:@2:5`, `mov:3:@0`, `gt:1:#0`, `ini:#2`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bits
 from .bits import ntob, num
 from .memory import EMPTY_MEM, MemState, merge_n, split_n
+from .nodes import node
 
 BIN_NAMES = ("add", "sub", "and", "or")
 UN_NAMES = ("not", "shl", "shr", "mov")
 CMP_NAMES = ("eq", "gt", "beq")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Imm:
     n: int
 
@@ -41,7 +40,7 @@ class Imm:
             raise ValueError("immediate must be a natural")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Dir:
     i: int
 
@@ -50,7 +49,7 @@ class Dir:
             raise ValueError("register numbers are naturals")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Ind:
     i: int
 
@@ -69,7 +68,7 @@ def _check_dst(d, what):
         raise ValueError("%s must be a register operand (no immediates)" % (what,))
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class BinOp:
     name: str
     s1: object
@@ -84,7 +83,7 @@ class BinOp:
         _check_dst(self.d, "destination")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class UnOp:
     name: str
     s1: object
@@ -97,7 +96,7 @@ class UnOp:
         _check_dst(self.d, "destination")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CmpOp:
     name: str
     s1: object
@@ -110,7 +109,7 @@ class CmpOp:
         _check_src(self.s2, "source 2")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Ini:
     i: int
 
@@ -119,7 +118,7 @@ class Ini:
             raise ValueError("memory numbers start at 1")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Load:
     addr: Ind
     d: object
@@ -130,7 +129,7 @@ class Load:
         _check_dst(self.d, "destination")
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class Store:
     s: object
     addr: Ind
@@ -258,7 +257,7 @@ def apply_shared(o, sigma_p: MemState, sigma_s: MemState) -> MemState:
 # ---------------------------------------------------------------------------
 # Region analysis
 
-@dataclass(frozen=True, slots=True)
+@node
 class RegionInfo:
     """Which registers an operator may read (input) or write (output).
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
 from operator import add, itemgetter
 
@@ -20,6 +19,7 @@ from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
     EMPTY_VALUATION, Valuation, eval_cond, eval_data, flexvars_term, unfold,
 )
+from .nodes import node
 from .ramops import Ini, compile_op, compile_prop, compile_shared
 
 
@@ -31,7 +31,7 @@ class UndecidedError(SemanticsError):
     """Raised when a question cannot be settled within the exploration bound."""
 
 
-@dataclass(frozen=True, slots=True)
+@node
 class CommFunction:
     """Commutative partial function pairing action names into a joint name."""
 

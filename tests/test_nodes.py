@@ -1,6 +1,11 @@
 """The value classes outside `terms`: operator descriptors, programs, and
 the records the measures and checkers report.  Error messages embed them
-with `%r`, so their reprs are pinned here."""
+with `%r`, so their reprs are pinned here, and every one of them is built
+by `nodes.node`."""
+
+import importlib
+import pkgutil
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -56,3 +61,36 @@ def test_error_messages_embed_reprs():
     with pytest.raises(ValueError) as e:
         Op(RegionInfo.finite([1]))
     assert str(e.value) == "not an instruction operator: RegionInfo(registers=frozenset({1}))"
+
+
+def _ramproc_modules():
+    import ramproc
+    return [importlib.import_module("ramproc." + m.name)
+            for m in pkgutil.iter_modules(ramproc.__path__)]
+
+
+def test_one_value_class_builder():
+    """Every value class is built by `nodes.node`; none by `dataclass()`."""
+    built = [(mod.__name__, name) for mod in _ramproc_modules()
+             for name, cls in vars(mod).items()
+             if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")]
+    assert built == []
+
+
+@pytest.mark.parametrize("make, match_args", [
+    (lambda: BinOp("add", Dir(1), Imm(2), Ind(3)), ("name", "s1", "s2", "d")),
+    (lambda: Program((Op(ADD), JMP, HALT)), ("instrs", "kind")),
+    (lambda: CheckRow(("1",), "1", "1", 3, None, "pass"),
+     ("args", "expected", "got", "steps", "bound", "status", "note")),
+    (lambda: CommFunction.make({("b", "a"): "c"}), ("pairs",)),
+], ids=["ramops", "machines", "complexity", "semantics"])
+def test_value_classes_are_frozen_slotted_nodes(make, match_args):
+    x, y = make(), make()
+    assert x is not y and x == y and hash(x) == hash(y)
+    assert type(x).__match_args__ == match_args
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(x, match_args[0], None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(x, match_args[0])
+    assert x == y
