@@ -1,5 +1,5 @@
 """Frozen value classes.  `node` builds every immutable value class of the
-package: process terms, operator descriptors, programs and measure records.
+package but `MemState`: terms, descriptors, programs and measure records.
 A node hashes its compared fields when it is built, not at its first
 `hash()`, so they must be hashable then (tuples, frozensets, functions; a
 list raises `TypeError`).  Nodes do not pickle or copy.

@@ -9,6 +9,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+import ramproc
 from ramproc.complexity import CheckRow, MeasureReport, Verdict
 from ramproc.machines import HALT, Jmp, Op, Program, RunResult
 from ramproc.memory import MemState
@@ -63,15 +64,11 @@ def test_error_messages_embed_reprs():
     assert str(e.value) == "not an instruction operator: RegionInfo(registers=frozenset({1}))"
 
 
-def _ramproc_modules():
-    import ramproc
-    return [importlib.import_module("ramproc." + m.name)
-            for m in pkgutil.iter_modules(ramproc.__path__)]
-
-
 def test_one_value_class_builder():
     """Every value class is built by `nodes.node`; none by `dataclass()`."""
-    built = [(mod.__name__, name) for mod in _ramproc_modules()
+    modules = [importlib.import_module("ramproc." + m.name)
+               for m in pkgutil.iter_modules(ramproc.__path__)]
+    built = [(mod.__name__, name) for mod in modules
              for name, cls in vars(mod).items()
              if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__")]
     assert built == []
