@@ -836,9 +836,12 @@ def test_vector_path_compiles_without_unfolding(monkeypatch, build):
     (_NOT_LINEAR, Valuation.make({"RM": MemState({0: "0"})})),
     # Z is not linear, and no step reaches it
     (_rec(("A", _then(Act("a"), "A")), ("Z", Seq(Act("z"), Var("A")))), Valuation()),
+    # Z guards on RM, which rho does not bind, and no step reaches it
+    (_rec(("A", _then(Act("a"), "A")), ("Z", Guard(_IS_ONE, Seq(Act("z"), Var("A"))))),
+     Valuation.make({"x": MemState({0: "1"})})),
 ], ids=["action-leaf", "unbound-read", "unsorted-names", "no-valuation",
         "eval-body", "loop", "par-with-loop", "unguarded", "par-with-unguarded", "not-linear",
-        "unreachable-not-linear"])
+        "unreachable-not-linear", "unreachable-unbound-read"])
 def test_other_terms_stay_on_the_term_path(term, rho):
     root = Eval(rho, term) if rho is not None else term
     assert semantics._machine_tree(root) is None
