@@ -5,8 +5,6 @@ A node hashes its compared fields when it is built, not at its first
 list raises `TypeError`).  Nodes do not pickle or copy.
 """
 
-from dataclasses import FrozenInstanceError
-
 
 def node(cls):
     """Build the slotted, frozen node class that `cls` declares by
@@ -85,6 +83,7 @@ def _node_repr(self):
 
 
 def _frozen(self, name, *value):
+    from dataclasses import FrozenInstanceError  # loaded only when a node is changed
     raise FrozenInstanceError("cannot %s field %r" % ("assign to" if value else "delete", name))
 
 

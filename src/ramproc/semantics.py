@@ -416,9 +416,9 @@ def _machine_tree(root):
 
     root is one when it is Eval(rho, body), with body a Rec constant (a
     sequential machine) or a tree of Par and SyncMerge nodes over Rec
-    leaves (a composition), each of whose equations passes
-    `T.validate_linear`, that reads only variables of rho, and rho's names
-    sorted and distinct.  In the tree a leaf is its position in the
+    leaves (a composition), each of whose specs has a `T.linear_form` that
+    reads only variables of rho, and rho's names sorted and distinct.  Every
+    equation counts, reached or not.  In the tree a leaf is its position in the
     state vector, and a merge is (l, r, bit), where bit is the position of
     a SyncMerge's bit and None for a Par; a lone leaf is the whole tree.
     """
@@ -426,9 +426,9 @@ def _machine_tree(root):
         return None
     body, names = root.body, root.rho.names()
     leaves = [body] if type(body) is T.Rec else list(T.flatten(body, _MERGES))
-    if (list(names) != sorted(set(names)) or any(type(u) is not T.Rec for u in leaves)
-            or not all(T.validate_linear(e) for u in leaves for _, e in u.spec.equations)
-            or not flexvars_term(body) <= set(names)):
+    forms = [T.linear_form(u.spec) for u in leaves if type(u) is T.Rec]
+    if (list(names) != sorted(set(names)) or len(forms) < len(leaves)
+            or not all(form and form[1].issubset(names) for form in forms)):
         return None
     slots, bits = count(len(names)), count(len(names) + len(leaves))
     return _positions(body, slots, bits), leaves, next(bits) - len(names) - len(leaves)
@@ -452,7 +452,10 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
         mems.append([m])
         mem_ids.append({m: 0})
     comps, comp_ids = [], {}  # id -> term, and back
-    summands, reads = [], []  # per id: summands (None until it steps), read key
+    summands = []  # per id: summands, None until it steps
+    # leaf position -> getter of the memo key: the component id, the memories the spec reads
+    reads = {pos: itemgetter(pos, *[mem_at[x] for x in sorted(T.linear_form(u.spec)[1])])
+             for pos, u in enumerate(leaves, len(names))}
     single = type(tree) is int  # a sequential machine: one leaf, no merges
     leaf_memo = {}
 
@@ -462,9 +465,6 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
             cid = comp_ids[u] = len(comps)
             comps.append(u)
             summands.append(None)
-            if not single:
-                rs = [mem_at[x] for x in sorted(flexvars_term(u)) if x in mem_at]
-                reads.append(itemgetter(*rs) if rs else lambda v: ())
         return cid
 
     def mem_id(i, m):
@@ -496,8 +496,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     def memo_leaf(node, v):
         """`leaf`, memoized on the component and the memories it reads.  A
         lone leaf meets each state once, so it goes without."""
-        cid = v[node]
-        key = (node, cid, reads[cid](v))
+        key = (node, reads[node](v))
         hit = leaf_memo.get(key)
         if hit is None:
             hit = leaf_memo[key] = leaf(node, v)
@@ -576,8 +575,8 @@ def _tree_term(node, v, comps):
 
 def _compile(u, mem_at, mems, valuation, intern, mem_id):
     """Component u's summands in `_RULES` order, u a recursion constant of
-    a linear spec or `eps` before one, read from u's equation by
-    `T.linear_summands`.  A summand is (condition, label maker, successor
+    a linear spec or `eps` before one, taken from the spec's `T.linear_form`
+    kept by `_machine_tree`.  A summand is (condition, label maker, successor
     id): the condition is a test of the state vector (None when it is
     True), the maker gives the label and the memory changes of the move,
     and both are None in a success summand.  A prefix into Y leads to
@@ -616,7 +615,7 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
     def label(a):
         """The maker for prefix a, an atomic or silent action."""
         if type(a) is T.Assign:
-            var, i, x, mentions = a.var, mem_at[a.var], data(a.e), a._flexvars or flexvars_term(a)
+            var, i, x, mentions = a.var, mem_at[a.var], data(a.e), a._flexvars
 
             def assign(v):
                 m = x(v)
@@ -631,7 +630,7 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
     consts = T._rec_constants(u.spec)
     return [(cond(c), None, None) if a is None
             else (cond(c), label(a), intern(T.Seq(T.EPS, consts[y])))
-            for c, a, y in T.linear_summands(u.spec.rhs(u.var))]
+            for c, a, y in T.linear_form(u.spec)[0][u.var]]
 
 
 class _StateTerms(Sequence):

@@ -526,6 +526,8 @@ class RecSpec:
     _unfolded: dict
     # the flexible variables of all right-hand sides, filled in by `flexvars_term`
     _flexvars: frozenset
+    # `linear_form(self)`, filled in by its first call
+    _linear: object
     # the equations as `syntax.format_term` prints them, filled in by it
     _text: str
 
@@ -762,9 +764,17 @@ def linear_summands(t):
     return out
 
 
-def validate_linear(t) -> bool:
-    """True iff t is linear (see `linear_summands`)."""
-    return linear_summands(t) is not None
+def linear_form(E: RecSpec):
+    """(summands, reads) of spec E, or False when a right-hand side is not
+    linear: each variable's `linear_summands`, and the `flexvars_term` of their
+    conditions and prefixes.  Kept in E's `_linear`; fills `Assign._flexvars`."""
+    if E._linear is None:
+        summands = {name: linear_summands(rhs) for name, rhs in E.equations}
+        linear = None not in summands.values()
+        reads = [flexvars_term(x) for ss in summands.values() if linear
+                 for c, a, _ in ss for x in (c, a) if x is not None]
+        object.__setattr__(E, "_linear", linear and (summands, frozenset().union(*reads)))
+    return E._linear
 
 
 def flatten(t, node):
@@ -779,12 +789,12 @@ def flatten(t, node):
 def validate_guarded(E: RecSpec) -> bool:
     """A linear spec is guarded when no cycle of silent-prefixed summands
     exists: edges X -> Y for summands of shape (cond :-> tau . Y)."""
-    edges = {}
-    for name, rhs in E.equations:
-        summands = linear_summands(rhs)
-        if summands is None:
-            raise ValueError("right-hand side for %s is not linear" % (name,))
-        edges[name] = {y for _, a, y in summands if type(a) is Silent}
+    form = linear_form(E)
+    if form is False:
+        name = next(n for n, rhs in E.equations if linear_summands(rhs) is None)
+        raise ValueError("right-hand side for %s is not linear" % (name,))
+    edges = {name: {y for _, a, y in summands if type(a) is Silent}
+             for name, summands in form[0].items()}
     try:  # the tau-edge graph has a topological order iff it has no cycle
         TopologicalSorter(edges).prepare()
     except CycleError:

@@ -4,7 +4,10 @@ with `%r`, so their reprs are pinned here, and every one of them is built
 by `nodes.node`."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -91,3 +94,14 @@ def test_value_classes_are_frozen_slotted_nodes(make, match_args):
     with pytest.raises(FrozenInstanceError):
         delattr(x, match_args[0])
     assert x == y
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # `FrozenInstanceError` is imported when a node is changed, so start-up
+    # does not load `dataclasses` (nor `inspect` with it)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ramproc.__file__)))
+    code = ("import sys; before = 'dataclasses' in sys.modules; import ramproc.cli; "
+            "print(before, 'dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False False False\n"

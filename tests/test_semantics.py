@@ -821,6 +821,67 @@ def test_vector_path_compiles_without_unfolding(monkeypatch, build):
     assert _mentions(fast) == _mentions(slow)
 
 
+def _leaf_specs(term):
+    """The distinct specs of the recursion constants in term, in walk order."""
+    specs, todo = [], [term]
+    while todo:
+        u = todo.pop()
+        if type(u) is Rec and all(u.spec is not s for s in specs):
+            specs.append(u.spec)
+        todo.extend(T.children(u))
+    return specs
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"}),
+    lambda: _apramp([_WRITER, _BRANCHER]),
+    lambda: _spramp([_WRITER, _BRANCHER, _READER]),
+    lambda: (proc_of_bbram(parse_program(sample_terms.ADDITION_PROGRAM)), None),
+], ids=["sequential", "apramp", "spramp", "check"])
+def test_machine_specs_are_read_once(monkeypatch, build):
+    # each spec's linear form is read once and kept on the spec: the
+    # vector path reads no equation twice, and no read set from semantics
+    from ramproc.complexity import FunctionSpec, all_inputs, check_computes
+    from test_complexity import _add_oracle
+
+    term, rho = build()
+    equations = sum(len(spec.equations) for spec in _leaf_specs(term))
+    calls = {"linear_summands": 0, "flexvars_term": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    counted(T, "linear_summands")
+    counted(semantics, "flexvars_term")
+    if rho is None:  # `check` over 49 inputs, each explored on vectors
+        assert check_computes(term, FunctionSpec(2, _add_oracle, all_inputs(2, 2))).all_pass
+        assert calls == {"linear_summands": equations, "flexvars_term": 0}
+        return
+    first = build_lts(term, rho)
+    assert type(first.states) is semantics._StateTerms
+    assert calls == {"linear_summands": equations, "flexvars_term": 0}
+    again = build_lts(term, rho)
+    assert calls == {"linear_summands": equations, "flexvars_term": 0}
+    assert again.transitions == first.transitions
+
+
+def test_linear_form_reads_what_flexvars_term_reads():
+    checked = 0
+    for label, (term, rho, max_states, gamma) in _corpus_inputs():
+        for spec in _leaf_specs(term):
+            form = T.linear_form(spec)
+            if form is not False:
+                assert form[1] == T.flexvars_term(Rec(spec.vars()[0], spec)), label
+                assert list(form[0]) == list(spec.vars())
+                checked += 1
+    assert checked == 286
+    assert T.linear_form(_LOOP.spec) is False and T.linear_form(_NOT_LINEAR.spec) is False
+
+
 @pytest.mark.parametrize("term, rho", [
     (Par(_DIV, Act("a")), Valuation.make({"RM": EMPTY_MEM})),
     (Par(_DIV, _DIV), Valuation.make({"RM_1": EMPTY_MEM})),

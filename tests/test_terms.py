@@ -212,13 +212,13 @@ def test_canonical_rename():
 
 
 def test_validate_linear():
-    assert T.validate_linear(DELTA)
-    assert T.validate_linear(Guard(TRUE, EPS))
-    assert T.validate_linear(Guard(TRUE, Seq(Act("a"), Var("X"))))
-    assert T.validate_linear(Alt(Guard(TRUE, EPS), Guard(T.FALSE, Seq(TAU, Var("X")))))
-    assert not T.validate_linear(EPS)
-    assert not T.validate_linear(Seq(Act("a"), Var("X")))
-    assert not T.validate_linear(Guard(TRUE, Seq(Act("a"), Act("b"))))
+    assert T.linear_summands(DELTA) is not None
+    assert T.linear_summands(Guard(TRUE, EPS)) is not None
+    assert T.linear_summands(Guard(TRUE, Seq(Act("a"), Var("X")))) is not None
+    assert T.linear_summands(Alt(Guard(TRUE, EPS), Guard(T.FALSE, Seq(TAU, Var("X"))))) is not None
+    assert T.linear_summands(EPS) is None
+    assert T.linear_summands(Seq(Act("a"), Var("X"))) is None
+    assert T.linear_summands(Guard(TRUE, Seq(Act("a"), Act("b")))) is None
 
 
 # A compiled machine: X1 jumps to X3 when register 1 holds 1 and falls
@@ -244,7 +244,8 @@ def _holds(bit):
 ], ids=["jmp", "op", "halt", "deadlock", "alt-deadlock", "seq-prefix", "unguarded-success"])
 def test_linear_summands(t, want):
     assert T.linear_summands(t) == want
-    assert T.validate_linear(t) == (want is not None)
+    form = T.linear_form(RecSpec((("X", t), ("X2", DELTA), ("X3", DELTA))))
+    assert (form is False) if want is None else (form[0]["X"] == want)
 
 
 def test_long_linear_right_hand_sides_validate():
@@ -252,7 +253,7 @@ def test_long_linear_right_hand_sides_validate():
     rhs = Guard(TRUE, EPS)
     for k in range(3000):
         rhs = Alt(rhs, Guard(TRUE, Seq(Act("a%d" % k), Var("X"))))
-    assert T.validate_linear(rhs)
+    assert len(T.linear_form(RecSpec((("X", rhs),)))[0]["X"]) == 3001
     assert T.validate_guarded(RecSpec((("X", rhs),)))
     assert len(T.linear_summands(rhs)) == 3001
 
