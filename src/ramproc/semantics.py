@@ -453,10 +453,10 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
         mem_ids.append({m: 0})
     comps, comp_ids = [], {}  # id -> term, and back
     summands = []  # per id: summands, None until it steps
+    single = type(tree) is int  # a sequential machine: one leaf, no merges
     # leaf position -> getter of the memo key: the component id, the memories the spec reads
     reads = {pos: itemgetter(pos, *[mem_at[x] for x in sorted(T.linear_form(u.spec)[1])])
-             for pos, u in enumerate(leaves, len(names))}
-    single = type(tree) is int  # a sequential machine: one leaf, no merges
+             for pos, u in enumerate(leaves, len(names)) if not single}
     leaf_memo = {}
 
     def intern(u):

@@ -766,14 +766,14 @@ def linear_summands(t):
 
 def linear_form(E: RecSpec):
     """(summands, reads) of spec E, or False when a right-hand side is not
-    linear: each variable's `linear_summands`, and the `flexvars_term` of their
-    conditions and prefixes.  Kept in E's `_linear`; fills `Assign._flexvars`."""
+    linear: each variable's `linear_summands`, and E's kept `_flexvars`, or the
+    set walked from their conditions and prefixes, filling `Assign._flexvars`."""
     if E._linear is None:
         summands = {name: linear_summands(rhs) for name, rhs in E.equations}
-        linear = None not in summands.values()
-        reads = [flexvars_term(x) for ss in summands.values() if linear
-                 for c, a, _ in ss for x in (c, a) if x is not None]
-        object.__setattr__(E, "_linear", linear and (summands, frozenset().union(*reads)))
+        reads = E._flexvars if E._flexvars is not None else frozenset().union(*[
+            flexvars_term(x) for ss in summands.values() for c, a, _ in ss or ()
+            for x in (c, a) if x is not None])
+        object.__setattr__(E, "_linear", None not in summands.values() and (summands, reads))
     return E._linear
 
 

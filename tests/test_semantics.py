@@ -873,7 +873,7 @@ def test_linear_form_reads_what_flexvars_term_reads():
     checked = 0
     for label, (term, rho, max_states, gamma) in _corpus_inputs():
         for spec in _leaf_specs(term):
-            form = T.linear_form(spec)
+            form = T.linear_form(RecSpec(spec.equations))  # a copy that keeps no read set
             if form is not False:
                 assert form[1] == T.flexvars_term(Rec(spec.vars()[0], spec)), label
                 assert list(form[0]) == list(spec.vars())
