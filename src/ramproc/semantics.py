@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
+from functools import partial
 from itertools import count
 from operator import add, itemgetter
 
@@ -111,7 +112,7 @@ def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
         success, moves = _RULES[type(t)](t, env, gamma)
     except RecursionError:
         raise _too_deep(t) from None
-    return success, _dedup(moves)
+    return success, tuple(dict.fromkeys(moves))
 
 
 # The one-step rules, one function per process-term class, all called as
@@ -279,16 +280,6 @@ _RULES = T.ByClass(_stuck, {
 })
 
 
-def _dedup(moves):
-    seen = set()
-    out = []
-    for mv in moves:
-        if mv not in seen:
-            seen.add(mv)
-            out.append(mv)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Transition systems
 
@@ -358,11 +349,17 @@ def _too_deep(t):
 
 
 def _height(t):
-    """The number of operator levels of t, counted without recursion."""
+    """The number of operator levels of t, counted without recursion: its
+    children, and the conditions and data expressions the rules evaluate."""
     height, todo = {}, [t]
     while todo:
         u = todo[-1]
-        kids = T.children(u) if type(u) in _RULES else ()
+        cls = type(u)
+        kids = [getattr(u, f) for f in T._READ_FIELDS.get(cls, ())]
+        if cls is T.DataAct:
+            kids += u.args
+        elif cls in _RULES:
+            kids += T.children(u)
         deeper = [c for c in kids if id(c) not in height]
         if deeper:
             todo += deeper
@@ -373,15 +370,24 @@ def _height(t):
 
 def _build_terms(root, max_states, gamma) -> Lts:
     """`build_lts` on terms: breadth first over the step rules."""
+    return _explore(root, lambda t: _RULES[type(t)](t, EMPTY_VALUATION, gamma), max_states)
+
+
+def _explore(first, moves, max_states) -> Lts:
+    """The LTS reachable from state first, breadth first: moves(s) gives s's
+    success and its (label, successor) moves in rule order, which are
+    deduplicated as they come, keeping first occurrences, as `step` does.
+    A new state past max_states marks the LTS exploded and ends the walk."""
     l = Lts()
-    states, index, outs = l.states, {root: 0}, []
-    states.append(root)
-    for sid, t in enumerate(states):  # grows while it is walked
-        succ, moves = _RULES[type(t)](t, EMPTY_VALUATION, gamma)
+    states, index, outs, transitions = l.states, {first: 0}, [], l.transitions
+    states.append(first)
+    for sid, s in enumerate(states):  # grows while it is walked
+        succ, ms = moves(s)
         if succ:
             l.success.add(sid)
         outs.append(out := [])
-        for lab, u in _dedup(moves):
+        seen = {}  # successor's number -> its labels so far
+        for lab, u in ms:
             dst = index.get(u)
             if dst is None:
                 if len(states) >= max_states:
@@ -389,7 +395,11 @@ def _build_terms(root, max_states, gamma) -> Lts:
                     return l
                 dst = index[u] = len(states)
                 states.append(u)
-            l.transitions.append((sid, lab, dst))
+            labs = seen.setdefault(dst, [])
+            if lab in labs:
+                continue
+            labs.append(lab)
+            transitions.append((sid, lab, dst))
             out.append((lab, dst))
     l._out = outs
     return l
@@ -404,8 +414,8 @@ def _build_terms(root, max_states, gamma) -> Lts:
 # assignments then read the memories straight from the vector.  In a
 # composition, leaf steps are memoized on the component id and the memory
 # ids of what it reads; merges combine their operands' moves as `_par` and
-# `_sync_merge` do, so the moves, their order and deduplication are
-# `_build_terms`'s.
+# `_sync_merge` do.  Each state's moves thus come in the step rules' order,
+# and `_explore` numbers the vectors as it numbers the terms.
 
 _MERGES = (T.Par, T.SyncMerge)
 _COMMUNICATING = frozenset((Plain, DataAction))  # the labels `_communicate` can pair
@@ -444,7 +454,7 @@ def _positions(t, slots, bits):
 
 
 def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
-    """`_build_terms` for a machine, on state vectors."""
+    """`_build_terms` for a machine: `_explore` on state vectors."""
     names = root.rho.names()
     mem_at, mems, mem_ids = {}, [], []  # per variable: position, id -> memory, and back
     for i, (x, m) in enumerate(root.rho.entries):
@@ -494,57 +504,42 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
         return succ, out
 
     def memo_leaf(node, v):
-        """`leaf`, memoized on the component and the memories it reads.  A
-        lone leaf meets each state once, so it goes without."""
+        """`leaf`, memoized on the component and the memories it reads."""
         key = (node, reads[node](v))
         hit = leaf_memo.get(key)
         if hit is None:
             hit = leaf_memo[key] = leaf(node, v)
         return hit
 
-    def term(v):
-        return T.Eval(valuation(v), _tree_term(tree, v, comps))
+    # a lone leaf meets each state once, so it steps without the memo or the tree walk
+    step = partial(leaf, tree) if single else partial(_tree_moves, memo_leaf, gamma, tree)
 
-    vectors = [(0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs]
-    l = Lts()
-    l.states = _StateTerms(vectors, term, valuation)
-    index, outs = {vectors[0]: 0}, []
-    for sid, v in enumerate(vectors):  # grows while it is walked
-        succ, ms = leaf(tree, v) if single else _tree_moves(tree, v, memo_leaf, gamma)
-        if succ:
-            l.success.add(sid)
-        outs.append(out := [])
-        seen = {}  # vector -> its labels so far
+    def moves(v):
+        succ, ms = step(v)
+        out = []
         for lab, ch in ms:
             w = list(v)
             for pos, val in ch:
                 w[pos] = val
-            w = tuple(w)
-            labs = seen.setdefault(w, [])
-            if lab in labs:
-                continue
-            labs.append(lab)
-            dst = index.get(w)
-            if dst is None:
-                if len(vectors) >= max_states:
-                    l.exploded = True
-                    return l
-                dst = index[w] = len(vectors)
-                vectors.append(w)
-            l.transitions.append((sid, lab, dst))
-            out.append((lab, dst))
-    l._out = outs
+            out.append((lab, tuple(w)))
+        return succ, out
+
+    def term(v):
+        return T.Eval(valuation(v), _tree_term(tree, v, comps))
+
+    first = (0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs
+    l = _explore(first, moves, max_states)
+    l.states = _StateTerms(l.states, term, valuation)
     return l
 
 
-def _tree_moves(node, v, leaf, gamma):
-    """(success, moves) of a tree node in state v, each move a label and the
-    (position, value) changes it makes to v; `leaf` steps the leaves."""
-    if type(node) is int:
-        return leaf(node, v)
+def _tree_moves(leaf, gamma, node, v):
+    """(success, moves) of a merge node in state v, each move a label and the
+    (position, value) changes it makes to v; `leaf` steps the leaves.  v
+    comes last so that `partial` can bind the rest."""
     l, r, bit = node
-    sl, ml = _tree_moves(l, v, leaf, gamma)
-    sr, mr = _tree_moves(r, v, leaf, gamma)
+    sl, ml = leaf(l, v) if type(l) is int else _tree_moves(leaf, gamma, l, v)
+    sr, mr = leaf(r, v) if type(r) is int else _tree_moves(leaf, gamma, r, v)
     if bit is not None:
         rename = _SYNC_RENAME.apply_label
         ml = [(rename(a), ch) for a, ch in ml]

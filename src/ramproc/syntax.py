@@ -399,12 +399,23 @@ def _nesting(toks):
 
 def _acts_to_vars(t, names):
     """Equation bodies are parsed before variable names are known; rewrite
-    plain actions that name an equation into variable occurrences."""
-    if isinstance(t, T.Act) and t.name in names:
-        return T.Var(t.name)
-    if isinstance(t, T.Rec):
-        return t  # inner spec binds its own names
-    return T.with_children(t, [_acts_to_vars(c, names) for c in T.children(t)])
+    plain actions that name an equation into variable occurrences.  Inner
+    specs bind their own names and are kept.  The walk keeps its own stack,
+    so a body of any length is rewritten."""
+    done, todo = {}, [t]  # id of a subterm -> its rewrite
+    while todo:
+        u = todo[-1]
+        kids = () if isinstance(u, (T.Act, T.Rec)) else T.children(u)
+        deeper = [c for c in kids if id(c) not in done]
+        if deeper:
+            todo += deeper
+            continue
+        todo.pop()
+        if isinstance(u, T.Act) and u.name in names:
+            done[id(u)] = T.Var(u.name)
+        else:
+            done[id(u)] = T.with_children(u, [done[id(c)] for c in kids]) if kids else u
+    return done[id(t)]
 
 
 # ---------------------------------------------------------------------------

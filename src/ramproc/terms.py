@@ -87,44 +87,24 @@ class Apply2:
 
 
 def eval_data(e, rho: "Valuation") -> MemState:
-    return _DATA[type(e)](e, rho)
-
-
-# One function per data-expression class; each evaluates its operands
-# through `_DATA` itself.
-
-def _flex_var(e, rho):
-    return rho.get(e.name)
-
-
-def _mem_literal(e, rho):
-    return e.mem
-
-
-def _upd(e, rho):
-    b = e.base
-    return _DATA[type(b)](b, rho).set(e.idx, e.val)
-
-
-def _apply1(e, rho):
-    if isinstance(e.op, Ini):
-        return apply_ini(e.op.i)
-    x = e.e
-    return apply_op(e.op, _DATA[type(x)](x, rho))
-
-
-def _apply2(e, rho):
-    p, q = e.e_priv, e.e_shared
-    return apply_shared(e.op, _DATA[type(p)](p, rho), _DATA[type(q)](q, rho))
-
-
-def _not_data(e, rho):
+    """The memory e denotes under rho.  Each level of e costs one frame."""
+    cls = type(e)
+    if cls is FlexVar:
+        return rho.get(e.name)
+    if cls is MemLiteral:
+        return e.mem
+    if cls is Upd:
+        return eval_data(e.base, rho).set(e.idx, e.val)
+    if cls is Apply1:
+        if isinstance(e.op, Ini):
+            return apply_ini(e.op.i)
+        return apply_op(e.op, eval_data(e.e, rho))
+    if cls is Apply2:
+        return apply_shared(e.op, eval_data(e.e_priv, rho), eval_data(e.e_shared, rho))
     raise ValueError("not a data expression: %r" % (e,))
 
 
-_DATA = ByClass(_not_data, {
-    FlexVar: _flex_var, MemLiteral: _mem_literal, Upd: _upd, Apply1: _apply1, Apply2: _apply2,
-})
+_DATA = frozenset((FlexVar, MemLiteral, Upd, Apply1, Apply2))  # the data-expression classes
 
 
 # ---------------------------------------------------------------------------
@@ -190,57 +170,28 @@ FALSE = FalseC()
 
 
 def eval_cond(c, rho: "Valuation") -> bool:
-    return _COND[type(c)](c, rho)
-
-
-# One function per condition class, dispatching on operands like `_DATA`.
-
-def _true(c, rho):
-    return True
-
-
-def _false(c, rho):
-    return False
-
-
-def _prop_atom(c, rho):
-    e = c.e
-    return apply_prop(c.p, _DATA[type(e)](e, rho)) == c.expected
-
-
-def _data_eq(c, rho):
-    e1, e2 = c.e1, c.e2
-    return _DATA[type(e1)](e1, rho) == _DATA[type(e2)](e2, rho)
-
-
-def _not(c, rho):
-    x = c.c
-    return not _COND[type(x)](x, rho)
-
-
-def _and(c, rho):
-    l, r = c.l, c.r
-    return _COND[type(l)](l, rho) and _COND[type(r)](r, rho)
-
-
-def _or(c, rho):
-    l, r = c.l, c.r
-    return _COND[type(l)](l, rho) or _COND[type(r)](r, rho)
-
-
-def _implies(c, rho):
-    l, r = c.l, c.r
-    return (not _COND[type(l)](l, rho)) or _COND[type(r)](r, rho)
-
-
-def _not_cond(c, rho):
+    """Whether c holds under rho.  Each level of c costs one frame."""
+    cls = type(c)
+    if cls is TrueC:
+        return True
+    if cls is PropAtom:
+        return apply_prop(c.p, eval_data(c.e, rho)) == c.expected
+    if cls is And:
+        return eval_cond(c.l, rho) and eval_cond(c.r, rho)
+    if cls is Not:
+        return not eval_cond(c.c, rho)
+    if cls is Or:
+        return eval_cond(c.l, rho) or eval_cond(c.r, rho)
+    if cls is Implies:
+        return (not eval_cond(c.l, rho)) or eval_cond(c.r, rho)
+    if cls is DataEq:
+        return eval_data(c.e1, rho) == eval_data(c.e2, rho)
+    if cls is FalseC:
+        return False
     raise ValueError("not a condition: %r" % (c,))
 
 
-_COND = ByClass(_not_cond, {
-    TrueC: _true, FalseC: _false, PropAtom: _prop_atom, DataEq: _data_eq,
-    Not: _not, And: _and, Or: _or, Implies: _implies,
-})
+_COND = frozenset((TrueC, FalseC, PropAtom, DataEq, Not, And, Or, Implies))  # the condition classes
 
 
 # ---------------------------------------------------------------------------

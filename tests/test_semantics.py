@@ -1026,6 +1026,18 @@ def test_too_deep_terms_raise_a_semantics_error(explore):
     assert str(info.value).startswith("term too deep to explore: it nests 2001 operators")
 
 
+@pytest.mark.parametrize("explore", [step, build_lts], ids=["step", "build_lts"])
+def test_too_deep_conditions_count_their_levels(explore):
+    # the count takes in the conditions and data the rules evaluate, not
+    # only the process-term levels
+    cond = T.TRUE
+    for _ in range(3000):
+        cond = T.And(cond, T.TRUE)
+    with pytest.raises(SemanticsError) as info:
+        explore(Guard(cond, EPS))
+    assert str(info.value).startswith("term too deep to explore: it nests 3002 operators")
+
+
 def test_rule_table_covers_every_process_term_class():
     from ramproc.semantics import _RULES
 

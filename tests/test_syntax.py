@@ -182,6 +182,14 @@ def test_long_chains_print_and_read_back(n):
     assert format_term(right) == "a . " + "(a . " * (n - 2) + "a" + ")" * (n - 2)
     with pytest.raises(ParseError, match="nests too deeply"):
         parse_term(format_term(right))
+    # a rec body's actions are renamed to variables without recursion too
+    body = Act("a")
+    for _ in range(n - 1):
+        body = Seq(body, Act("a"))
+    rec = T.Rec("X", T.RecSpec((("X", Seq(body, T.Var("X"))),)))
+    text = format_term(rec)
+    assert text == "rec X {X = %s . X}" % " . ".join(["a"] * n)
+    assert parse_term(text) == rec
 
 
 def test_deep_prefixes_and_wrappers_print():

@@ -563,3 +563,14 @@ def test_eval_error_messages_pinned(evaluate, e, message):
     with pytest.raises(ValueError) as info:
         evaluate(e, Valuation())
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_deep_chains_evaluate():
+    # each condition and data level costs the evaluators one Python frame;
+    # 900 levels stay inside the default recursion limit only if none adds a second
+    conj, neg, upd = TRUE, TRUE, MemLiteral(EMPTY_MEM)
+    for k in range(900):
+        conj, neg, upd = T.And(conj, TRUE), T.Not(neg), T.Upd(upd, k % 5, "1")
+    assert T.eval_cond(conj, Valuation()) is True
+    assert T.eval_cond(neg, Valuation()) is True
+    assert T.eval_data(upd, Valuation()) == MemState({i: "1" for i in range(5)})
