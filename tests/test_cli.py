@@ -425,3 +425,115 @@ def test_oracle_asked_out_of_hint_order(tmp_path, monkeypatch, popens):
     assert popens.peak == 2
     assert all(p.returncode is not None for p in popens)
     assert reads.read_text().splitlines() == ["e e", "1 1", "1 e"]
+
+
+def test_mem_does_not_leak_between_calls(tmp_path, capsys):
+    prog = _write(tmp_path, "halt.rp", "halt\n")
+    mem = _write(tmp_path, "rm.mem", "1=1\n")
+    assert main(["run", prog, "--mem", "RM=%s" % mem]) == 0
+    assert "final memory: RM = [1:1]\n" in capsys.readouterr().out
+    assert main(["run", prog]) == 0
+    assert "final memory: RM = []\n" in capsys.readouterr().out
+
+
+# argparse's text at 80 columns; every usage error exits 2
+_USAGE = "usage: ramproc [-h] {compile,run,measure,check} ...\n"
+_RUN_USAGE = """\
+usage: ramproc run [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
+                   [--max-states MAX_STATES] [--fuel FUEL] [--lts PATH]
+                   [--format {json,dot}]
+                   FILE [FILE ...]
+"""
+_MEASURE_USAGE = """\
+usage: ramproc measure [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
+                       [--max-states MAX_STATES] --measure
+                       {aputm,apwm,sputm,spwm,sutm,swm}
+                       FILE [FILE ...]
+"""
+_FILES_HELP = """
+positional arguments:
+  FILE                  program file(s); numbered 1..n in order for parallel
+                        models
+
+options:
+  -h, --help            show this help message and exit
+  --model {ramp,apramp,spramp}
+"""
+_MEMS_HELP = """\
+  --mem NAME=FILE       initial memory for a flexible variable (repeatable)
+  --max-states MAX_STATES
+"""
+_HELP = {
+    "ramproc": _USAGE + """
+Compile register-machine programs to process terms, run them, and measure step
+counts.
+
+positional arguments:
+  {compile,run,measure,check}
+    compile             print the compiled process term
+    run                 run via the operational semantics
+    measure             compute a step-count measure
+    check               check computation of a function against an oracle
+                        command
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "compile": """\
+usage: ramproc compile [-h] [--model {ramp,apramp,spramp}] [--inverse]
+                       FILE [FILE ...]
+""" + _FILES_HELP + """\
+  --inverse             read a sequential-machine term and print its program
+""",
+    "run": _RUN_USAGE + _FILES_HELP + _MEMS_HELP + """\
+  --fuel FUEL           also run the direct interpreter this many steps
+                        (sequential model)
+  --lts PATH            export the explored transition system
+  --format {json,dot}
+""",
+    "measure": _MEASURE_USAGE + _FILES_HELP + _MEMS_HELP + """\
+  --measure {aputm,apwm,sputm,spwm,sutm,swm}
+""",
+    "check": """\
+usage: ramproc check [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
+                     [--max-states MAX_STATES] --oracle CMD [--arity ARITY]
+                     [--max-len MAX_LEN] [--bound A*n+B]
+                     FILE [FILE ...]
+""" + _FILES_HELP + _MEMS_HELP + """\
+  --oracle CMD          command reading space-separated bit strings ('e' for
+                        empty) on stdin, printing the result or 'undef'
+  --arity ARITY
+  --max-len MAX_LEN
+  --bound A*n+B         affine step bound on total input length
+""",
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["-h"], 0, _HELP["ramproc"], ""),
+    (["compile", "-h"], 0, _HELP["compile"], ""),
+    (["run", "-h"], 0, _HELP["run"], ""),
+    (["measure", "-h"], 0, _HELP["measure"], ""),
+    (["check", "-h"], 0, _HELP["check"], ""),
+    ([], 2, "", _USAGE + "ramproc: error: the following arguments are required: command\n"),
+    (["frob"], 2, "", _USAGE + "ramproc: error: argument command: invalid choice: 'frob' "
+                               "(choose from 'compile', 'run', 'measure', 'check')\n"),
+    (["run", "p.rp", "--model", "bogus"], 2, "",
+     _RUN_USAGE + "ramproc run: error: argument --model: invalid choice: 'bogus' "
+                  "(choose from 'ramp', 'apramp', 'spramp')\n"),
+    (["run", "p.rp", "--max-states", "x"], 2, "",
+     _RUN_USAGE + "ramproc run: error: argument --max-states: invalid int value: 'x'\n"),
+    (["measure", "p.rp"], 2, "",
+     _MEASURE_USAGE + "ramproc measure: error: the following arguments are required: --measure\n"),
+], ids=["help", "compile-help", "run-help", "measure-help", "check-help", "no-subcommand",
+        "unknown-subcommand", "bad-model", "bad-max-states", "measure-without-measure"])
+def test_argparse_output_pinned(tmp_path, capsys, monkeypatch, argv, code, out, err):
+    # the same text every time in one process, with a successful run between
+    monkeypatch.setenv("COLUMNS", "80")
+    prog = _write(tmp_path, "halt.rp", "halt\n")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert (exit_.value.code, *capsys.readouterr()) == (code, out, err)
+        assert main(["run", prog]) == 0
+        capsys.readouterr()
