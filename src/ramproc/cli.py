@@ -9,6 +9,7 @@ stopped at the state cap before the question was settled.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
@@ -248,7 +249,11 @@ def cmd_check(args) -> int:
     return 1 if n_fail else 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and reused: parsing keeps
+    no state between calls, and help and errors look up the streams and the
+    terminal width when they print."""
     ap = argparse.ArgumentParser(
         prog="ramproc",
         description="Compile register-machine programs to process terms, run them, and measure step counts.",

@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -537,3 +538,32 @@ def test_argparse_output_pinned(tmp_path, capsys, monkeypatch, argv, code, out, 
         assert (exit_.value.code, *capsys.readouterr()) == (code, out, err)
         assert main(["run", prog]) == 0
         capsys.readouterr()
+
+
+_COUNT_PARSERS = """\
+import argparse, contextlib, io, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import ramproc.cli
+counts = [built]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert ramproc.cli.main(["run", sys.argv[1]]) == 0
+    counts.append(built)
+print(counts)
+"""
+
+
+def test_parser_built_once_and_not_at_import(tmp_path):
+    # the root parser and its four subparsers, on the first call only
+    prog = _write(tmp_path, "halt.rp", "halt\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", _COUNT_PARSERS, prog],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[0, 5, 5]\n"
