@@ -18,10 +18,9 @@ from operator import add, itemgetter
 from . import terms as T
 from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
-    EMPTY_VALUATION, Valuation, eval_cond, eval_data, flexvars_term, unfold,
+    EMPTY_VALUATION, Valuation, flexvars_term, read_valuation, unfold,
 )
 from .nodes import node
-from .ramops import Ini, compile_op, compile_prop, compile_shared
 
 
 class SemanticsError(ValueError):
@@ -93,11 +92,12 @@ def _communications(ml, mr, gamma):
     return moves
 
 
-def _eval_data(e, env):
+def _ground(x, env, what="data not ground"):
+    """x(env), x a compiled expression; an unbound variable is a SemanticsError."""
     try:
-        return eval_data(e, env)
+        return x(env)
     except LookupError as err:
-        raise SemanticsError("data not ground: %s" % err) from None
+        raise SemanticsError("%s: %s" % (what, err)) from None
 
 
 def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
@@ -145,12 +145,15 @@ def _act(t, env, gamma):
 
 
 def _data_act(t, env, gamma):
-    args = tuple(_eval_data(e, env) for e in t.args)
+    # compiled on every step: keeping the closures, as `_assign` does, measured no gain
+    args = tuple([_ground(T.compile_data(e, read_valuation), env) for e in t.args])
     return False, [(DataAction(t.name, args), T.EPS)]
 
 
 def _assign(t, env, gamma):
-    val = _eval_data(t.e, env)
+    if t._code is None:  # compiled on the node's first step, and kept
+        object.__setattr__(t, "_code", T.compile_data(t.e, read_valuation))
+    val = _ground(t._code, env)
     return False, [(Assignment(t.var, val, t._flexvars or flexvars_term(t)), T.EPS)]
 
 
@@ -196,11 +199,9 @@ def _comm_merge(t, env, gamma):
 
 
 def _guard(t, env, gamma):
-    try:
-        hold = eval_cond(t.cond, env)
-    except LookupError as err:
-        raise SemanticsError("condition not decidable without valuation: %s" % err) from None
-    if not hold:
+    if t._code is None:  # as in `_assign`
+        object.__setattr__(t, "_code", T.compile_cond(t.cond, read_valuation))
+    if not _ground(t._code, env, "condition not decidable without valuation"):
         return False, []
     b = t.body
     return _RULES[type(b)](b, env, gamma)
@@ -492,7 +493,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
         cid = v[node]
         ss = summands[cid]
         if ss is None:
-            ss = summands[cid] = _compile(comps[cid], mem_at, mems, valuation, intern, mem_id)
+            ss = summands[cid] = _compile(comps[cid], mem_at, mems, intern, mem_id)
         succ, out = False, []
         for hold, make, nxt in ss:
             if hold is None or hold(v):
@@ -568,7 +569,7 @@ def _tree_term(node, v, comps):
     return sync_merge_expand(l, r) if v[bit] else T.SyncMerge(l, r)
 
 
-def _compile(u, mem_at, mems, valuation, intern, mem_id):
+def _compile(u, mem_at, mems, intern, mem_id):
     """Component u's summands in `_RULES` order, u a recursion constant of
     a linear spec or `eps` before one, taken from the spec's `T.linear_form`
     kept by `_machine_tree`.  A summand is (condition, label maker, successor
@@ -576,11 +577,10 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
     True), the maker gives the label and the memory changes of the move,
     and both are None in a success summand.  A prefix into Y leads to
     `eps . Y` over the spec's constant for Y, the term the step rules
-    reach.  Memories are read from the vector through mem_at and mems, and
-    interned with mem_id; successors with intern.  Every variable u reads
-    is bound (`_machine_tree`), so no summand raises the unbound-variable
-    errors of `_guard` and `_eval_data`; any other error is the one
-    eval_cond or eval_data raises on the term path."""
+    reach.  Conditions and data are compiled as on terms, but read the
+    vector through mem_at and mems; memories are interned with mem_id,
+    successors with intern.  Every variable u reads is bound
+    (`_machine_tree`), so no summand raises an unbound-variable error."""
     if type(u) is T.Seq:
         u = u.r
 
@@ -588,43 +588,24 @@ def _compile(u, mem_at, mems, valuation, intern, mem_id):
         i, col = mem_at[x], mems[mem_at[x]]
         return lambda v: col[v[i]]
 
-    def data(e):
-        if type(e) is T.FlexVar:
-            return read(e.name)
-        if type(e) is T.Apply1 and type(e.e) is T.FlexVar and type(e.op) is not Ini:
-            k, x = compile_op(e.op), read(e.e.name)
-            return lambda v: k(x(v))
-        if type(e) is T.Apply2 and type(e.e_priv) is T.FlexVar is type(e.e_shared):
-            k, p, s = compile_shared(e.op), read(e.e_priv.name), read(e.e_shared.name)
-            return lambda v: k(p(v), s(v))
-        return lambda v: eval_data(e, valuation(v))
-
-    def cond(c):
-        if type(c) is T.TrueC:
-            return None
-        if type(c) is T.PropAtom:
-            k, x, bit = compile_prop(c.p), data(c.e), c.expected
-            return lambda v: k(x(v)) == bit
-        return lambda v: eval_cond(c, valuation(v))
-
     def label(a):
         """The maker for prefix a, an atomic or silent action."""
         if type(a) is T.Assign:
-            var, i, x, mentions = a.var, mem_at[a.var], data(a.e), a._flexvars
+            var, i, x, mentions = a.var, mem_at[a.var], T.compile_data(a.e, read), a._flexvars
 
             def assign(v):
                 m = x(v)
                 return Assignment(var, m, mentions), ((i, mem_id(i, m)),)
             return assign
         if type(a) is T.DataAct:
-            name, xs = a.name, [data(e) for e in a.args]
+            name, xs = a.name, [T.compile_data(e, read) for e in a.args]
             return lambda v: (DataAction(name, tuple([x(v) for x in xs])), ())
         const = (Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
         return lambda v: const
 
     consts = T._rec_constants(u.spec)
-    return [(cond(c), None, None) if a is None
-            else (cond(c), label(a), intern(T.Seq(T.EPS, consts[y])))
+    return [(None if type(c) is T.TrueC else T.compile_cond(c, read),
+             a and label(a), a and intern(T.Seq(T.EPS, consts[y])))
             for c, a, y in T.linear_form(u.spec)[0][u.var]]
 
 

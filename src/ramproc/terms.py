@@ -13,13 +13,14 @@ memory, and flexible variables (RM, RM_1, ...) hold memories.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 
 from .memory import MemState, format_mem
 from .nodes import node
 from . import ramops
-from .ramops import CmpOp, Ini, Load, Store, apply_ini, apply_op, apply_prop, apply_shared
+from .ramops import CmpOp, Ini, Load, Store, apply_ini, compile_op, compile_prop, compile_shared
 
 
 # ---------------------------------------------------------------------------
@@ -86,22 +87,34 @@ class Apply2:
             raise ValueError("Apply2 takes load or store")
 
 
-def eval_data(e, rho: "Valuation") -> MemState:
-    """The memory e denotes under rho.  Each level of e costs one frame."""
+def compile_data(e, read):
+    """e as a function of an environment, `read(name)` reading variable name from
+    it; kernels resolve here, once.  One frame per level; no cells (values are defaults)."""
     cls = type(e)
     if cls is FlexVar:
-        return rho.get(e.name)
-    if cls is MemLiteral:
-        return e.mem
+        return read(e.name)
+    if cls is MemLiteral or cls is Apply1 and isinstance(e.op, Ini):
+        mem = e.mem if cls is MemLiteral else apply_ini(e.op.i)
+        return lambda env, mem=mem: mem
     if cls is Upd:
-        return eval_data(e.base, rho).set(e.idx, e.val)
+        base, idx, val = compile_data(e.base, read), e.idx, e.val
+        return lambda env, base=base, idx=idx, val=val: base(env).set(idx, val)
     if cls is Apply1:
-        if isinstance(e.op, Ini):
-            return apply_ini(e.op.i)
-        return apply_op(e.op, eval_data(e.e, rho))
+        k, x = compile_op(e.op), compile_data(e.e, read)
+        return lambda env, k=k, x=x: k(x(env))
     if cls is Apply2:
-        return apply_shared(e.op, eval_data(e.e_priv, rho), eval_data(e.e_shared, rho))
+        k, p = compile_shared(e.op), compile_data(e.e_priv, read)
+        s = compile_data(e.e_shared, read)
+        return lambda env, k=k, p=p, s=s: k(p(env), s(env))
     raise ValueError("not a data expression: %r" % (e,))
+
+
+read_valuation = partial(methodcaller, "get")  # `read` over a `Valuation`
+
+
+def eval_data(e, rho: "Valuation") -> MemState:
+    """The memory e denotes under rho (`compile_data`, called once)."""
+    return compile_data(e, read_valuation)(rho)
 
 
 _DATA = frozenset((FlexVar, MemLiteral, Upd, Apply1, Apply2))  # the data-expression classes
@@ -167,28 +180,37 @@ class Implies:
 
 TRUE = TrueC()
 FALSE = FalseC()
+_CONSTANT_TESTS = {TrueC: lambda env: True, FalseC: lambda env: False}  # what they compile to
+
+
+def compile_cond(c, read):
+    """Whether c holds, as a function of an environment, as `compile_data`.  Operands
+    that the value skips, like the right of `true or c`, are compiled too."""
+    cls = type(c)
+    if cls is TrueC or cls is FalseC:
+        return _CONSTANT_TESTS[cls]
+    if cls is PropAtom:
+        k, x, bit = compile_prop(c.p), compile_data(c.e, read), c.expected
+        return lambda env, k=k, x=x, bit=bit: k(x(env)) == bit
+    if cls is And or cls is Or or cls is Implies:
+        l, r = compile_cond(c.l, read), compile_cond(c.r, read)
+        if cls is And:
+            return lambda env, l=l, r=r: l(env) and r(env)
+        if cls is Or:
+            return lambda env, l=l, r=r: l(env) or r(env)
+        return lambda env, l=l, r=r: not l(env) or r(env)
+    if cls is Not:
+        x = compile_cond(c.c, read)
+        return lambda env, x=x: not x(env)
+    if cls is DataEq:
+        x, y = compile_data(c.e1, read), compile_data(c.e2, read)
+        return lambda env, x=x, y=y: x(env) == y(env)
+    raise ValueError("not a condition: %r" % (c,))
 
 
 def eval_cond(c, rho: "Valuation") -> bool:
-    """Whether c holds under rho.  Each level of c costs one frame."""
-    cls = type(c)
-    if cls is TrueC:
-        return True
-    if cls is PropAtom:
-        return apply_prop(c.p, eval_data(c.e, rho)) == c.expected
-    if cls is And:
-        return eval_cond(c.l, rho) and eval_cond(c.r, rho)
-    if cls is Not:
-        return not eval_cond(c.c, rho)
-    if cls is Or:
-        return eval_cond(c.l, rho) or eval_cond(c.r, rho)
-    if cls is Implies:
-        return (not eval_cond(c.l, rho)) or eval_cond(c.r, rho)
-    if cls is DataEq:
-        return eval_data(c.e1, rho) == eval_data(c.e2, rho)
-    if cls is FalseC:
-        return False
-    raise ValueError("not a condition: %r" % (c,))
+    """Whether c holds under rho (`compile_cond`, called once)."""
+    return compile_cond(c, read_valuation)(rho)
 
 
 _COND = frozenset((TrueC, FalseC, PropAtom, DataEq, Not, And, Or, Implies))  # the condition classes
@@ -401,6 +423,8 @@ class Assign:
     e: object
     # `flexvars_term(self)`, filled in by its first call
     _flexvars: frozenset
+    # `compile_data(e, read_valuation)`, filled in by its first step on terms
+    _code: object
 
 
 @node
@@ -449,6 +473,8 @@ class Abstr:
 class Guard:
     cond: object
     body: object
+    # `compile_cond(cond, read_valuation)`, filled in by its first step on terms
+    _code: object
 
 
 @node

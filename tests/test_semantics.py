@@ -737,6 +737,18 @@ _A_THEN_B = _rec(("A", _then(Act("a"), "B")), ("B", Alt(_then(Act("b"), "A"), _D
 _B_OR_D = _rec(("C", Alt(_then(Act("b"), "C"), _then(Act("d"), "E"))), ("E", _DONE))
 _SENDS = _rec(("S", _then(T.DataAct("s", (FlexVar("x"),)), "T")), ("T", _then(_FLIP_X, "S")))
 _RECEIVES = _rec(("R", Alt(_then(_RECEIVED, "R"), _then(Act("sync"), "R"))))
+# guards and assignments of the shapes that the vector path once evaluated
+# by decoding a valuation: connectives, equality, upd, literals, nested operators
+_X_IS_ONE = T.PropAtom(CmpOp("eq", Dir(0), Imm(1)), FlexVar("x"), 1)
+_X_ONE = T.DataEq(FlexVar("x"), MemLiteral(MemState({0: "1"})))
+_MIXED = _rec(
+    ("M", Alt(Guard(T.Not(_X_IS_ONE), Seq(Assign("x", T.Upd(FlexVar("x"), 0, "1")), Var("M"))),
+              Alt(Guard(T.And(_X_IS_ONE, T.Or(T.FALSE, _X_ONE)), Seq(Act("a"), Var("N"))),
+                  Guard(T.Implies(_X_IS_ONE, T.FALSE), Seq(Act("b"), Var("M")))))),
+    ("N", Alt(Guard(_X_ONE, Seq(Assign("x", T.Apply1(UnOp("not", Dir(0), Dir(0)), T.Apply1(
+                  UnOp("mov", Imm(1), Dir(1)), FlexVar("x")))), Var("M"))),
+              Guard(T.Or(T.Not(_X_IS_ONE), TRUE),
+                    Seq(Assign("x", MemLiteral(MemState({0: "0"}))), Var("M"))))))
 
 
 @pytest.mark.parametrize("term", [
@@ -746,7 +758,9 @@ _RECEIVES = _rec(("R", Alt(_then(_RECEIVED, "R"), _then(Act("sync"), "R"))))
     Par(SyncMerge(_RECEIVES, _RECEIVES), SyncMerge(_SENDS, _B_OR_D)),
     # a | sync communicates to synced below the merge, which renames it
     SyncMerge(Par(_A_THEN_B, _RECEIVES), Par(_RECEIVES, _A_THEN_B)),
-], ids=["par", "nested-par", "sync-over-par", "par-over-syncs", "synced-below-sync"])
+    Par(_MIXED, _B_OR_D),
+], ids=["par", "nested-par", "sync-over-par", "par-over-syncs", "synced-below-sync",
+        "other-expression-shapes"])
 def test_vector_path_matches_terms_under_other_communications(term):
     rho = Valuation.make({"x": MemState({0: "1"})})  # flips between 1 and 0
     gamma = CommFunction.make({("a", "b"): "c", ("b", "d"): "e", ("s", "r"): "t",
@@ -867,6 +881,43 @@ def test_machine_specs_are_read_once(monkeypatch, build):
     again = build_lts(term, rho)
     assert calls == {"linear_summands": equations, "flexvars_term": 0}
     assert again.transitions == first.transitions
+
+
+@pytest.mark.parametrize("build, explore", [
+    (lambda: AXIOMS["CM1E"](Gen(19)), lambda t: build_lts(t, None, 2000, gamma=GAMMA)),
+    (lambda: [Eval(*reversed(_ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"})))],
+     lambda t: semantics._build_terms(t, 10000, DEFAULT_GAMMA)),
+], ids=["law-instance", "division"])
+def test_term_path_compiles_each_expression_once(monkeypatch, build, explore):
+    # a guard's condition and an assignment's expression are compiled on the
+    # node's first step and kept in its `_code`, which later steps and
+    # explorations reuse; no evaluation builds a kernel through `ramops.apply_*`
+    from ramproc import ramops
+
+    def refuse(*args):
+        raise AssertionError("a register kernel was built for one evaluation")
+    for module in (ramops, T, semantics):
+        for name in ("apply_op", "apply_prop", "apply_shared"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    filled, steps = [], []
+    for cls in (T.Guard, T.Assign):
+        def spy(t, env, gamma, rule=semantics._RULES[cls]):
+            kept = t._code
+            out = rule(t, env, gamma)
+            steps.append(t)
+            if kept is None:
+                filled.append(t)
+            assert t._code is not None and (kept is None or t._code is kept)
+            return out
+        monkeypatch.setitem(semantics._RULES, cls, spy)
+    terms = build()
+    first = [explore(t) for t in terms]
+    assert filled and len(steps) > len(filled)
+    assert len({id(t) for t in filled}) == len(filled)
+    compiled, stepped = len(filled), len(steps)
+    again = [explore(t) for t in terms]
+    assert len(filled) == compiled and len(steps) > stepped
+    assert [l.transitions for l in again] == [l.transitions for l in first]
 
 
 def test_linear_form_reads_what_flexvars_term_reads():

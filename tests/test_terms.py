@@ -557,12 +557,22 @@ _CMP = CmpOp("eq", Dir(0), Dir(1))
     (T.eval_cond, T.Implies(TRUE, "c"), "not a condition: 'c'"),
     (T.eval_cond, T.PropAtom(_CMP, 5, 1), "not a data expression: 5"),
     (T.eval_cond, T.DataEq(MemLiteral(M1), None), "not a data expression: None"),
+    # an operand that the value skips is compiled all the same
+    (T.eval_cond, T.Or(TRUE, 5), "not a condition: 5"),
+    (T.eval_cond, T.And(T.FALSE, 5), "not a condition: 5"),
+    (T.eval_cond, T.Implies(T.FALSE, 5), "not a condition: 5"),
 ], ids=["int", "none", "cond", "upd-str", "apply1-int", "apply2-int", "cond-int",
-        "cond-data", "not-none", "and-int", "implies-str", "prop-atom-int", "data-eq-none"])
+        "cond-data", "not-none", "and-int", "implies-str", "prop-atom-int", "data-eq-none",
+        "or-skipped-int", "and-skipped-int", "implies-skipped-int"])
 def test_eval_error_messages_pinned(evaluate, e, message):
     with pytest.raises(ValueError) as info:
         evaluate(e, Valuation())
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_ini_does_not_read_its_operand():
+    # ini makes the same memory whatever it is applied to, so its operand is not compiled
+    assert T.eval_data(T.Apply1(Ini(2), 5), None) == MemState({0: "01"})
 
 
 def test_deep_chains_evaluate():
