@@ -145,15 +145,12 @@ def _act(t, env, gamma):
 
 
 def _data_act(t, env, gamma):
-    # compiled on every step: keeping the closures, as `_assign` does, measured no gain
     args = tuple([_ground(T.compile_data(e, read_valuation), env) for e in t.args])
     return False, [(DataAction(t.name, args), T.EPS)]
 
 
 def _assign(t, env, gamma):
-    if t._code is None:  # compiled on the node's first step, and kept
-        object.__setattr__(t, "_code", T.compile_data(t.e, read_valuation))
-    val = _ground(t._code, env)
+    val = _ground(T.compile_data(t.e, read_valuation), env)
     return False, [(Assignment(t.var, val, t._flexvars or flexvars_term(t)), T.EPS)]
 
 
@@ -199,9 +196,8 @@ def _comm_merge(t, env, gamma):
 
 
 def _guard(t, env, gamma):
-    if t._code is None:  # as in `_assign`
-        object.__setattr__(t, "_code", T.compile_cond(t.cond, read_valuation))
-    if not _ground(t._code, env, "condition not decidable without valuation"):
+    if not _ground(T.compile_cond(t.cond, read_valuation), env,
+                   "condition not decidable without valuation"):
         return False, []
     b = t.body
     return _RULES[type(b)](b, env, gamma)

@@ -423,8 +423,6 @@ class Assign:
     e: object
     # `flexvars_term(self)`, filled in by its first call
     _flexvars: frozenset
-    # `compile_data(e, read_valuation)`, filled in by its first step on terms
-    _code: object
 
 
 @node
@@ -473,8 +471,6 @@ class Abstr:
 class Guard:
     cond: object
     body: object
-    # `compile_cond(cond, read_valuation)`, filled in by its first step on terms
-    _code: object
 
 
 @node

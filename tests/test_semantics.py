@@ -888,10 +888,9 @@ def test_machine_specs_are_read_once(monkeypatch, build):
     (lambda: [Eval(*reversed(_ramp(sample_terms.DIVISION_PROGRAM, {1: "101", 2: "01"})))],
      lambda t: semantics._build_terms(t, 10000, DEFAULT_GAMMA)),
 ], ids=["law-instance", "division"])
-def test_term_path_compiles_each_expression_once(monkeypatch, build, explore):
-    # a guard's condition and an assignment's expression are compiled on the
-    # node's first step and kept in its `_code`, which later steps and
-    # explorations reuse; no evaluation builds a kernel through `ramops.apply_*`
+def test_term_path_builds_no_kernel_through_apply(monkeypatch, build, explore):
+    # guards, assignments and data actions on terms are evaluated through
+    # `terms.compile_cond`/`compile_data`; none calls `ramops.apply_*`
     from ramproc import ramops
 
     def refuse(*args):
@@ -899,25 +898,14 @@ def test_term_path_compiles_each_expression_once(monkeypatch, build, explore):
     for module in (ramops, T, semantics):
         for name in ("apply_op", "apply_prop", "apply_shared"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    filled, steps = [], []
+    stepped = set()
     for cls in (T.Guard, T.Assign):
         def spy(t, env, gamma, rule=semantics._RULES[cls]):
-            kept = t._code
-            out = rule(t, env, gamma)
-            steps.append(t)
-            if kept is None:
-                filled.append(t)
-            assert t._code is not None and (kept is None or t._code is kept)
-            return out
+            stepped.add(type(t))
+            return rule(t, env, gamma)
         monkeypatch.setitem(semantics._RULES, cls, spy)
-    terms = build()
-    first = [explore(t) for t in terms]
-    assert filled and len(steps) > len(filled)
-    assert len({id(t) for t in filled}) == len(filled)
-    compiled, stepped = len(filled), len(steps)
-    again = [explore(t) for t in terms]
-    assert len(filled) == compiled and len(steps) > stepped
-    assert [l.transitions for l in again] == [l.transitions for l in first]
+    assert all(explore(t).transitions for t in build())
+    assert stepped == {T.Guard, T.Assign}
 
 
 def test_linear_form_reads_what_flexvars_term_reads():
