@@ -46,10 +46,11 @@ def _build_term(args):
     ), progs
 
 
-def _valuation(term, mem_args):
-    env = {v: EMPTY_MEM for v in T.flexvars_term(term)}
-    env.setdefault("RM", EMPTY_MEM)
-    for spec in mem_args or ():
+def _valuation(args):
+    """The memories the compiled machine reads, all empty, then --mem's files."""
+    n = 0 if args.model == "ramp" else len(args.programs)
+    env = dict.fromkeys(map(machines.memory_name, (None, *range(1, n + 1))), EMPTY_MEM)
+    for spec in args.mem or ():
         name, eq, path = spec.partition("=")
         if not eq:
             raise ValueError("--mem takes NAME=FILE, got %r" % (spec,))
@@ -90,7 +91,7 @@ def cmd_run(args) -> int:
     _at_least(args, "max_states", 1)
     _at_least(args, "fuel", 0)
     term, progs = _build_term(args)
-    rho = _valuation(term, args.mem)
+    rho = _valuation(args)
     l = semantics.build_lts(term, rho, args.max_states)
     if args.lts:
         _export_lts(l, args.lts, args.format)
@@ -132,7 +133,7 @@ def cmd_measure(args) -> int:
         return 2
     _at_least(args, "max_states", 1)
     term, _ = _build_term(args)
-    rho = _valuation(term, args.mem)
+    rho = _valuation(args)
     try:
         report = complexity.MEASURES[args.measure](term, rho, args.max_states)
     except complexity.MeasureUndefinedError as e:

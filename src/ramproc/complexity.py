@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 
 from . import terms as T
-from .machines import APRAMP, RAMP, SPRAMP, validate_apramp, validate_ramp, validate_spramp
+from .machines import (APRAMP, RAMP, SPRAMP, memory_name, validate_apramp, validate_ramp,
+                       validate_spramp)
 from .memory import EMPTY_MEM
 from .nodes import node
 from .semantics import (
@@ -104,7 +105,7 @@ def _measure_value(m: Measure, l: Lts, n):
         return depth(l, count=m.counts), ()
     comps = range(1, n + 1)
     per = list(zip(comps, depths(
-        l, [T.ActionSet.mentioning("RM_%d" % i).contains_label for i in comps])))
+        l, [T.ActionSet.mentioning(memory_name(i)).contains_label for i in comps])))
     return max(v for _, v in per), per
 
 

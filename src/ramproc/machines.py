@@ -133,6 +133,11 @@ def format_program(prog: Program) -> str:
 # it with fixed equation names and the inverse with the names of the term it
 # reads, so a machine term is exactly a compiler output up to equation names.
 
+def memory_name(number=None) -> str:
+    """RM, the memory of a sequential machine, or component number's RM_number."""
+    return "RM" if number is None else "RM_%d" % number
+
+
 def _op_equation(o, memvar: str, nxt: str):
     if isinstance(o, (Load, Store)):
         e = T.Apply2(o, T.FlexVar(memvar), T.FlexVar("RM"))
@@ -163,7 +168,7 @@ def _compile(prog: Program, name, number=None, handshakes: bool = False):
     if not isinstance(prog.instrs[-1], Halt):
         raise ValueError("last instruction must be halt: control would run past the end")
     stride = 2 if handshakes else 1
-    memvar = "RM" if number is None else "RM_%d" % number
+    memvar = memory_name(number)
 
     def entry(j):
         return name(stride * (j - 1) + 1)
@@ -182,7 +187,9 @@ def _compile(prog: Program, name, number=None, handshakes: bool = False):
             eqs.append((work, _jmp_equation(ins.p, memvar, entry(ins.target), entry(j + 1))))
         else:
             eqs.append((work, _op_equation(ins.o, memvar, entry(j + 1))))
-    return T.Rec(eqs[0][0], T.RecSpec(tuple(eqs)))
+    spec = T.RecSpec(tuple(eqs))
+    object.__setattr__(spec, "_decoded", (number, handshakes, prog))
+    return T.Rec(eqs[0][0], spec)
 
 
 def proc_of_bbram(prog: Program):
@@ -254,11 +261,16 @@ def _decode(t, number=None, handshakes: bool = False) -> Program:
 
     Each instruction is read from its equation alone; the program is then
     compiled again under t's own equation names.  Raises ValueError naming
-    the first equation that is not what its instruction compiles to.
+    the first equation that is not what its instruction compiles to.  A spec
+    `_compile` built, entered at its first equation and read with its number
+    and handshakes, gives its kept program at once: nodes are immutable.
     """
     if not isinstance(t, T.Rec):
         raise ValueError("not a recursion constant")
     eqs = t.spec.equations
+    kept = t.spec._decoded
+    if kept is not None and kept[:2] == (number, handshakes) and t.var == eqs[0][0]:
+        return kept[2]
     names = [n for n, _ in eqs]
     first = 1 if number is None else 0  # the number of the first equation
     stride = 2 if handshakes else 1

@@ -373,8 +373,9 @@ def _build_terms(root, max_states, gamma) -> Lts:
 def _explore(first, moves, max_states) -> Lts:
     """The LTS reachable from state first, breadth first: moves(s) gives s's
     success and its (label, successor) moves in rule order, which are
-    deduplicated as they come, keeping first occurrences, as `step` does.
-    A new state past max_states marks the LTS exploded and ends the walk."""
+    deduplicated as they come, keeping first occurrences, as `step` does;
+    only a move into a state numbered before it can repeat one.  A new
+    state past max_states marks the LTS exploded and ends the walk."""
     l = Lts()
     states, index, outs, transitions = l.states, {first: 0}, [], l.transitions
     states.append(first)
@@ -383,7 +384,6 @@ def _explore(first, moves, max_states) -> Lts:
         if succ:
             l.success.add(sid)
         outs.append(out := [])
-        seen = {}  # successor's number -> its labels so far
         for lab, u in ms:
             dst = index.get(u)
             if dst is None:
@@ -392,10 +392,8 @@ def _explore(first, moves, max_states) -> Lts:
                     return l
                 dst = index[u] = len(states)
                 states.append(u)
-            labs = seen.setdefault(dst, [])
-            if lab in labs:
+            elif (lab, dst) in out:
                 continue
-            labs.append(lab)
             transitions.append((sid, lab, dst))
             out.append((lab, dst))
     l._out = outs
@@ -484,8 +482,15 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     def valuation(v):
         return Valuation(tuple(zip(names, map(list.__getitem__, mems, v))))
 
+    def successor(v, ch):
+        w = list(v)
+        for pos, val in ch:
+            w[pos] = val
+        return tuple(w)
+
     def leaf(node, v):
-        """(success, moves) of the component at position node."""
+        """(success, moves) of the component at position node, each move a
+        label and its changes to v; a lone leaf's, its successor vector."""
         cid = v[node]
         ss = summands[cid]
         if ss is None:
@@ -497,7 +502,8 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
                     succ = True
                 else:
                     a, ch = make(v)
-                    out.append((a, ((node, nxt),) + ch))
+                    ch = ((node, nxt),) + ch
+                    out.append((a, successor(v, ch) if single else ch))
         return succ, out
 
     def memo_leaf(node, v):
@@ -508,24 +514,17 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
             hit = leaf_memo[key] = leaf(node, v)
         return hit
 
-    # a lone leaf meets each state once, so it steps without the memo or the tree walk
-    step = partial(leaf, tree) if single else partial(_tree_moves, memo_leaf, gamma, tree)
-
     def moves(v):
-        succ, ms = step(v)
-        out = []
-        for lab, ch in ms:
-            w = list(v)
-            for pos, val in ch:
-                w[pos] = val
-            out.append((lab, tuple(w)))
-        return succ, out
+        """The moves of a composition, each with its successor vector."""
+        succ, ms = _tree_moves(memo_leaf, gamma, tree, v)
+        return succ, [(lab, successor(v, ch)) for lab, ch in ms]
 
     def term(v):
         return T.Eval(valuation(v), _tree_term(tree, v, comps))
 
     first = (0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs
-    l = _explore(first, moves, max_states)
+    # a lone leaf meets each state once, so it steps without the memo or the tree walk
+    l = _explore(first, partial(leaf, tree) if single else moves, max_states)
     l.states = _StateTerms(l.states, term, valuation)
     return l
 

@@ -503,6 +503,8 @@ class RecSpec:
     _linear: object
     # the equations as `syntax.format_term` prints them, filled in by it
     _text: str
+    # (number, handshakes, program) when `machines._compile` built this spec
+    _decoded: tuple
 
     def __post_init__(self):
         rhs = dict(self.equations)

@@ -7,11 +7,13 @@ import sys
 import pytest
 
 from ramproc import cli, complexity, semantics
+from ramproc import terms as T
 from ramproc.cli import _external_oracle, main
 from ramproc.complexity import (
     FunctionSpec, all_inputs, check_computes, format_check_table, parse_affine,
 )
 from ramproc.machines import format_program, parse_program, proc_of_bbram
+from ramproc.memory import EMPTY_MEM
 
 import sample_terms
 
@@ -140,6 +142,33 @@ def test_measure_parallel(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["value"] == 4
     assert data["per_component"] == {"1": 4, "2": 2}
+
+
+def test_measure_parallel_equal_store_labels(tmp_path, capsys):
+    # equal store labels from two components still count for each: the
+    # labels' mentions come from the exploration, not from the valuation
+    a = _write(tmp_path, "a.rp", "sto:#1:@1\nhalt\n")
+    b = _write(tmp_path, "b.rp", "sto:#1:@1\nhalt\n")
+    assert main(["measure", a, b, "--model", "apramp", "--measure", "aputm"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["value"] == 2 and data["per_component"] == {"1": 2, "2": 2}
+
+
+@pytest.mark.parametrize("model, texts", [
+    ("ramp", ["halt\n"]),
+    ("ramp", [sample_terms.DIVISION_PROGRAM]),
+    ("apramp", ["halt\n"]),
+    ("apramp", ["add:1:1:1\nhalt\n", "loa:@0:2\nsto:2:@1\nhalt\n", "halt\n"]),
+    ("spramp", ["add:1:1:1\njmp:eq:#0:#0:1\nhalt\n", "halt\n"]),
+    ("spramp", ["sto:#1:@1\nhalt\n", "loa:@0:2\nhalt\n"]),
+])
+def test_valuation_binds_what_the_machine_reads(tmp_path, model, texts):
+    files = [_write(tmp_path, "p%d.rp" % k, text) for k, text in enumerate(texts)]
+    args = cli._parser().parse_args(["run", *files, "--model", model])
+    term, _ = cli._build_term(args)
+    rho = cli._valuation(args)
+    assert set(rho.names()) == T.flexvars_term(term) | {"RM"}
+    assert {m for _, m in rho.entries} == {EMPTY_MEM}
 
 
 def test_measure_model_mismatch(tmp_path, capsys):

@@ -378,6 +378,87 @@ def test_validators_accept_exactly_recompiling_terms(model):
     assert 20 < accepted < 280
 
 
+def _reparsed(t):
+    """An equal copy of t read back from its text, which keeps nothing the
+    compiler recorded."""
+    return parse_term(format_term(t))
+
+
+def _outcome(f, t):
+    try:
+        return f(t)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+_READERS = {
+    "ramp": (program_of_ramp, validate_ramp),
+    "apramp": (program_of_apramp, validate_apramp),
+    "spramp": (program_of_spramp, validate_spramp),
+}
+_ALL_READERS = [f for fs in _READERS.values() for f in fs]
+
+
+@pytest.mark.parametrize("model", ["ramp", "apramp", "spramp"])
+def test_kept_decode_matches_reading_the_text(model):
+    # every reader answers a compiler output as it answers a parsed copy,
+    # the other models' readers included
+    rng = random.Random(2330)
+    for _ in range(80):
+        t = _compile_machine(model, _random_programs(rng, model))
+        copy = _reparsed(t)
+        assert copy == t
+        for f in _ALL_READERS:
+            assert _outcome(f, t) == _outcome(f, copy), f.__name__
+
+
+@pytest.mark.parametrize("model", ["ramp", "apramp", "spramp"])
+def test_kept_decode_mutant_sweep_matches_reading_the_text(model):
+    # the seed and draws of `test_validators_accept_exactly_recompiling_terms`:
+    # its mutants keep their unedited components' compiled specs
+    rng = random.Random(77)
+    for _ in range(300):
+        try:
+            t = _mutant(rng, model, _random_programs(rng, model))
+        except ValueError:
+            continue
+        copy = _reparsed(t)
+        for f in _READERS[model]:
+            assert _outcome(f, t) == _outcome(f, copy), format_term(t)
+
+
+@pytest.mark.parametrize("compile_one, compose, inverse", [
+    (proc_of_smbram_async, compose_async, program_of_apramp),
+    (proc_of_smbram_sync, compose_sync, program_of_spramp),
+])
+def test_kept_decode_rejects_misplaced_components(compile_one, compose, inverse):
+    p = parse_program("add:1:1:1\njmp:eq:#0:#0:1\nhalt\n", SMBRAM)
+    c1, c2 = compile_one(1, p), compile_one(2, p)
+    assert inverse(compose([c1, c2])) == (p, p)
+    for t in (c2, compose([c2, c1])):  # compiled as number 2, placed first
+        with pytest.raises(ValueError, match="^equation X2 is not what its instruction"
+                                             " compiles to$"):
+            inverse(t)
+    second = c2.spec.equations[1][0]
+    with pytest.raises(ValueError, match="^the term starts at %s, not at its first "
+                                         "equation$" % second):
+        inverse(compose([c1, T.Rec(second, c2.spec)]))
+    with pytest.raises(ValueError, match="^equation Y1 is not what its instruction compiles to$"):
+        # compiled with the other model's handshakes
+        (program_of_spramp if inverse is program_of_apramp else program_of_apramp)(c1)
+
+
+def test_kept_decode_rejects_a_sequential_machine_entered_late():
+    t = proc_of_bbram(parse_program("add:1:1:1\nhalt\n"))
+    late = T.Rec("X2", t.spec)
+    assert not validate_ramp(late)
+    with pytest.raises(ValueError, match="^not a sequential-machine term: the term starts at X2,"
+                                         " not at its first equation$"):
+        program_of_ramp(late)
+    with pytest.raises(ValueError, match="^not a sequential-machine term: equation X1 is not"):
+        program_of_ramp(proc_of_smbram_async(1, parse_program("halt\n", SMBRAM)))
+
+
 def test_run_bbram():
     res = run_bbram(parse_program("halt\n"), IMS, 10)
     assert res.halted and res.mem == IMS and res.op_steps == 0
