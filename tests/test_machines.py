@@ -427,6 +427,50 @@ def test_kept_decode_mutant_sweep_matches_reading_the_text(model):
             assert _outcome(f, t) == _outcome(f, copy), format_term(t)
 
 
+def _nodes(t):
+    """The process-term nodes of t in a fixed order, spec right-hand sides
+    included."""
+    found, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        found.append(u)
+        todo += T.children(u)
+    return found
+
+
+@pytest.mark.parametrize("model", ["ramp", "apramp", "spramp"])
+def test_kept_read_sets_match_walking_the_text(model):
+    # the seed and draws of the mutant sweep: each compiled machine and its
+    # mutant keep, on every assignment and spec the compiler built, what
+    # `flexvars_term` walks from a parsed copy, and explore to the same
+    # assignment labels, mentions (which aputm counts) included
+    rng = random.Random(77)
+    kept = 0
+    for k in range(300):
+        progs = _random_programs(rng, model)
+        machines = [_compile_machine(model, progs)]
+        try:
+            machines.append(_mutant(rng, model, progs))
+        except ValueError:
+            pass
+        for t in machines:
+            copy = _reparsed(t)
+            for u, v in zip(_nodes(t), _nodes(copy), strict=True):
+                got = (u._flexvars if type(u) is T.Assign else
+                       u.spec._flexvars if type(u) is T.Rec else None)
+                if got is not None:
+                    kept += 1
+                    assert got == T.flexvars_term(v), format_term(t)
+        if k < 40:
+            t, copy = machines[0], _reparsed(machines[0])
+            rho = T.Valuation.make({x: EMPTY_MEM for x in T.flexvars_term(copy)})
+            assert [(lab, getattr(lab, "mentions", None))
+                    for _, lab, _ in build_lts(t, rho, 60).transitions] == [
+                (lab, getattr(lab, "mentions", None))
+                for _, lab, _ in build_lts(copy, rho, 60).transitions]
+    assert kept > 1500
+
+
 @pytest.mark.parametrize("compile_one, compose, inverse", [
     (proc_of_smbram_async, compose_async, program_of_apramp),
     (proc_of_smbram_sync, compose_sync, program_of_spramp),
