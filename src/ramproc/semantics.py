@@ -346,23 +346,10 @@ def _too_deep(t):
 
 
 def _height(t):
-    """The number of operator levels of t, counted without recursion: its
-    children, and the conditions and data expressions the rules evaluate."""
-    height, todo = {}, [t]
-    while todo:
-        u = todo[-1]
-        cls = type(u)
-        kids = [getattr(u, f) for f in T._READ_FIELDS.get(cls, ())]
-        if cls is T.DataAct:
-            kids += u.args
-        elif cls in _RULES:
-            kids += T.children(u)
-        deeper = [c for c in kids if id(c) not in height]
-        if deeper:
-            todo += deeper
-            continue
-        height[id(todo.pop())] = 1 + max([height[id(c)] for c in kids], default=0)
-    return height[id(t)]
+    """The number of operator levels of t, counted without recursion: a fold
+    over `T.operands`, so the conditions and data expressions the rules
+    evaluate count as well as its children."""
+    return T.fold(t, lambda u, heights: 1 + max(heights, default=0), T.operands)
 
 
 def _build_terms(root, max_states, gamma) -> Lts:
@@ -430,7 +417,7 @@ def _machine_tree(root):
     if type(root) is not T.Eval:
         return None
     body, names = root.body, root.rho.names()
-    leaves = [body] if type(body) is T.Rec else list(T.flatten(body, _MERGES))
+    leaves = [body] if type(body) is T.Rec else T.flatten(body, _MERGES)
     forms = [T.linear_form(u.spec) for u in leaves if type(u) is T.Rec]
     if (list(names) != sorted(set(names)) or len(forms) < len(leaves)
             or not all(form and form[1].issubset(names) for form in forms)):

@@ -201,8 +201,10 @@ class _Parser:
         root = self.expect_ident()
         self.expect("{")
         eqs = self.rest(self.equation, "}", [self.equation()])
-        names = {n for n, _ in eqs}
-        fixed = tuple((n, _acts_to_vars(rhs, names)) for n, rhs in eqs)
+        # bodies are parsed before the names are known: an action that names an
+        # equation becomes its variable, except inside inner specs, which bind their own
+        names = {n: T.Var(n) for n, _ in eqs}
+        fixed = tuple((n, T.subst_vars(rhs, names, T.Act)) for n, rhs in eqs)
         return T.Rec(root, T.RecSpec(fixed))
 
     def equation(self):
@@ -395,27 +397,6 @@ def _nesting(toks):
         depth += (kind in ("(", "[", "{")) - (kind in (")", "]", "}"))
         deepest = max(deepest, depth)
     return " (%d levels of brackets)" % deepest if deepest else ""
-
-
-def _acts_to_vars(t, names):
-    """Equation bodies are parsed before variable names are known; rewrite
-    plain actions that name an equation into variable occurrences.  Inner
-    specs bind their own names and are kept.  The walk keeps its own stack,
-    so a body of any length is rewritten."""
-    done, todo = {}, [t]  # id of a subterm -> its rewrite
-    while todo:
-        u = todo[-1]
-        kids = () if isinstance(u, (T.Act, T.Rec)) else T.children(u)
-        deeper = [c for c in kids if id(c) not in done]
-        if deeper:
-            todo += deeper
-            continue
-        todo.pop()
-        if isinstance(u, T.Act) and u.name in names:
-            done[id(u)] = T.Var(u.name)
-        else:
-            done[id(u)] = T.with_children(u, [done[id(c)] for c in kids]) if kids else u
-    return done[id(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -614,9 +614,32 @@ def with_children(t, kids):
     return Rec(t.var, RecSpec(tuple(zip(t.spec.vars(), kids))))
 
 
+def fold(t, visit, kids=children):
+    """visit(u, [the fold of each of kids(u)]) for t, bottom up on a stack of
+    its own, so a term of any depth folds; each subterm object is visited once."""
+    done, todo = {}, [(t, kids(t))]  # id of a visited subterm -> its value
+    while todo:
+        u, ks = todo[-1]
+        if id(u) in done:  # a shared subterm, visited since it was pushed
+            todo.pop()
+            continue
+        deeper = []
+        for c in ks:
+            if id(c) not in done:
+                cks = kids(c)
+                if cks:
+                    deeper.append((c, cks))
+                else:  # a leaf is visited where it is met
+                    done[id(c)] = visit(c, [])
+        if deeper:
+            todo += deeper
+        else:
+            todo.pop()
+            done[id(u)] = visit(u, [done[id(c)] for c in ks])
+    return done[id(t)]
+
+
 # The data and condition operands each node reads through, by field name.
-# A process term's other operands are its `children`, and a data action's
-# are its arguments.
 _READ_FIELDS = {
     Upd: ("base",), Apply1: ("e",), Apply2: ("e_priv", "e_shared"), PropAtom: ("e",),
     DataEq: ("e1", "e2"), Not: ("c",), And: ("l", "r"), Or: ("l", "r"), Implies: ("l", "r"),
@@ -624,39 +647,42 @@ _READ_FIELDS = {
 }
 
 
+def operands(u) -> tuple:
+    """The operands of u: the data and conditions it reads through, then a
+    data action's arguments or a process term's `children`."""
+    cls = type(u)
+    more = u.args if cls is DataAct else () if cls in _DATA or cls in _COND else children(u)
+    return tuple([getattr(u, f) for f in _READ_FIELDS.get(cls, ())]) + more
+
+
 def flexvars_term(x) -> frozenset:
     """The flexible variables x reads, plus an assignment's target, for a
     data expression, a condition or a process term x (inner valuations bind
     nothing here).  A recursion constant reads what its spec's right-hand
     sides read.  An assignment's set and a spec's are computed once and kept
-    in their hidden `_flexvars` field.  Each level of x costs one frame."""
-    cls = type(x)
-    if cls is FlexVar:
-        return frozenset((x.name,))
-    kept = x if cls is Assign else x.spec if cls is Rec else None
-    if kept is not None and kept._flexvars is not None:
-        return kept._flexvars
-    out = frozenset((x.var,)) if cls is Assign else frozenset()
-    for name in _READ_FIELDS.get(cls, ()):
-        out |= flexvars_term(getattr(x, name))
-    for y in x.args if cls is DataAct else () if cls in _DATA or cls in _COND else children(x):
-        out |= flexvars_term(y)
-    if kept is not None:
-        object.__setattr__(kept, "_flexvars", out)
-    return out
+    in their hidden `_flexvars` field."""
+    def kept(u):
+        return u._flexvars if type(u) is Assign else u.spec._flexvars if type(u) is Rec else None
+
+    def visit(u, reads):
+        out = frozenset((u.name,)) if type(u) is FlexVar else kept(u)
+        if out is None:
+            out = frozenset((u.var,) if type(u) is Assign else ()).union(*reads)
+            if type(u) is Assign or type(u) is Rec:
+                object.__setattr__(u if type(u) is Assign else u.spec, "_flexvars", out)
+        return out
+    return fold(x, visit, lambda u: operands(u) if kept(u) is None else ())
 
 
 # ---------------------------------------------------------------------------
 # Recursion plumbing
 
-def subst_vars(t, mapping):
-    """Replace Var(X) occurrences per `mapping` (name -> ProcTerm)."""
-    if isinstance(t, Var):
-        return mapping.get(t.name, t)
-    if isinstance(t, Rec):
-        # inner specs bind their own variables; do not substitute under them
-        return t
-    return with_children(t, [subst_vars(c, mapping) for c in children(t)])
+def subst_vars(t, mapping, leaf=Var):
+    """t with each `leaf` node whose name `mapping` (name -> ProcTerm) maps
+    replaced.  Inner recursion constants bind their own variables and are kept."""
+    return fold(t, lambda u, kids: with_children(u, kids) if kids else
+                mapping.get(u.name, u) if type(u) is leaf else u,
+                lambda u: () if type(u) is Rec else children(u))
 
 
 def _rec_constants(E: RecSpec) -> dict:
@@ -693,24 +719,28 @@ def unfold(t: Rec):
     return u
 
 
+def _rename_specs(t, names):
+    """t with each spec's variables renamed by names(spec), a dict from old
+    name to new.  A spec renames only the variables it binds."""
+    def visit(u, kids):
+        if type(u) is not Rec:
+            return with_children(u, kids)
+        new = names(u.spec)
+        occurrences = {old: Var(name) for old, name in new.items()}
+        return Rec(new.get(u.var, u.var), RecSpec(tuple(
+            (new.get(n, n), subst_vars(rhs, occurrences)) for n, rhs in zip(u.spec.vars(), kids))))
+    return fold(t, visit)
+
+
 def rename_rec_vars(t, mapping):
     """Consistently rename recursion variables (specs and occurrences)."""
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    if isinstance(t, Rec):
-        eqs = tuple(
-            (mapping.get(n, n), rename_rec_vars(rhs, mapping)) for n, rhs in t.spec.equations
-        )
-        return Rec(mapping.get(t.var, t.var), RecSpec(eqs))
-    return with_children(t, [rename_rec_vars(c, mapping) for c in children(t)])
+    return _rename_specs(t, lambda spec: mapping)
 
 
 def canonical_rename(t):
     """Rename every recursion spec's variables to V1, V2, ... in declaration
     order, so terms equal up to consistent renaming compare structurally."""
-    if isinstance(t, Rec):
-        t = rename_rec_vars(t, {n: "V%d" % (k + 1) for k, n in enumerate(t.spec.vars())})
-    return with_children(t, [canonical_rename(c) for c in children(t)])
+    return _rename_specs(t, lambda spec: {n: "V%d" % k for k, n in enumerate(spec.vars(), 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -721,15 +751,12 @@ def linear_summands(t):
     linear.  A linear term is deadlock, a guarded success, a guarded atomic
     or silent prefix into a variable, or an alternative of linear terms.  A
     summand is (condition, prefix, variable name); a success has prefix and
-    name None, and deadlock has no summands.  The walk keeps its own stack,
+    name None, and deadlock has no summands.  `flatten` keeps its own stack,
     so any number of summands reads."""
-    out, todo = [], [t]
-    while todo:
-        s = todo.pop()
+    out = []
+    for s in flatten(t, Alt):
         cls = type(s)
-        if cls is Alt:
-            todo += (s.r, s.l)
-        elif cls is Guard and type(s.body) is Empty:
+        if cls is Guard and type(s.body) is Empty:
             out.append((s.cond, None, None))
         elif (cls is Guard and type(s.body) is Seq and type(s.body.l) in _PREFIX
               and type(s.body.r) is Var):
@@ -753,12 +780,16 @@ def linear_form(E: RecSpec):
 
 
 def flatten(t, node):
-    """The operands of a nest of binary `node` operators, left to right."""
-    if isinstance(t, node):
-        yield from flatten(t.l, node)
-        yield from flatten(t.r, node)
-    else:
-        yield t
+    """The operands of a nest of binary `node` operators, left to right, as a
+    list.  The walk keeps its own stack, so a nest of any depth flattens."""
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, node):
+            todo += (u.r, u.l)
+        else:
+            out.append(u)
+    return out
 
 
 def validate_guarded(E: RecSpec) -> bool:

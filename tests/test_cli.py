@@ -171,6 +171,16 @@ def test_valuation_binds_what_the_machine_reads(tmp_path, model, texts):
     assert {m for _, m in rho.entries} == {EMPTY_MEM}
 
 
+def test_measure_too_deep_composition(tmp_path, capsys):
+    # 1,200 components nest deeper than the step rules' stack: measure reports
+    # it as run does, with no traceback from checking the composition's shape
+    prog = _write(tmp_path, "p.rp", "add:0:#1:1\nhalt\n")
+    for argv in (["run"], ["measure", "--measure", "aputm"]):
+        assert main(argv + ["--model", "apramp"] + [prog] * 1200) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: term too deep to explore: it nests 1206 operators")
+
+
 def test_measure_model_mismatch(tmp_path, capsys):
     prog = _write(tmp_path, "p.rp", "halt\n")
     assert main(["measure", prog, "--measure", "sputm"]) == 2

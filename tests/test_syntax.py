@@ -190,6 +190,12 @@ def test_long_chains_print_and_read_back(n):
     text = format_term(rec)
     assert text == "rec X {X = %s . X}" % " . ".join(["a"] * n)
     assert parse_term(text) == rec
+    # and the term rewrites walk it at the default recursion limit
+    assert T.unfold(rec) == T.subst_rec(rec, rec.spec) == Seq(body, rec)
+    renames = (("Y", T.rename_rec_vars(rec, {"X": "Y"})), ("V1", T.canonical_rename(rec)))
+    for name, renamed in renames:
+        assert renamed == T.Rec(name, T.RecSpec(((name, Seq(body, T.Var(name))),)))
+    assert T.flexvars_term(rec) == frozenset()
 
 
 def test_deep_prefixes_and_wrappers_print():

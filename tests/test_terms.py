@@ -198,6 +198,17 @@ def test_unfoldings_share_rec_constants(monkeypatch):
     assert len(found) > 1 and len(built) <= 2 * len(spec.equations)
 
 
+def test_substitution_stops_at_inner_specs():
+    # the inner spec binds its own X: unfolding the outer one leaves it alone
+    inner = Rec("X", RecSpec((("X", Seq(Act("b"), Var("X"))),)))
+    t = Rec("X", RecSpec((("X", Seq(Act("a"), Alt(Var("X"), inner))),)))
+    assert T.unfold(t) == Seq(Act("a"), Alt(t, inner))
+    # and an action named like an outer equation stays an action inside one
+    inner = Rec("Y", RecSpec((("Y", Act("X")),)))
+    assert parse_term("rec X {X = a . rec Y {Y = X}}") == Rec("X", RecSpec((
+        ("X", Seq(Act("a"), inner)),)))
+
+
 def test_canonical_rename():
     spec = RecSpec((
         ("Loop", Seq(Act("a"), Var("Stop"))),
@@ -209,6 +220,24 @@ def test_canonical_rename():
         ("V2", Guard(TRUE, EPS)),
     ))
     assert t == Rec("V1", want)
+    # an inner spec that binds the outer spec's name renames only its own
+    inner = RecSpec((("V1", Seq(Act("b"), Var("X"))), ("X", Act("c"))))
+    t = Rec("X", RecSpec((("X", Seq(Act("a"), Rec("V1", inner))),)))
+    inner = RecSpec((("V1", Seq(Act("b"), Var("V2"))), ("V2", Act("c"))))
+    want = Rec("V1", RecSpec((("V1", Seq(Act("a"), Rec("V1", inner))),)))
+    assert T.canonical_rename(t) == want
+    # and so does an alpha-variant with both specs renamed
+    inner = RecSpec((("P", Seq(Act("b"), Var("Q"))), ("Q", Act("c"))))
+    assert T.canonical_rename(Rec("Y", RecSpec((("Y", Seq(Act("a"), Rec("P", inner))),)))) == want
+
+
+def test_fold_visits_each_shared_subterm_once():
+    t = Act("a")
+    for _ in range(40):  # 2**40 paths through 41 objects
+        t = Alt(t, t)
+    visits = []
+    assert T.fold(t, lambda u, heights: visits.append(u) or 1 + max(heights, default=0)) == 41
+    assert len(visits) == len(set(map(id, visits))) == 41
 
 
 def test_validate_linear():
