@@ -18,7 +18,7 @@ from operator import add, itemgetter
 from . import terms as T
 from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
-    EMPTY_VALUATION, Valuation, flexvars_term, read_valuation, unfold,
+    EMPTY_VALUATION, Valuation, read_valuation, unfold,
 )
 from .nodes import node
 
@@ -100,6 +100,20 @@ def _ground(x, env, what="data not ground"):
         raise SemanticsError("%s: %s" % (what, err)) from None
 
 
+def _code(x, compile, kinds, read=None):
+    """compile(x, read_valuation), kept in x's hidden `_code` field when x is a
+    node of kinds: states and both sides of a law share such nodes.  Given a
+    read, x compiles afresh, so that read sees every variable x mentions.  Any
+    other x compiles each time, and compile raises its error."""
+    if type(x) not in kinds:
+        return compile(x, read or read_valuation)
+    code = x._code
+    if code is None or read is not None:
+        code = compile(x, read or read_valuation)
+        object.__setattr__(x, "_code", code)
+    return code
+
+
 def step(t, rho: Valuation | None = None, gamma: CommFunction = DEFAULT_GAMMA):
     """One-step behavior of t under an ambient valuation.
 
@@ -145,13 +159,17 @@ def _act(t, env, gamma):
 
 
 def _data_act(t, env, gamma):
-    args = tuple([_ground(T.compile_data(e, read_valuation), env) for e in t.args])
+    args = tuple([_ground(_code(e, T.compile_data, T._DATA), env) for e in t.args])
     return False, [(DataAction(t.name, args), T.EPS)]
 
 
 def _assign(t, env, gamma):
-    val = _ground(T.compile_data(t.e, read_valuation), env)
-    return False, [(Assignment(t.var, val, t._flexvars or flexvars_term(t)), T.EPS)]
+    if t._flexvars is None:  # its first step: the target, and the variables compiling t.e reads
+        reads = {t.var}
+        _code(t.e, T.compile_data, T._DATA, lambda x: reads.add(x) or read_valuation(x))
+        object.__setattr__(t, "_flexvars", frozenset(reads))
+    val = _ground(_code(t.e, T.compile_data, T._DATA), env)
+    return False, [(Assignment(t.var, val, t._flexvars), T.EPS)]
 
 
 def _alt(t, env, gamma):
@@ -196,7 +214,7 @@ def _comm_merge(t, env, gamma):
 
 
 def _guard(t, env, gamma):
-    if not _ground(T.compile_cond(t.cond, read_valuation), env,
+    if not _ground(_code(t.cond, T.compile_cond, T._COND), env,
                    "condition not decidable without valuation"):
         return False, []
     b = t.body

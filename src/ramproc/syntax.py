@@ -403,39 +403,50 @@ def _nesting(toks):
 # Printing
 
 def format_expr(e) -> str:
-    if isinstance(e, T.FlexVar):
-        return e.name
-    if isinstance(e, T.MemLiteral):
-        return format_mem(e.mem)
-    if isinstance(e, T.Upd):
-        return "upd(%s, %d, %s)" % (format_expr(e.base), e.idx, format_bits(e.val))
-    if isinstance(e, T.Apply1):
-        return "%s(%s)" % (ramops.format_op(e.op), format_expr(e.e))
-    if isinstance(e, T.Apply2):
-        return "%s(%s, %s)" % (
-            ramops.format_op(e.op), format_expr(e.e_priv), format_expr(e.e_shared),
-        )
-    raise ValueError("not a data expression: %r" % (e,))
+    return format_cond(e, None)
 
 
-def format_cond(c, ctx: int = 0) -> str:
-    """`c` as text, parenthesized if it binds looser than `ctx`."""
-    cls = type(c)
-    if cls in _COND_TOKEN:
-        tok, level, right = _COND_TOKEN[cls]
-        if cls is T.Not:
-            s = "not %s" % format_cond(c.c, level)
+def format_cond(c, ctx: int | None = 0) -> str:
+    """`c` as text, parenthesized if it binds looser than `ctx`; c is a data
+    expression when ctx is None.  What is still to print waits on an explicit
+    stack of text and (operand, context) pairs, as in `format_term`, so
+    conditions and data of any depth print."""
+    out, todo = [], [(c, ctx)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, ctx = item
+        cls = type(x)
+        if ctx is None:  # a data expression
+            if cls is T.FlexVar or cls is T.MemLiteral:
+                parts = [x.name if cls is T.FlexVar else format_mem(x.mem)]
+            elif cls is T.Upd:
+                parts = ["upd(", (x.base, None), ", %d, %s)" % (x.idx, format_bits(x.val))]
+            elif cls is T.Apply1:
+                parts = ["%s(" % ramops.format_op(x.op), (x.e, None), ")"]
+            elif cls is T.Apply2:
+                parts = ["%s(" % ramops.format_op(x.op), (x.e_priv, None), ", ",
+                         (x.e_shared, None), ")"]
+            else:
+                raise ValueError("not a data expression: %r" % (x,))
+        elif cls in _COND_TOKEN:
+            tok, level, right = _COND_TOKEN[cls]
+            parts = (["not ", (x.c, level)] if cls is T.Not else
+                     [(x.l, level + right), " %s " % tok, (x.r, level + (not right))])
+            if ctx > level:
+                parts = ["(", *parts, ")"]
+        elif cls is T.PropAtom:
+            parts = ["%s(" % ramops.format_op(x.p), (x.e, None), ") = %d" % x.expected]
+        elif cls is T.DataEq:
+            parts = [(x.e1, None), " == ", (x.e2, None)]
+        elif cls in _TRUTH_NAME:
+            parts = [_TRUTH_NAME[cls]]
         else:
-            s = "%s %s %s" % (format_cond(c.l, level + right), tok,
-                              format_cond(c.r, level + (not right)))
-        return "(%s)" % s if ctx > level else s
-    if cls in _TRUTH_NAME:
-        return _TRUTH_NAME[cls]
-    if cls is T.PropAtom:
-        return "%s(%s) = %d" % (ramops.format_op(c.p), format_expr(c.e), c.expected)
-    if cls is T.DataEq:
-        return "%s == %s" % (format_expr(c.e1), format_expr(c.e2))
-    raise ValueError("not a condition: %r" % (c,))
+            raise ValueError("not a condition: %r" % (x,))
+        todo += reversed(parts)
+    return "".join(out)
 
 
 def format_action_set(s: T.ActionSet) -> str:

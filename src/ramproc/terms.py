@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
-from operator import itemgetter, methodcaller
+from operator import is_, itemgetter, methodcaller
 
 from .memory import MemState, format_mem
 from .nodes import node
@@ -43,16 +43,20 @@ class ByClass(dict):
 
 
 # ---------------------------------------------------------------------------
-# Data expressions
+# Data expressions.  Each data and condition node has a hidden `_code` field:
+# its closure under `compile_data` or `compile_cond` over `read_valuation`,
+# compiled and kept there the first time the term explorer evaluates it.
 
 @node
 class FlexVar:
     name: str
+    _code: object
 
 
 @node
 class MemLiteral:
     mem: MemState
+    _code: object
 
 
 @node
@@ -60,6 +64,7 @@ class Upd:
     base: object
     idx: int
     val: str
+    _code: object
 
 
 @node
@@ -68,6 +73,7 @@ class Apply1:
 
     op: object
     e: object
+    _code: object
 
     def __post_init__(self):
         if not isinstance(self.op, ramops.SINGLE_MEM + (Ini,)):
@@ -81,6 +87,7 @@ class Apply2:
     op: object
     e_priv: object
     e_shared: object
+    _code: object
 
     def __post_init__(self):
         if not isinstance(self.op, (Load, Store)):
@@ -89,11 +96,15 @@ class Apply2:
 
 def compile_data(e, read):
     """e as a function of an environment, `read(name)` reading variable name from
-    it; kernels resolve here, once.  One frame per level; no cells (values are defaults)."""
+    it; kernels resolve here, once.  One frame per level; no cells (values are defaults).
+    An ini's value ignores its operand, but a data operand is compiled all the same,
+    so `read` sees every variable e mentions, as `flexvars_term` counts them."""
     cls = type(e)
     if cls is FlexVar:
         return read(e.name)
     if cls is MemLiteral or cls is Apply1 and isinstance(e.op, Ini):
+        if cls is Apply1 and type(e.e) in _DATA:
+            compile_data(e.e, read)
         mem = e.mem if cls is MemLiteral else apply_ini(e.op.i)
         return lambda env, mem=mem: mem
     if cls is Upd:
@@ -125,12 +136,12 @@ _DATA = frozenset((FlexVar, MemLiteral, Upd, Apply1, Apply2))  # the data-expres
 
 @node
 class TrueC:
-    pass
+    _code: object
 
 
 @node
 class FalseC:
-    pass
+    _code: object
 
 
 @node
@@ -141,6 +152,7 @@ class PropAtom:
     p: CmpOp
     e: object
     expected: int
+    _code: object
 
     def __post_init__(self):
         if not isinstance(self.p, CmpOp):
@@ -153,29 +165,34 @@ class PropAtom:
 class DataEq:
     e1: object
     e2: object
+    _code: object
 
 
 @node
 class Not:
     c: object
+    _code: object
 
 
 @node
 class And:
     l: object
     r: object
+    _code: object
 
 
 @node
 class Or:
     l: object
     r: object
+    _code: object
 
 
 @node
 class Implies:
     l: object
     r: object
+    _code: object
 
 
 TRUE = TrueC()
@@ -421,7 +438,8 @@ class DataAct:
 class Assign:
     var: str
     e: object
-    # `flexvars_term(self)`, filled in by its first call
+    # `flexvars_term(self)`: the target and the variables e mentions, filled in by
+    # the machine compiler, by a first `flexvars_term` call or by the first step on terms
     _flexvars: frozenset
 
 
@@ -602,10 +620,10 @@ def children(t) -> tuple:
 
 def with_children(t, kids):
     """t with its children, in `children` order, replaced by kids; every
-    other field is kept."""
-    cls = type(t)
-    if cls in _LEAF:
+    other field is kept.  t itself when each kid is the child it replaces."""
+    if all(map(is_, kids, children(t))):  # a leaf, too
         return t
+    cls = type(t)
     if cls in _BINARY:
         return cls(*kids)
     if cls in _UNARY_BODY:

@@ -25,7 +25,7 @@ from ramproc.machines import (
     proc_of_smbram_sync,
 )
 from ramproc.memory import EMPTY_MEM, MemState
-from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Load, Store, UnOp
+from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store, UnOp
 from ramproc import semantics
 from ramproc.semantics import (
     DEFAULT_GAMMA,
@@ -862,15 +862,17 @@ def test_machine_specs_are_read_once(monkeypatch, build):
     equations = sum(len(spec.equations) for spec in _leaf_specs(term))
     calls = {"linear_summands": 0, "flexvars_term": 0}
 
-    def counted(module, name):
+    def counted(module, name, caller=None):
+        """Count the calls of module.name, or only those made from module caller."""
         real = getattr(module, name)
 
         def spy(*args):
-            calls[name] += 1
+            if caller is None or sys._getframe(1).f_globals["__name__"] == caller.__name__:
+                calls[name] += 1
             return real(*args)
         monkeypatch.setattr(module, name, spy)
     counted(T, "linear_summands")
-    counted(semantics, "flexvars_term")
+    counted(T, "flexvars_term", caller=semantics)
     if rho is None:  # `check` over 49 inputs, each explored on vectors
         assert check_computes(term, FunctionSpec(2, _add_oracle, all_inputs(2, 2))).all_pass
         assert calls == {"linear_summands": equations, "flexvars_term": 0}
@@ -919,6 +921,96 @@ def test_linear_form_reads_what_flexvars_term_reads():
                 checked += 1
     assert checked == 286
     assert T.linear_form(_LOOP.spec) is False and T.linear_form(_NOT_LINEAR.spec) is False
+
+
+def _random_data(rng, names, depth):
+    """A seeded data expression over the variables names, nesting at most
+    depth levels; about one node in six is an ini."""
+    k = rng.randrange(6) if depth else rng.randrange(2)
+    if k == 0:
+        return FlexVar(rng.choice(names))
+    if k == 1:
+        return MemLiteral(_random_mem(rng))
+    if k == 2:
+        return T.Upd(_random_data(rng, names, depth - 1), rng.randrange(3), rng.choice("01"))
+    if k == 3:
+        return T.Apply1(Ini(rng.randint(1, 3)), _random_data(rng, names, depth - 1))
+    if k == 4:
+        return T.Apply1(BinOp("add", Dir(0), Imm(1), Dir(0)), _random_data(rng, names, depth - 1))
+    return T.Apply2(Load(Ind(1), Dir(0)), _random_data(rng, names, depth - 1),
+                    _random_data(rng, names, depth - 1))
+
+
+def _reads_outside_ini(e):
+    """The variables of data expression e that no ini hides from its value."""
+    if type(e) is FlexVar:
+        return {e.name}
+    if type(e) is T.Apply1 and type(e.op) is Ini:
+        return set()
+    return set().union(*[_reads_outside_ini(getattr(e, f)) for f in T._READ_FIELDS.get(type(e), ())])
+
+
+def test_first_step_fills_the_read_set_flexvars_term_gives():
+    # an assignment's first step on terms takes its read set from compiling
+    # its expression; an ini ignores its operand's value, yet its variables count
+    names = ("RM", "RM_1", "RM_2")
+    rho = Valuation.make({x: EMPTY_MEM for x in names})
+    rng = random.Random(2626)
+    cases = [Assign("RM", T.Apply1(Ini(1), FlexVar("RM_1")))]
+    cases += [Assign(rng.choice(names), _random_data(rng, names, 3)) for _ in range(400)]
+    hidden = 0
+    for a in cases:
+        (lab, _), = step(a, rho)[1]
+        want = T.flexvars_term(Assign(a.var, a.e))  # a fresh node, so the walk does the work
+        assert lab.mentions == a._flexvars == want, a
+        hidden += bool(want - {a.var} - _reads_outside_ini(a.e))
+    assert step(cases[0], rho)[1][0][0].mentions == {"RM", "RM_1"}
+    assert hidden >= 25, hidden  # cases where only an ini reads a variable
+
+
+def test_term_explorer_compiles_each_condition_once(monkeypatch):
+    # on terms a condition compiles the first time a state steps it, and the
+    # closure is kept on the node; an assignment's read set comes from that
+    # compile, never from `flexvars_term`
+    compiled, walkers = {}, []
+    real_compile, real_walk = T.compile_cond, T.flexvars_term
+
+    def compile_cond(c, read):
+        compiled[id(c)] = compiled.get(id(c), 0) + 1
+        return real_compile(c, read)
+
+    def flexvars_term(x):
+        walkers.append(sys._getframe(1).f_code.co_name)
+        return real_walk(x)
+    monkeypatch.setattr(T, "compile_cond", compile_cond)
+    monkeypatch.setattr(T, "flexvars_term", flexvars_term)
+    term, rho = _ramp(sample_terms.DIVISION_PROGRAM, {1: "001101001", 2: "1"})  # 300 / 1
+    parsed = parse_term(format_term(term))  # the same machine, keeping no read set
+    mentions = []
+    for t in (term, parsed):
+        conds = {c for _, rhs in t.spec.equations for g in T.flatten(rhs, Alt)
+                 for c in [g.cond] if c._code is None}
+        compiled.clear()
+        l = semantics._build_terms(Eval(rho, t), 10000, DEFAULT_GAMMA)
+        assert len(l) == 1203 and not l.exploded
+        assert compiled == {id(c): 1 for c in conds}
+        mentions.append([lab.mentions for _, lab, _ in l.transitions if type(lab) is Assignment])
+    assert mentions[0] == mentions[1] and len(mentions[0]) > 1000
+    assert "_assign" not in walkers
+
+
+def test_kept_closures_stay_with_their_kind():
+    # a node keeps the closure of the kind it was first evaluated as; used as
+    # the other kind it still raises the compiler's error
+    atom, mem = T.DataEq(FlexVar("RM"), FlexVar("RM")), MemLiteral(EMPTY_MEM)
+    rho = Valuation.make({"RM": EMPTY_MEM})
+    assert step(Guard(atom, Assign("RM", mem)), rho)[1][0][0].value == EMPTY_MEM
+    assert atom._code is not None and mem._code is not None
+    for t, message in ((T.DataAct("a", (atom,)), "not a data expression: %r" % (atom,)),
+                       (Guard(mem, EPS), "not a condition: %r" % (mem,))):
+        with pytest.raises(ValueError) as info:
+            step(t, rho)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("term, rho", [

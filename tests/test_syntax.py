@@ -192,10 +192,27 @@ def test_long_chains_print_and_read_back(n):
     assert parse_term(text) == rec
     # and the term rewrites walk it at the default recursion limit
     assert T.unfold(rec) == T.subst_rec(rec, rec.spec) == Seq(body, rec)
+    assert T.unfold(rec).l is body  # the part without a variable is not copied
     renames = (("Y", T.rename_rec_vars(rec, {"X": "Y"})), ("V1", T.canonical_rename(rec)))
     for name, renamed in renames:
         assert renamed == T.Rec(name, T.RecSpec(((name, Seq(body, T.Var(name))),)))
     assert T.flexvars_term(rec) == frozenset()
+
+
+def test_long_condition_chains_print_and_read_back():
+    # the condition and data printers keep what is left to print on a stack of their
+    # own, so any depth prints at the default recursion limit
+    chain, nested, upd = TRUE, TRUE, FlexVar("RM")
+    for k in range(3000):
+        chain = T.And(chain, T.FALSE if k % 2 else TRUE)
+        nested = T.Not(T.Or(nested, T.DataEq(FlexVar("RM"), FlexVar("RM_1"))))
+        upd = T.Upd(upd, k % 4, "1")
+    text = format_cond(chain)
+    assert text == "True and " + " and ".join("False" if k % 2 else "True" for k in range(3000))
+    assert parse_cond(text) == chain
+    assert format_cond(nested) == "not (" * 3000 + "True" + " or RM == RM_1)" * 3000
+    text = format_cond(T.DataEq(upd, FlexVar("RM")))
+    assert text == "upd(" * 3000 + "RM" + "".join(", %d, 1)" % (k % 4) for k in range(3000)) + " == RM"
 
 
 def test_deep_prefixes_and_wrappers_print():

@@ -600,7 +600,8 @@ def test_eval_error_messages_pinned(evaluate, e, message):
 
 
 def test_ini_does_not_read_its_operand():
-    # ini makes the same memory whatever it is applied to, so its operand is not compiled
+    # ini makes the same memory whatever it is applied to, so an operand that is
+    # no data expression is no error (a data operand compiles only for what it reads)
     assert T.eval_data(T.Apply1(Ini(2), 5), None) == MemState({0: "01"})
 
 
