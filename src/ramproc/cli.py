@@ -54,6 +54,8 @@ def _valuation(args):
         name, eq, path = spec.partition("=")
         if not eq:
             raise ValueError("--mem takes NAME=FILE, got %r" % (spec,))
+        if not name.isidentifier():
+            raise ValueError("--mem NAME must be an identifier, got %r" % (name,))
         env[name] = load_mem_file(path)
     return T.Valuation.make(env)
 
@@ -234,9 +236,6 @@ def cmd_check(args) -> int:
     oracle = _external_oracle(args.oracle)
     term, _ = _build_term(args)
     inputs = complexity.all_inputs(args.arity, args.max_len)
-    if not inputs:
-        print("warning: empty input enumeration; nothing to check")
-        return 0
     bound = complexity.parse_affine(args.bound) if args.bound else None
     f = complexity.FunctionSpec(args.arity, oracle, inputs)
     verdict = complexity.check_computes(term, f, bound, max_states=args.max_states)

@@ -11,6 +11,7 @@ evaluated term eventually halts.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from . import terms as T
@@ -47,28 +48,15 @@ class MeasureReport:
         return out
 
 
-def _halting_lts(t, rho, max_states) -> Lts:
-    l = build_lts(t, rho, max_states)
-    if not eventually_halts(l):
-        raise MeasureUndefinedError("measure undefined: the term does not eventually halt")
-    return l
-
-
-def _report(name, l: Lts, value, per_component=()) -> MeasureReport:
-    return MeasureReport(name, value, tuple(per_component), len(l), len(l.transitions))
-
-
 @node
 class Measure:
-    """A step-count measure: the CLI model and machine shape it is defined
-    for, and which labels count as steps (None: every non-silent one).  A
+    """A step-count measure: the CLI model whose machines it is defined for,
+    and which labels count as steps (None: every non-silent one).  A
     per-component measure counts, for each component i, the steps touching
     RM_i, and reports the slowest component.  A measure `same_as` another
     reports that one's value under its own name."""
 
     model: str
-    machine: str
-    validator: object
     counts: object
     doc: str
     per_component: bool = False
@@ -78,23 +66,40 @@ class Measure:
 _SYNC = T.Plain("sync")
 
 MEASURE_TABLE = {
-    "sutm": Measure(RAMP, "sequential machine", validate_ramp, None,
-                    "Sequential time: every non-silent step counts."),
-    "swm": Measure(RAMP, "sequential machine", validate_ramp, None,
-                   "Sequential work; a sequential machine does one unit per step.",
+    "sutm": Measure(RAMP, None, "Sequential time: every non-silent step counts."),
+    "swm": Measure(RAMP, None, "Sequential work; a sequential machine does one unit per step.",
                    same_as="sutm"),
-    "aputm": Measure(APRAMP, "interleaved parallel machine", validate_apramp, None,
+    "aputm": Measure(APRAMP, None,
                      "Asynchronous-parallel time: the slowest component's own steps.",
                      per_component=True),
-    "apwm": Measure(APRAMP, "interleaved parallel machine", validate_apramp, None,
+    "apwm": Measure(APRAMP, None,
                     "Asynchronous-parallel work: all non-silent steps along a longest run."),
-    "sputm": Measure(SPRAMP, "lockstep parallel machine", validate_spramp,
-                     lambda lab: lab == _SYNC,
+    "sputm": Measure(SPRAMP, lambda lab: lab == _SYNC,
                      "Synchronous-parallel time: handshake rounds only."),
-    "spwm": Measure(SPRAMP, "lockstep parallel machine", validate_spramp,
-                    lambda lab: not isinstance(lab, T.Tau) and lab != _SYNC,
+    "spwm": Measure(SPRAMP, lambda lab: not isinstance(lab, T.Tau) and lab != _SYNC,
                     "Synchronous-parallel work: computational (non-handshake) steps."),
 }
+
+# model -> (the machine its terms are, the validator of that shape)
+_MACHINES = {
+    RAMP: ("a sequential machine", validate_ramp),
+    APRAMP: ("an interleaved parallel machine", validate_apramp),
+    SPRAMP: ("a lockstep parallel machine", validate_spramp),
+}
+
+
+def check_measure_class(measure: str, t):
+    """Raise unless t has the machine shape the measure is defined for;
+    return what the shape validator returns (a parallel machine's component
+    count)."""
+    machine, validator = _MACHINES[MEASURE_TABLE[measure].model]
+    try:
+        ok = validator(t)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError("measure %s requires %s term" % (measure, machine))
+    return ok
 
 
 def _measure_value(m: Measure, l: Lts, n):
@@ -116,9 +121,12 @@ def _measure_function(name, m: Measure):
             return MeasureReport(name, r.value, (), r.states, r.transitions)
         # the sequential measures apply to any term; the parallel ones
         # need the machine shape, and aputm its component count
-        n = m.validator(t) if m.model != RAMP else None
-        l = _halting_lts(t, rho, max_states)
-        return _report(name, l, *_measure_value(m, l, n))
+        n = check_measure_class(name, t) if m.model != RAMP else None
+        l = build_lts(t, rho, max_states)
+        if not eventually_halts(l):
+            raise MeasureUndefinedError("measure undefined: the term does not eventually halt")
+        value, per = _measure_value(m, l, n)
+        return MeasureReport(name, value, tuple(per), len(l), len(l.transitions))
 
     measure.__name__ = measure.__qualname__ = name
     measure.__doc__ = m.doc
@@ -134,33 +142,19 @@ sputm = MEASURES["sputm"]
 spwm = MEASURES["spwm"]
 
 
-def check_measure_class(measure: str, t):
-    """Raise unless t has the machine shape the measure is defined for;
-    return what the shape validator returns (a parallel machine's component
-    count)."""
-    m = MEASURE_TABLE[measure]
-    try:
-        ok = m.validator(t)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ValueError("measure %s requires a %s term" % (measure, m.machine))
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # Computing functions on bit strings
 
 @node
 class FunctionSpec:
-    """A partial function on bit-string tuples with an input enumeration.
+    """A partial function on bit-string tuples, and the inputs to check it on.
 
     oracle(args) returns the result string, or None where the function is
     undefined.  An oracle may also have a `prefetch(inputs)` attribute: the
-    checkers call it with the inputs they are about to ask, in order, before
-    the first call, and with () when they are done or fail, so that it can
-    prepare answers ahead of their turn and drop what was not asked.
-    oracle(args) is still called once per input, in order.
+    checkers call it with `inputs`, the inputs they are about to ask in
+    order, before the first call, and with () when they are done or fail,
+    so that it can prepare answers ahead of their turn and drop what was not
+    asked.  oracle(args) is still called once per input, in order.
     """
 
     arity: int
@@ -169,20 +163,10 @@ class FunctionSpec:
 
 
 def all_inputs(arity: int, max_len: int):
-    """Every tuple of bit strings (empty string included) up to max_len."""
-    pool = [""]
-    for ln in range(1, max_len + 1):
-        pool.extend(_strings_of(ln))
-    out = [()]
-    for _ in range(arity):
-        out = [prev + (w,) for prev in out for w in pool]
-    return tuple(out)
-
-
-def _strings_of(ln):
-    if ln == 0:
-        return [""]
-    return [w + b for w in _strings_of(ln - 1) for b in "01"]
+    """Every tuple of bit strings (empty string included) up to max_len,
+    shorter strings first and the last argument varying fastest."""
+    pool = ["".join(w) for ln in range(max_len + 1) for w in itertools.product("01", repeat=ln)]
+    return tuple(itertools.product(pool, repeat=arity))
 
 
 def input_valuation(args, extra_vars=()) -> T.Valuation:
@@ -225,52 +209,60 @@ class Verdict:
         return tuple(r for r in self.rows if r.status == "undecided")
 
 
-def check_computes(t, f: FunctionSpec, w_bound=None, inputs=None,
-                   max_states: int = 100000) -> Verdict:
-    """Does t compute f within w_bound steps on the given inputs?
+def check_computes(t, f: FunctionSpec, w_bound=None, max_states: int = 100000) -> Verdict:
+    """Does t compute f within w_bound steps on f's inputs?
 
     Defined inputs must halt with register 0 of RM equal to the oracle's
-    answer in every terminal state, within w_bound(total input length) steps.
-    Undefined inputs must not halt; when exploration can't settle that, the
-    row is undecided rather than passed.
+    answer in every terminal state, within w_bound(total input length)
+    non-silent steps along the longest run (`depth`).  Undefined inputs must
+    not halt; when exploration can't settle that, the row is undecided
+    rather than passed.  Every row carries its input's bound.
     """
-    return _check_rows(t, f, w_bound, inputs, max_states, lambda row, l: row)
+    return _check_rows(t, f, w_bound, None, None, max_states)
 
 
-def _check_rows(t, f: FunctionSpec, w_bound, inputs, max_states, finish) -> Verdict:
-    """The loop of `check_computes`; finish(row, lts) makes each input's
-    final row from its checked row and the LTS it explored (None if none)."""
-    if inputs is None:
-        inputs = f.inputs
+def is_of_complexity(t, f: FunctionSpec, v_bound, measure: str,
+                     max_states: int = 100000) -> Verdict:
+    """`check_computes` with the named measure in place of the step count:
+    t must be a machine of the measure's model, and on each row that
+    computes f the measure stays within v_bound(total input length)."""
+    if measure not in MEASURES:
+        raise ValueError("unknown measure %r" % (measure,))
+    n = check_measure_class(measure, t)
+    return _check_rows(t, f, v_bound, MEASURE_TABLE[measure], n, max_states)
+
+
+def _check_rows(t, f: FunctionSpec, bound_of, m, n, max_states) -> Verdict:
+    """The row loop of both checkers: each input's row holds its steps, or
+    the measure m of the n-component machine t if m is not None, to
+    bound_of(total input length)."""
     prefetch = getattr(f.oracle, "prefetch", None)
     if prefetch is not None:
-        prefetch(inputs)
+        prefetch(f.inputs)
     try:
         rows = []
         extra = sorted(T.flexvars_term(t))
-        for args in inputs:
-            size = sum(len(w) for w in args)
-            bound = w_bound(size) if w_bound is not None else None
+        for args in f.inputs:
+            bound = bound_of(sum(len(w) for w in args)) if bound_of is not None else None
             try:
                 expected = f.oracle(args)
             except Exception as e:
-                rows.append(finish(CheckRow(args, None, None, None, bound, "fail",
-                                            "oracle error: %s" % e), None))
+                rows.append(CheckRow(args, None, None, None, bound, "fail",
+                                     "oracle error: %s" % e))
                 continue
             try:
                 l = build_lts(t, input_valuation(args, extra), max_states)
             except SemanticsError as e:
-                rows.append(finish(CheckRow(args, expected, None, None, bound, "fail", str(e)),
-                                   None))
+                rows.append(CheckRow(args, expected, None, None, bound, "fail", str(e)))
                 continue
-            rows.append(finish(_check_one(l, args, expected, bound), l))
+            rows.append(_check_one(l, args, expected, bound, m, n))
         return Verdict(tuple(rows))
     finally:
         if prefetch is not None:
             prefetch(())
 
 
-def _check_one(l: Lts, args, expected, bound) -> CheckRow:
+def _check_one(l: Lts, args, expected, bound, m, n) -> CheckRow:
     if l.exploded:
         return CheckRow(
             args, expected, None, None, bound, "undecided",
@@ -281,35 +273,17 @@ def _check_one(l: Lts, args, expected, bound) -> CheckRow:
             return CheckRow(args, None, None, None, bound, "pass")
         return CheckRow(args, expected, None, None, bound, "fail", "does not halt")
     results = {rho.get("RM").get(0) for rho in terminal_valuations(l)}
-    got, steps = "|".join(sorted(results)), depth(l)
+    got = "|".join(sorted(results))
     if expected is None:
-        return CheckRow(args, None, got or None, steps, bound, "fail",
+        return CheckRow(args, None, got or None, depth(l), bound, "fail",
                         "halts where the function is undefined")
     if results != {expected}:
-        return CheckRow(args, expected, got, steps, bound, "fail", "wrong result")
+        return CheckRow(args, expected, got, depth(l), bound, "fail", "wrong result")
+    steps = depth(l) if m is None else _measure_value(m, l, n)[0]
     if bound is not None and steps > bound:
-        return CheckRow(args, expected, expected, steps, bound, "fail", "over the step bound")
+        return CheckRow(args, expected, expected, steps, bound, "fail",
+                        "over the step bound" if m is None else "measure over the bound")
     return CheckRow(args, expected, expected, steps, bound, "pass")
-
-
-def is_of_complexity(t, f: FunctionSpec, v_bound, measure: str, inputs=None,
-                     max_states: int = 100000) -> Verdict:
-    """t computes f, and the named measure stays within v_bound per input."""
-    if measure not in MEASURES:
-        raise ValueError("unknown measure %r" % (measure,))
-    n = check_measure_class(measure, t)
-
-    def measured(row, l):
-        if row.status != "pass" or row.expected is None:
-            return row
-        bound = v_bound(sum(len(w) for w in row.args))
-        value, _ = _measure_value(MEASURE_TABLE[measure], l, n)
-        if value <= bound:
-            return CheckRow(row.args, row.expected, row.got, value, bound, "pass")
-        return CheckRow(row.args, row.expected, row.got, value, bound, "fail",
-                        "measure over the bound")
-
-    return _check_rows(t, f, None, inputs, max_states, measured)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ without inner spaces, while `|| sync` is an interleaving with an action
 named sync on the right.
 
 Names that do not read back: an action or an assigned variable named `eps`,
-`delta` or `tau` (it reads as the constant, or does not parse); a flexible
-variable named `not`, `True`/`true` or `False`/`false` left of `==`; and an
-action-set label `all` alone, or `allbut` first.
+`delta` or `tau` (it reads as the constant, or does not parse), and a flexible
+variable named `not`, `True`/`true` or `False`/`false` left of `==`.  A
+label set of `all` or `allbut` alone prints that label twice, and `allbut`
+followed by a comma starts a list of labels, so neither reads as the keyword.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ class _Parser:
         if first == "all" and self.peek()[0] == "}":
             self.next()
             return T.ActionSet("all")
-        if first == "allbut":
+        if first == "allbut" and self.peek()[0] != ",":
             return T.ActionSet.allbut(self.listing(self.expect_ident, "}"))
         if first in ("mentioning", "notmentioning") and self.peek()[0] == "ident":
             var = self.expect_ident()
@@ -451,7 +452,10 @@ def format_cond(c, ctx: int | None = 0) -> str:
 
 def format_action_set(s: T.ActionSet) -> str:
     if s.kind == "labels":
-        return "{%s}" % ", ".join(sorted(s.data))
+        names = sorted(s.data)
+        if names in (["all"], ["allbut"]):
+            names *= 2  # alone, the label would read as the keyword
+        return "{%s}" % ", ".join(names)
     if s.kind == "all":
         return "{all}"
     if s.kind == "alltau":

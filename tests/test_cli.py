@@ -467,6 +467,16 @@ def test_oracle_asked_out_of_hint_order(tmp_path, monkeypatch, popens):
     assert reads.read_text().splitlines() == ["e e", "1 1", "1 e"]
 
 
+@pytest.mark.parametrize("name", ["", " RM", "1x", "RM-1"])
+def test_mem_name_must_be_an_identifier(tmp_path, capsys, name):
+    prog = _write(tmp_path, "halt.rp", "halt\n")
+    mem = _write(tmp_path, "m.mem", "1=1\n")
+    assert main(["run", prog, "--mem", "%s=%s" % (name, mem)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --mem NAME must be an identifier, got %r\n" % (name,)
+
+
 def test_mem_does_not_leak_between_calls(tmp_path, capsys):
     prog = _write(tmp_path, "halt.rp", "halt\n")
     mem = _write(tmp_path, "rm.mem", "1=1\n")

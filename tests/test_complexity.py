@@ -7,6 +7,7 @@ from ramproc import terms as T
 from ramproc.bits import bton, ntob
 from ramproc.complexity import (
     MEASURES,
+    CheckRow,
     FunctionSpec,
     MeasureUndefinedError,
     all_inputs,
@@ -31,12 +32,14 @@ from ramproc.machines import (
     proc_of_bbram,
     proc_of_smbram_async,
     proc_of_smbram_sync,
+    run_bbram,
 )
 from ramproc.memory import EMPTY_MEM, MemState
 from ramproc.semantics import build_lts, depth
 from ramproc.syntax import parse_term
 
 import sample_terms
+from test_machines import _random_program
 
 
 def _rho_for(t, mem=EMPTY_MEM):
@@ -326,3 +329,73 @@ def test_is_of_complexity_explores_each_input_once(monkeypatch, measure, program
     assert len(explored) == len(inputs)
     assert [r.steps for r in v.rows] == values
     assert [r.status for r in v.rows] == ["pass" if x <= 2 else "fail" for x in values]
+
+
+@pytest.mark.parametrize("measure", ["aputm", "apwm", "sputm", "spwm"])
+def test_wrong_machine_raises_one_message(measure):
+    # the measure, its class check and the checker agree on each other model's machine
+    machines = {
+        "ramp": proc_of_bbram(parse_program(sample_terms.ADDITION_PROGRAM)),
+        "apramp": _async(["halt\n", "halt\n"]),
+        "spramp": _sync(["halt\n", "halt\n"]),
+    }
+    model = complexity.MEASURE_TABLE[measure].model
+    machine = {"apramp": "an interleaved", "spramp": "a lockstep"}[model]
+    want = "measure %s requires %s parallel machine term" % (measure, machine)
+    f = FunctionSpec(2, _add_oracle, all_inputs(2, 1))
+    for t in (t for other, t in machines.items() if other != model):
+        for call in (lambda: MEASURES[measure](t, _rho_for(t)),
+                     lambda: check_measure_class(measure, t),
+                     lambda: is_of_complexity(t, f, parse_affine("n"), measure)):
+            with pytest.raises(ValueError) as e:
+                call()
+            assert str(e.value) == want
+
+
+def test_is_of_complexity_table_pinned():
+    t = proc_of_bbram(parse_program(sample_terms.ADDITION_PROGRAM))
+    answers = {("1", "1"): "10", ("", "1"): None}  # a wrong answer, an undefined input
+    f = FunctionSpec(2, lambda args: answers.get(args, _add_oracle(args)),
+                     (("0", "11"), ("", ""), ("1", "1"), ("", "1")))
+    assert format_check_table(is_of_complexity(t, f, parse_affine("n"), "sutm")) == """\
+input                    expected     got             steps    bound  status
+(0, 11)                  11           11                  1        3  pass
+(e, e)                   0            0                   1        0  fail (measure over the bound)
+(1, 1)                   10           01                  1        2  fail (wrong result)
+(e, 1)                   -            1                   1        1  fail (halts where the function is undefined)"""
+
+
+def test_check_steps_are_sequential_time():
+    # the step count of `check_computes` is sutm, and bounding sutm with
+    # `is_of_complexity` gives the same rows up to an over-bound row's note
+    rng = random.Random(27)
+    inputs = all_inputs(2, 2)
+    progs = [parse_program(sample_terms.ADDITION_PROGRAM)]
+    progs += [_random_program(rng, rng.randint(1, 5)) for _ in range(12)]
+    seen = set()
+    for prog in progs:
+        t = proc_of_bbram(prog)
+        extra = sorted(T.flexvars_term(t))
+        answers = {}
+        for args in inputs:
+            run = run_bbram(prog, input_valuation(args).get("RM"), 200)
+            answers[args] = run.mem.get(0) if run.halted else None
+            roll = rng.random()
+            if roll < 0.15:
+                answers[args] = None
+            elif roll < 0.3:
+                answers[args] = (answers[args] or "") + "1"
+        f = FunctionSpec(2, answers.get, inputs)
+        bound = parse_affine(rng.choice(["0", "1", "n", "2*n+1"]))
+        checked = check_computes(t, f, bound, max_states=2000)
+        measured = is_of_complexity(t, f, bound, "sutm", max_states=2000)
+        for r, m in zip(checked.rows, measured.rows, strict=True):
+            if r.status == "pass" and r.expected is not None:
+                assert r.steps == sutm(t, input_valuation(r.args, extra)).value
+            seen.add(r.note or r.status)
+            if r.note == "over the step bound":
+                assert m.note == "measure over the bound"
+                r = CheckRow(r.args, r.expected, r.got, r.steps, r.bound, r.status, m.note)
+            assert m == r
+    assert seen >= {"pass", "over the step bound", "wrong result", "does not halt",
+                    "halts where the function is undefined"}

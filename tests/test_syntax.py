@@ -125,6 +125,21 @@ def test_roundtrip_samples():
         assert format_term(parse_term(s)) == s
 
 
+def test_keyword_labels_read_back():
+    # a lone `all` or `allbut` label prints twice, and `allbut ,` starts a
+    # list of labels; the keyword sets keep their texts
+    for names, text in ((["all"], "{all, all}"), (["allbut"], "{allbut, allbut}"),
+                        (["allbut", "x"], "{allbut, x}"), (["all", "x"], "{all, x}")):
+        t = T.Encap(T.ActionSet.labels(names), Act("a"))
+        assert format_term(t) == "encap%s(a)" % text
+        assert parse_term(format_term(t)) == t
+    for s, text in ((T.ActionSet("all"), "{all}"), (T.ActionSet.allbut(()), "{allbut }"),
+                    (T.ActionSet.allbut(["allbut"]), "{allbut allbut}")):
+        assert format_term(T.Encap(s, Act("a"))) == "encap%s(a)" % text
+        assert parse_term("encap%s(a)" % text).acts == s
+    assert parse_term("encap{allbut}(a)").acts == T.ActionSet.allbut(())
+
+
 # RN3 instances whose right-hand side is an action renamed to tau: `tau`
 # reads back as the silent step, and `tau(...)` does not parse.
 RN3_TAU_INSTANCES = (69, 71, 78, 85, 90)
