@@ -101,17 +101,9 @@ def _refined(l1: Lts, l2: Lts) -> bool:
     """`rb_bisim` by refinement of the merged systems' blocks."""
     m = _Merged(l1, l2)
     block = _branching_blocks(m)
-
-    if (m.root1 in m.success) != (m.root2 in m.success):
-        return False
-
-    def root_moves_match(a, b):
-        for lab, dst in m.out[a]:
-            if not any(lab == lab2 and block[dst] == block[dst2] for lab2, dst2 in m.out[b]):
-                return False
-        return True
-
-    return root_moves_match(m.root1, m.root2) and root_moves_match(m.root2, m.root1)
+    roots = [{(lab, block[dst]) for lab, dst in m.out[r]} | ({_DONE} if r in m.success else set())
+             for r in (m.root1, m.root2)]
+    return roots[0] == roots[1]
 
 
 def rb_bisim(l1: Lts, l2: Lts) -> bool:

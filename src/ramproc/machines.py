@@ -138,17 +138,17 @@ def memory_name(number=None) -> str:
     return "RM" if number is None else "RM_%d" % number
 
 
-def _op_equation(o, memvar: str, nxt: str, assign):
+def _op_equation(o, memvar: str, nxt: str):
     if isinstance(o, (Load, Store)):
-        e, mems = T.Apply2(o, T.FlexVar(memvar), T.FlexVar("RM")), (memvar, "RM")
+        e = T.Apply2(o, T.FlexVar(memvar), T.FlexVar("RM"))
     else:
-        e, mems = T.Apply1(o, T.FlexVar(memvar)), (memvar,)
+        e = T.Apply1(o, T.FlexVar(memvar))
     target = "RM" if isinstance(o, Store) else memvar
-    return T.Guard(T.TRUE, T.Seq(assign(target, e, mems), T.Var(nxt)))
+    return T.Guard(T.TRUE, T.Seq(T.Assign(target, e), T.Var(nxt)))
 
 
-def _jmp_equation(p, memvar: str, taken: str, fallthrough: str, assign):
-    self_step = assign(memvar, T.FlexVar(memvar), (memvar,))
+def _jmp_equation(p, memvar: str, taken: str, fallthrough: str):
+    self_step = T.Assign(memvar, T.FlexVar(memvar))
     return T.Alt(
         T.Guard(T.PropAtom(p, T.FlexVar(memvar), 1), T.Seq(self_step, T.Var(taken))),
         T.Guard(T.PropAtom(p, T.FlexVar(memvar), 0), T.Seq(self_step, T.Var(fallthrough))),
@@ -163,27 +163,19 @@ def _compile(prog: Program, name, number=None, handshakes: bool = False):
     RM_i and starts at equation 0, the step RM_i := ini_i(RM_i).  With
     handshakes, instruction j is instead a sync equation 2j-1 followed by
     its work equation 2j, and control (fall-through and jumps alike) enters
-    at the sync equation.  Each assignment, and the spec, keeps the memories
-    it touches as its `flexvars_term`, so no query walks them.
+    at the sync equation.
     """
     if not isinstance(prog.instrs[-1], Halt):
         raise ValueError("last instruction must be halt: control would run past the end")
     stride = 2 if handshakes else 1
     memvar = memory_name(number)
-    touched = set()
 
     def entry(j):
         return name(stride * (j - 1) + 1)
 
-    def assign(target, e, mems):
-        a = T.Assign(target, e)
-        object.__setattr__(a, "_flexvars", frozenset(mems))
-        touched.update(mems)
-        return a
-
     eqs = []
     if number is not None:
-        ini = assign(memvar, T.Apply1(Ini(number), T.FlexVar(memvar)), (memvar,))
+        ini = T.Assign(memvar, T.Apply1(Ini(number), T.FlexVar(memvar)))
         eqs.append((name(0), T.Guard(T.TRUE, T.Seq(ini, T.Var(entry(1))))))
     for j, ins in enumerate(prog.instrs, start=1):
         work = name(stride * j)
@@ -192,13 +184,11 @@ def _compile(prog: Program, name, number=None, handshakes: bool = False):
         if isinstance(ins, Halt):
             eqs.append((work, T.Guard(T.TRUE, T.EPS)))
         elif isinstance(ins, Jmp):
-            eqs.append((work, _jmp_equation(ins.p, memvar, entry(ins.target), entry(j + 1),
-                                            assign)))
+            eqs.append((work, _jmp_equation(ins.p, memvar, entry(ins.target), entry(j + 1))))
         else:
-            eqs.append((work, _op_equation(ins.o, memvar, entry(j + 1), assign)))
+            eqs.append((work, _op_equation(ins.o, memvar, entry(j + 1))))
     spec = T.RecSpec(tuple(eqs))
     object.__setattr__(spec, "_decoded", (number, handshakes, prog))
-    object.__setattr__(spec, "_flexvars", frozenset(touched))
     return T.Rec(eqs[0][0], spec)
 
 

@@ -100,16 +100,15 @@ def _ground(x, env, what="data not ground"):
         raise SemanticsError("%s: %s" % (what, err)) from None
 
 
-def _code(x, compile, kinds, read=None):
+def _code(x, compile, kinds):
     """compile(x, read_valuation), kept in x's hidden `_code` field when x is a
-    node of kinds: states and both sides of a law share such nodes.  Given a
-    read, x compiles afresh, so that read sees every variable x mentions.  Any
+    node of kinds: states and both sides of a law share such nodes.  Any
     other x compiles each time, and compile raises its error."""
     if type(x) not in kinds:
-        return compile(x, read or read_valuation)
+        return compile(x, read_valuation)
     code = x._code
-    if code is None or read is not None:
-        code = compile(x, read or read_valuation)
+    if code is None:
+        code = compile(x, read_valuation)
         object.__setattr__(x, "_code", code)
     return code
 
@@ -164,10 +163,6 @@ def _data_act(t, env, gamma):
 
 
 def _assign(t, env, gamma):
-    if t._flexvars is None:  # its first step: the target, and the variables compiling t.e reads
-        reads = {t.var}
-        _code(t.e, T.compile_data, T._DATA, lambda x: reads.add(x) or read_valuation(x))
-        object.__setattr__(t, "_flexvars", frozenset(reads))
     val = _ground(_code(t.e, T.compile_data, T._DATA), env)
     return False, [(Assignment(t.var, val, t._flexvars), T.EPS)]
 

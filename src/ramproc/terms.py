@@ -97,14 +97,11 @@ class Apply2:
 def compile_data(e, read):
     """e as a function of an environment, `read(name)` reading variable name from
     it; kernels resolve here, once.  One frame per level; no cells (values are defaults).
-    An ini's value ignores its operand, but a data operand is compiled all the same,
-    so `read` sees every variable e mentions, as `flexvars_term` counts them."""
+    An ini's value ignores its operand, which is not compiled."""
     cls = type(e)
     if cls is FlexVar:
         return read(e.name)
     if cls is MemLiteral or cls is Apply1 and isinstance(e.op, Ini):
-        if cls is Apply1 and type(e.e) in _DATA:
-            compile_data(e.e, read)
         mem = e.mem if cls is MemLiteral else apply_ini(e.op.i)
         return lambda env, mem=mem: mem
     if cls is Upd:
@@ -438,9 +435,11 @@ class DataAct:
 class Assign:
     var: str
     e: object
-    # `flexvars_term(self)`: the target and the variables e mentions, filled in by
-    # the machine compiler, by a first `flexvars_term` call or by the first step on terms
+    # the target and the variables e mentions, an ini's operand too, filled in by the check
     _flexvars: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "_flexvars", flexvars_term(self.e) | {self.var})
 
 
 @node
@@ -515,7 +514,7 @@ class RecSpec:
     _consts: dict
     # var -> one-step unfolding of Rec(var, self), filled in by `unfold`
     _unfolded: dict
-    # the flexible variables of all right-hand sides, filled in by `flexvars_term`
+    # the flexible variables all right-hand sides read, filled in by the check
     _flexvars: frozenset
     # `linear_form(self)`, filled in by its first call
     _linear: object
@@ -529,16 +528,10 @@ class RecSpec:
         if len(rhs) != len(self.equations):
             raise ValueError("duplicate equation variable")
         object.__setattr__(self, "_rhs", rhs)
+        reads, seen = set(), set()
         for name, t in self.equations:
-            todo = [t]
-            while todo:  # inner specs bind their own names and are skipped
-                t = todo.pop()
-                cls = type(t)
-                if cls is Var and t.name not in rhs:
-                    raise ValueError("free recursion variable %s in the equation for %s"
-                                     % (t.name, name))
-                if cls in _BINARY or cls in _UNARY_BODY:
-                    todo.extend(children(t))
+            _gather_reads(t, reads, seen, rhs, name)
+        object.__setattr__(self, "_flexvars", frozenset(reads))
 
     def rhs(self, name: str):
         try:
@@ -677,19 +670,39 @@ def flexvars_term(x) -> frozenset:
     """The flexible variables x reads, plus an assignment's target, for a
     data expression, a condition or a process term x (inner valuations bind
     nothing here).  A recursion constant reads what its spec's right-hand
-    sides read.  An assignment's set and a spec's are computed once and kept
-    in their hidden `_flexvars` field."""
-    def kept(u):
-        return u._flexvars if type(u) is Assign else u.spec._flexvars if type(u) is Rec else None
+    sides read.  Assignments and specs keep their sets from construction,
+    and the walk stops at them; an operand that is no node reads nothing."""
+    reads = set()
+    _gather_reads(x, reads, set())
+    return frozenset(reads)
 
-    def visit(u, reads):
-        out = frozenset((u.name,)) if type(u) is FlexVar else kept(u)
-        if out is None:
-            out = frozenset((u.var,) if type(u) is Assign else ()).union(*reads)
-            if type(u) is Assign or type(u) is Rec:
-                object.__setattr__(u if type(u) is Assign else u.spec, "_flexvars", out)
-        return out
-    return fold(x, visit, lambda u: operands(u) if kept(u) is None else ())
+
+_WALKED = frozenset(_READ_FIELDS) | _BINARY | _UNARY_BODY | {DataAct}  # nodes with operands
+
+
+def _gather_reads(x, reads, seen, bound=None, name=None):
+    """Add what x reads, as `flexvars_term` counts it, to the set reads, walking the
+    operands of each node not in the id set seen once; those of the commonest kinds,
+    binary nodes and guards, without an `operands` call, as specs are built per query.
+    With bound (a spec's names), a `Var` not in it is free in the equation for name."""
+    todo = [x]
+    while todo:
+        u = todo.pop()
+        cls = type(u)
+        if cls is FlexVar:
+            reads.add(u.name)
+        elif cls is Assign:
+            reads |= u._flexvars
+        elif cls is Rec:  # an inner spec binds its own names
+            reads |= u.spec._flexvars
+        elif cls is Var:
+            if bound is not None and u.name not in bound:
+                raise ValueError("free recursion variable %s in the equation for %s"
+                                 % (u.name, name))
+        elif cls in _WALKED and id(u) not in seen:
+            seen.add(id(u))
+            todo += ((u.l, u.r) if cls in _BINARY else (u.cond, u.body) if cls is Guard
+                     else operands(u))
 
 
 # ---------------------------------------------------------------------------
@@ -786,14 +799,12 @@ def linear_summands(t):
 
 def linear_form(E: RecSpec):
     """(summands, reads) of spec E, or False when a right-hand side is not
-    linear: each variable's `linear_summands`, and E's kept `_flexvars`, or the
-    set walked from their conditions and prefixes, filling `Assign._flexvars`."""
+    linear: each variable's `linear_summands`, and E's kept `_flexvars`, which
+    are what the summands' conditions and prefixes read."""
     if E._linear is None:
         summands = {name: linear_summands(rhs) for name, rhs in E.equations}
-        reads = E._flexvars if E._flexvars is not None else frozenset().union(*[
-            flexvars_term(x) for ss in summands.values() for c, a, _ in ss or ()
-            for x in (c, a) if x is not None])
-        object.__setattr__(E, "_linear", None not in summands.values() and (summands, reads))
+        object.__setattr__(E, "_linear",
+                           None not in summands.values() and (summands, E._flexvars))
     return E._linear
 
 

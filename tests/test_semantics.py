@@ -502,9 +502,10 @@ def test_lts_fingerprint_corpus_ignores_hash_seed():
 
 
 # ---------------------------------------------------------------------------
-# Read sets: `flexvars_term` against a reference that looks at every compared
-# field of every node, on law instances, compiled machines, the hand-built
-# terms and some explored states.
+# Read sets: the kept sets and `flexvars_term` against a reference that looks
+# at every compared field of every node, on law instances, compiled machines,
+# the hand-built terms and some explored states, and their parsed and
+# canonically renamed copies.
 
 _DATA_CLASSES = (T.FlexVar, T.MemLiteral, T.Upd, T.Apply1, T.Apply2)
 _COND_CLASSES = (T.TrueC, T.FalseC, T.PropAtom, T.DataEq, T.Not, T.And, T.Or, T.Implies)
@@ -558,7 +559,11 @@ def _read_set_corpus():
 def test_flexvars_term_matches_reference():
     seen = {}
     for t in _read_set_corpus():
-        _nodes(t, seen)
+        for u in (t, parse_term(format_term(t)), T.canonical_rename(t)):
+            _nodes(u, seen)
+    for x in seen:  # kept by the constructors, before any walk has run
+        if type(x) is Assign or type(x) is Rec:
+            assert (x if type(x) is Assign else x.spec)._flexvars == _reads_reference(x), x
     reading = {"data": 0, "cond": 0, "term": 0}
     for x in seen:
         kind = ("data" if isinstance(x, _DATA_CLASSES) else "cond" if isinstance(x, _COND_CLASSES)
@@ -914,7 +919,7 @@ def test_linear_form_reads_what_flexvars_term_reads():
     checked = 0
     for label, (term, rho, max_states, gamma) in _corpus_inputs():
         for spec in _leaf_specs(term):
-            form = T.linear_form(RecSpec(spec.equations))  # a copy that keeps no read set
+            form = T.linear_form(RecSpec(spec.equations))  # a copy with no linear form kept
             if form is not False:
                 assert form[1] == T.flexvars_term(Rec(spec.vars()[0], spec)), label
                 assert list(form[0]) == list(spec.vars())
@@ -951,8 +956,8 @@ def _reads_outside_ini(e):
 
 
 def test_first_step_fills_the_read_set_flexvars_term_gives():
-    # an assignment's first step on terms takes its read set from compiling
-    # its expression; an ini ignores its operand's value, yet its variables count
+    # an assignment's step on terms labels its move with the read set its
+    # constructor keeps; an ini ignores its operand's value, yet its variables count
     names = ("RM", "RM_1", "RM_2")
     rho = Valuation.make({x: EMPTY_MEM for x in names})
     rng = random.Random(2626)
@@ -961,7 +966,7 @@ def test_first_step_fills_the_read_set_flexvars_term_gives():
     hidden = 0
     for a in cases:
         (lab, _), = step(a, rho)[1]
-        want = T.flexvars_term(Assign(a.var, a.e))  # a fresh node, so the walk does the work
+        want = T.flexvars_term(Assign(a.var, a.e))  # a fresh node that no step has seen
         assert lab.mentions == a._flexvars == want, a
         hidden += bool(want - {a.var} - _reads_outside_ini(a.e))
     assert step(cases[0], rho)[1][0][0].mentions == {"RM", "RM_1"}
@@ -970,8 +975,8 @@ def test_first_step_fills_the_read_set_flexvars_term_gives():
 
 def test_term_explorer_compiles_each_condition_once(monkeypatch):
     # on terms a condition compiles the first time a state steps it, and the
-    # closure is kept on the node; an assignment's read set comes from that
-    # compile, never from `flexvars_term`
+    # closure is kept on the node; an assignment's read set is kept from its
+    # construction, never walked by `flexvars_term`
     compiled, walkers = {}, []
     real_compile, real_walk = T.compile_cond, T.flexvars_term
 
@@ -985,7 +990,7 @@ def test_term_explorer_compiles_each_condition_once(monkeypatch):
     monkeypatch.setattr(T, "compile_cond", compile_cond)
     monkeypatch.setattr(T, "flexvars_term", flexvars_term)
     term, rho = _ramp(sample_terms.DIVISION_PROGRAM, {1: "001101001", 2: "1"})  # 300 / 1
-    parsed = parse_term(format_term(term))  # the same machine, keeping no read set
+    parsed = parse_term(format_term(term))  # the same machine, built by the parser
     mentions = []
     for t in (term, parsed):
         conds = {c for _, rhs in t.spec.equations for g in T.flatten(rhs, Alt)

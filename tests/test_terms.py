@@ -1,3 +1,4 @@
+import time
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -6,7 +7,7 @@ from ramproc import machines
 from ramproc import terms as T
 from ramproc.machines import SMBRAM, parse_program, proc_of_bbram, proc_of_smbram_async
 from ramproc.memory import EMPTY_MEM, MemState
-from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store
+from ramproc.ramops import BinOp, CmpOp, Dir, Imm, Ind, Ini, Load, Store, apply_ini
 from ramproc.semantics import SemanticsError, step
 from ramproc.syntax import parse_term
 from ramproc.terms import (
@@ -91,6 +92,18 @@ def test_flexvars():
     assert T.flexvars_term(Assign("d", FlexVar("i"))) == frozenset({"d", "i"})
     assert T.flexvars_term(T.DataEq(FlexVar("j"), T.Upd(FlexVar("k"), 0, "1"))) == {"j", "k"}
     assert T.flexvars_term(T.Not(TRUE)) == T.flexvars_term(MemLiteral(M1)) == frozenset()
+
+
+def test_malformed_operands_read_nothing():
+    # an operand that is no node of the language reads nothing, and an ini's
+    # operand is not compiled; stepping a bad operand still raises
+    bad = T.Upd(None, 0, "1")
+    assert T.flexvars_term(Alt(Act("a"), "junk")) == T.flexvars_term(bad) == frozenset()
+    assert T.flexvars_term(Seq(Assign("v", FlexVar("w")), 5)) == {"v", "w"}
+    assert Assign("d", bad)._flexvars == {"d"}
+    assert T.eval_data(T.Apply1(Ini(1), bad), Valuation()) == apply_ini(1)
+    with pytest.raises(ValueError, match="^not a data expression: None$"):
+        step(Assign("d", bad))
 
 
 def test_action_sets():
@@ -238,6 +251,26 @@ def test_fold_visits_each_shared_subterm_once():
     visits = []
     assert T.fold(t, lambda u, heights: visits.append(u) or 1 + max(heights, default=0)) == 41
     assert len(visits) == len(set(map(id, visits))) == 41
+
+
+def test_spec_walks_each_shared_subterm_once():
+    # a spec's free-variable check and read set visit each subterm object once
+    def shared(leaf):
+        t = Seq(Assign("d", FlexVar("i")), leaf)
+        for _ in range(40):  # 2**40 paths through 204 nodes
+            t = Guard(T.DataEq(FlexVar("j"), MemLiteral(M1)), Seq(t, t))
+        return t
+    start = time.perf_counter()
+    t = Rec("X", RecSpec((("X", shared(Var("X"))),)))
+    assert time.perf_counter() - start < 1
+    assert t.spec._flexvars == T.flexvars_term(t) == {"d", "i", "j"}
+    with pytest.raises(ValueError, match="^free recursion variable Z in the equation for X$"):
+        RecSpec((("X", shared(Var("Z"))),))
+    t = Act("a")
+    for _ in range(40):  # the 41 objects of `test_fold_visits_each_shared_subterm_once`
+        t = Alt(t, t)
+    start = time.perf_counter()
+    assert T.flexvars_term(t) == frozenset() and time.perf_counter() - start < 1
 
 
 def test_validate_linear():
@@ -470,8 +503,9 @@ def test_node_constructor():
     assert Valuation() == Valuation(()) and Valuation().entries == ()
     assert ActionSet("all").data is None
     spec = RecSpec((("X", EPS),))
-    assert (spec._consts, spec._unfolded, spec._flexvars, spec._text) == (None,) * 4
-    assert Assign("v", FlexVar("v"))._flexvars is None
+    assert (spec._consts, spec._unfolded, spec._flexvars, spec._text) == (
+        None, None, frozenset(), None)
+    assert Assign("v", FlexVar("v"))._flexvars == {"v"}
     with pytest.raises(FrozenInstanceError):
         Act("a").name = "b"
     with pytest.raises(FrozenInstanceError):
