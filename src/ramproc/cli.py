@@ -102,14 +102,11 @@ def cmd_run(args) -> int:
         return 3
     halts = semantics.eventually_halts(l)
     print("halts: %s" % ("yes" if halts else "no"))
-    print("states: %d  transitions: %d" % (len(l), len(l.transitions)))
+    print("states: %d  transitions: %d" % (len(l), l.transition_count()))
     if not halts:
         return 2
     print("steps (non-silent, longest run): %d" % semantics.depth(l))
-    finals = []
-    for rho2 in semantics.terminal_valuations(l):
-        if rho2 not in finals:
-            finals.append(rho2)
+    finals = list(dict.fromkeys(semantics.terminal_valuations(l)))
     for k, rho2 in enumerate(finals, start=1):
         tag = "final memory" if len(finals) == 1 else "final memory (outcome %d)" % k
         for name in rho2.names():

@@ -126,7 +126,7 @@ def _measure_function(name, m: Measure):
         if not eventually_halts(l):
             raise MeasureUndefinedError("measure undefined: the term does not eventually halt")
         value, per = _measure_value(m, l, n)
-        return MeasureReport(name, value, tuple(per), len(l), len(l.transitions))
+        return MeasureReport(name, value, tuple(per), len(l), l.transition_count())
 
     measure.__name__ = measure.__qualname__ = name
     measure.__doc__ = m.doc

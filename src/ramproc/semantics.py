@@ -13,7 +13,7 @@ import sys
 from collections.abc import Sequence
 from functools import partial
 from itertools import count
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import terms as T
 from .terms import (
@@ -303,32 +303,119 @@ class Lts:
     exploration on state vectors it rebuilds each one on demand
     (`_StateTerms`).  When exploration hits the state cap, `exploded` is
     set and the graph is partial; consumers must treat it as inconclusive.
-    The out-lists, (label, target) per state in transition order, are
-    filled by the explorers or built from `transitions` when first asked for.
+    The transitions are kept once, as out-lists of (label id, target) per
+    state in transition order, with `labels` the label of each id.
+    `transitions` and `out(sid)` give labels themselves, built when asked
+    for.  A graph built by hand sets `transitions`, and its label table
+    and out-lists are derived from them when first needed.
     """
 
     def __init__(self):
         self.states = []
         self.success = set()
-        self.transitions = []
         self.initial = 0
         self.exploded = False
-        self._out = None
+        self._given = []  # the transitions as set, or None once explored
+        self._labels = self._out = None
         self._order = _UNSET
 
+    @property
+    def transitions(self):
+        """The (source, label, target) triples: as set, or else in source order."""
+        if self._given is not None:
+            return self._given
+        labels = self._labels
+        return [(src, labels[k], dst) for src, k, dst in self._edges()]
+
+    @transitions.setter
+    def transitions(self, triples):
+        self._given, self._labels, self._out, self._order = triples, None, None, _UNSET
+
+    @property
+    def labels(self):
+        self._outs()
+        return self._labels
+
     def out(self, sid: int):
-        return self._outs()[sid]
+        labels = self.labels
+        return [(labels[k], dst) for k, dst in self._outs()[sid]]
+
+    def transition_count(self) -> int:
+        return sum(map(len, self._outs()))
 
     def _outs(self):
         if self._out is None:
+            table = _Labels()
             adj = [[] for _ in range(len(self))]
-            for src, lab, dst in self.transitions:
-                adj[src].append((lab, dst))
-            self._out = adj
+            for src, lab, dst in self._given:
+                adj[src].append((table.intern(lab), dst))
+            self._labels, self._out = table.labels, adj
         return self._out
+
+    def _edges(self):
+        """(source, label id, target) per transition, in source order."""
+        return [(src, k, dst) for src, out in enumerate(self._outs()) for k, dst in out]
 
     def __len__(self):
         return len(self.states)
+
+
+class _Labels:
+    """An exploration's label table: `labels[id]` is the label that got the
+    id when first added.  Assignment labels that mention different variables
+    compare equal yet get ids of their own, for the per-component measures
+    count them apart; `crowded` maps each id whose label equals another
+    id's to the first of them."""
+
+    __slots__ = ("labels", "crowded", "_ids", "_first", "_assigned")
+
+    def __init__(self):
+        self.labels, self.crowded = [], {}
+        self._ids, self._first, self._assigned = {}, {}, {}
+
+    def intern(self, lab) -> int:
+        """lab's id, keyed by the label and an assignment's mentions."""
+        labels, assigns = self.labels, type(lab) is Assignment
+        k = self._ids.setdefault((lab, lab.mentions) if assigns else lab, len(labels))
+        if k == len(labels):
+            labels.append(lab)
+            if assigns:
+                self._equal(lab, k)
+        return k
+
+    def _equal(self, equal, k):
+        """Record id k under equal, the key its label shares with the labels
+        equal to it."""
+        first = self._first.setdefault(equal, k)
+        if first != k:
+            self.crowded[first] = self.crowded[k] = first
+
+    def assignments(self, var, i, col, mentions):
+        """The ids, by memory id, of the labels that assign memory col[mid]
+        to var, vector position i, and mention mentions; and the function
+        that adds the label of a memory id to the table and to them."""
+        ids = self._assigned.setdefault((i, mentions), {})
+
+        def new(mid):
+            k = ids[mid] = len(self.labels)
+            self.labels.append(Assignment(var, col[mid], mentions))
+            self._equal((i, mid), k)
+            return k
+        return ids, new
+
+    def lifted(self, f):
+        """f, from labels to a label or None, on ids: once per tuple of ids,
+        and a label that f gives back keeps its id."""
+        labels, memo = self.labels, {}
+
+        def g(*ks):
+            r = memo.get(ks, _UNSET)
+            if r is _UNSET:
+                lab = f(*[labels[k] for k in ks])
+                r = memo[ks] = (lab if lab is None else ks[0] if lab is labels[ks[0]]
+                                else self.intern(lab))
+            return r
+        return g
 
 
 def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
@@ -366,37 +453,55 @@ def _height(t):
 
 
 def _build_terms(root, max_states, gamma) -> Lts:
-    """`build_lts` on terms: breadth first over the step rules."""
-    return _explore(root, lambda t: _RULES[type(t)](t, EMPTY_VALUATION, gamma), max_states)
+    """`build_lts` on terms: breadth first over the step rules, each label
+    interned as it comes."""
+    table = _Labels()
+    return _explore(root, lambda t: _RULES[type(t)](t, EMPTY_VALUATION, gamma), max_states,
+                    table, table.intern)
 
 
-def _explore(first, moves, max_states) -> Lts:
+def _explore(first, moves, max_states, table, intern=None) -> Lts:
     """The LTS reachable from state first, breadth first: moves(s) gives s's
-    success and its (label, successor) moves in rule order, which are
-    deduplicated as they come, keeping first occurrences, as `step` does;
-    only a move into a state numbered before it can repeat one.  A new
-    state past max_states marks the LTS exploded and ends the walk."""
+    success and its (label id, successor) moves in rule order, the ids from
+    table, or its (label, successor) moves when intern gives a label's id.
+    The moves are deduplicated as they come, keeping the first of those
+    whose labels compare equal, as `step` does; only a move into a state
+    numbered before it can repeat one.  A new state past max_states marks
+    the LTS exploded and ends the walk.  When every transition leads to a
+    state numbered after its source, the numbering read backwards is a
+    reverse topological order, and it is kept for `_topo_order`."""
     l = Lts()
-    states, index, outs, transitions = l.states, {first: 0}, [], l.transitions
+    states, index, outs, out, back = l.states, {first: 0}, [], [], False
+    crowded = table.crowded
     states.append(first)
     for sid, s in enumerate(states):  # grows while it is walked
         succ, ms = moves(s)
         if succ:
             l.success.add(sid)
-        outs.append(out := [])
-        for lab, u in ms:
+        for k, u in ms:
+            if intern is not None:
+                k = intern(k)
             dst = index.get(u)
             if dst is None:
                 if len(states) >= max_states:
                     l.exploded = True
-                    return l
+                    break
                 dst = index[u] = len(states)
                 states.append(u)
-            elif (lab, dst) in out:
+            elif (k, dst) in out or k in crowded and any(
+                    d == dst and crowded.get(j) == crowded[k] for j, d in out):
                 continue
-            transitions.append((sid, lab, dst))
-            out.append((lab, dst))
-    l._out = outs
+            elif dst <= sid:
+                back = True
+            out.append((k, dst))
+        outs.append(tuple(out))
+        out.clear()
+        if l.exploded:
+            outs += [()] * (len(states) - len(outs))
+            break
+    l._given, l._labels, l._out = None, table.labels, outs
+    if not back and not l.exploded:
+        l._order = range(len(states) - 1, -1, -1)
     return l
 
 
@@ -463,6 +568,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     reads = {pos: itemgetter(pos, *[mem_at[x] for x in sorted(T.linear_form(u.spec)[1])])
              for pos, u in enumerate(leaves, len(names)) if not single}
     leaf_memo = {}
+    table = _Labels()
 
     def intern(u):
         cid = comp_ids.get(u)
@@ -490,11 +596,11 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
 
     def leaf(node, v):
         """(success, moves) of the component at position node, each move a
-        label and its changes to v; a lone leaf's, its successor vector."""
+        label id and its changes to v; a lone leaf's, its successor vector."""
         cid = v[node]
         ss = summands[cid]
         if ss is None:
-            ss = summands[cid] = _compile(comps[cid], mem_at, mems, intern, mem_id)
+            ss = summands[cid] = _compile(comps[cid], mem_at, mems, intern, mem_id, table)
         succ, out = False, []
         for hold, make, nxt in ss:
             if hold is None or hold(v):
@@ -514,42 +620,46 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
             hit = leaf_memo[key] = leaf(node, v)
         return hit
 
+    ops = (memo_leaf, table.labels, table.lifted(_SYNC_RENAME.apply_label),
+           table.lifted(partial(_communicate, gamma=gamma)))
+
     def moves(v):
         """The moves of a composition, each with its successor vector."""
-        succ, ms = _tree_moves(memo_leaf, gamma, tree, v)
-        return succ, [(lab, successor(v, ch)) for lab, ch in ms]
+        succ, ms = _tree_moves(ops, tree, v)
+        return succ, [(k, successor(v, ch)) for k, ch in ms]
 
     def term(v):
         return T.Eval(valuation(v), _tree_term(tree, v, comps))
 
     first = (0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs
     # a lone leaf meets each state once, so it steps without the memo or the tree walk
-    l = _explore(first, partial(leaf, tree) if single else moves, max_states)
+    l = _explore(first, partial(leaf, tree) if single else moves, max_states, table)
     l.states = _StateTerms(l.states, term, valuation)
     return l
 
 
-def _tree_moves(leaf, gamma, node, v):
-    """(success, moves) of a merge node in state v, each move a label and the
-    (position, value) changes it makes to v; `leaf` steps the leaves.  v
-    comes last so that `partial` can bind the rest."""
+def _tree_moves(ops, node, v):
+    """(success, moves) of a merge node in state v, each move a label id and
+    the (position, value) changes it makes to v.  ops are `leaf`, which
+    steps the leaves, the labels by id, and the sync renaming and
+    `_communicate` on ids."""
+    leaf, labels, rename, communicate = ops
     l, r, bit = node
-    sl, ml = leaf(l, v) if type(l) is int else _tree_moves(leaf, gamma, l, v)
-    sr, mr = leaf(r, v) if type(r) is int else _tree_moves(leaf, gamma, r, v)
+    sl, ml = leaf(l, v) if type(l) is int else _tree_moves(ops, l, v)
+    sr, mr = leaf(r, v) if type(r) is int else _tree_moves(ops, r, v)
     if bit is not None:
-        rename = _SYNC_RENAME.apply_label
         ml = [(rename(a), ch) for a, ch in ml]
         mr = [(rename(b), ch) for b, ch in mr]
     out = ml + mr
     for a, cl in ml:
-        if type(a) in _COMMUNICATING:
+        if type(labels[a]) in _COMMUNICATING:
             for b, cr in mr:
-                c = _communicate(a, b, gamma)
+                c = communicate(a, b)
                 if c is not None:
                     out.append((c, cl + cr))
     if bit is not None:
         out = [(rename(a), ch + ((bit, 1),)) for a, ch in out
-               if not _SYNC_SET.contains_label(a)]
+               if not _SYNC_SET.contains_label(labels[a])]
     return sl and sr, out
 
 
@@ -564,15 +674,15 @@ def _tree_term(node, v, comps):
     return sync_merge_expand(l, r) if v[bit] else T.SyncMerge(l, r)
 
 
-def _compile(u, mem_at, mems, intern, mem_id):
+def _compile(u, mem_at, mems, intern, mem_id, table):
     """Component u's summands in `_RULES` order, u a recursion constant of
     a linear spec or `eps` before one, taken from the spec's `T.linear_form`
     kept by `_machine_tree`.  A summand is (condition, label maker, successor
     id): the condition is a test of the state vector (None when it is
-    True), the maker gives the label and the memory changes of the move,
-    and both are None in a success summand.  A prefix into Y leads to
-    `eps . Y` over the spec's constant for Y, the term the step rules
-    reach.  Conditions and data are compiled as on terms, but read the
+    True), the maker gives the label's id in table and the memory changes
+    of the move, and both are None in a success summand.  A prefix into Y
+    leads to `eps . Y` over the spec's constant for Y, the term the step
+    rules reach.  Conditions and data are compiled as on terms, but read the
     vector through mem_at and mems; memories are interned with mem_id,
     successors with intern.  Every variable u reads is bound
     (`_machine_tree`), so no summand raises an unbound-variable error."""
@@ -584,18 +694,29 @@ def _compile(u, mem_at, mems, intern, mem_id):
         return lambda v: col[v[i]]
 
     def label(a):
-        """The maker for prefix a, an atomic or silent action."""
+        """The maker for prefix a, an atomic or silent action.  An assignment
+        builds its label only for a memory id it has not met, and `x := x`
+        keeps x's memory id without hashing the memory."""
         if type(a) is T.Assign:
-            var, i, x, mentions = a.var, mem_at[a.var], T.compile_data(a.e, read), a._flexvars
+            i = mem_at[a.var]
+            ids, new = table.assignments(a.var, i, mems[i], a._flexvars)
+            if type(a.e) is T.FlexVar and a.e.name == a.var:
+                def keep(v):
+                    mid = v[i]
+                    k = ids.get(mid)
+                    return (new(mid) if k is None else k), ()
+                return keep
+            x = T.compile_data(a.e, read)
 
             def assign(v):
-                m = x(v)
-                return Assignment(var, m, mentions), ((i, mem_id(i, m)),)
+                mid = mem_id(i, x(v))
+                k = ids.get(mid)
+                return (new(mid) if k is None else k), ((i, mid),)
             return assign
         if type(a) is T.DataAct:
             name, xs = a.name, [T.compile_data(e, read) for e in a.args]
-            return lambda v: (DataAction(name, tuple([x(v) for x in xs])), ())
-        const = (Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
+            return lambda v: (table.intern(DataAction(name, tuple([x(v) for x in xs]))), ())
+        const = table.intern(Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
         return lambda v: const
 
     consts = T._rec_constants(u.spec)
@@ -654,9 +775,10 @@ def _topo_order(l: Lts):
     if l._order is not _UNSET:
         return l._order
     indegree = [0] * len(l)
-    for _, _, dst in l.transitions:
-        indegree[dst] += 1
     outs = l._outs()
+    for out in outs:
+        for _, dst in out:
+            indegree[dst] += 1
     ready = [sid for sid, n in enumerate(indegree) if not n]
     order = []
     while ready:
@@ -681,32 +803,32 @@ def _dag_order(l: Lts):
 
 def depth(l: Lts, count=None) -> int:
     """Longest-path length from the initial state, counting only labels
-    accepted by `count` (default: everything but the silent step)."""
+    accepted by `count` (default: everything but the silent step).  count
+    is asked once per label id that a transition carries: ids tell
+    assignment labels apart by their mentioned variables too, though such
+    labels compare equal."""
     if count is None:
         count = lambda lab: not isinstance(lab, Tau)
-    return depths(l, [count])[0]
+    order, outs, labels = _dag_order(l), l._outs(), l.labels
+    weights = [None] * len(labels)
+    best = [0] * len(l)
+    for sid in order:
+        top = 0
+        for k, dst in outs[sid]:
+            w = weights[k]
+            if w is None:
+                w = weights[k] = 1 if count(labels[k]) else 0
+            w += best[dst]
+            if w > top:
+                top = w
+        best[sid] = top
+    return best[l.initial]
 
 
 def depths(l: Lts, counts) -> tuple:
-    """Longest-path lengths for each predicate in counts, in one pass that
-    carries a counter per predicate.  The predicates are asked once per
-    distinct label, told apart by its mentioned variables too, since
-    assignment labels that differ only in those compare equal."""
-    zero = (0,) * len(counts)
-    weights = {}
-    best = [zero] * len(l)
-    outs = l._outs()
-    for sid in _dag_order(l):
-        paths = []
-        for lab, dst in outs[sid]:
-            key = (lab, lab.mentions) if isinstance(lab, Assignment) else lab
-            w = weights.get(key)
-            if w is None:
-                w = weights[key] = tuple([1 if count(lab) else 0 for count in counts])
-            paths.append(tuple(map(add, w, best[dst])))
-        if paths:
-            best[sid] = paths[0] if len(paths) == 1 else tuple(map(max, *paths))
-    return best[l.initial]
+    """`depth` for each predicate in counts."""
+    _dag_order(l)
+    return tuple([depth(l, count) for count in counts])
 
 
 def count_maximal_paths(l: Lts) -> int:
@@ -784,6 +906,7 @@ def lts_to_json(l: Lts) -> dict:
     from .syntax import format_term
     from .terms import format_label
 
+    names = list(map(format_label, l.labels))
     return {
         "initial": l.initial,
         "exploded": l.exploded,
@@ -792,8 +915,8 @@ def lts_to_json(l: Lts) -> dict:
             for i, s in enumerate(l.states)
         ],
         "transitions": [
-            {"from": src, "label": format_label(lab), "to": dst}
-            for src, lab, dst in l.transitions
+            {"from": src, "label": names[k], "to": dst}
+            for src, k, dst in l._edges()
         ],
     }
 
@@ -801,14 +924,15 @@ def lts_to_json(l: Lts) -> dict:
 def lts_to_dot(l: Lts) -> str:
     from .terms import format_label
 
+    names = [_dot_escape(format_label(lab)) for lab in l.labels]
     lines = ["digraph lts {"]
     for i in range(len(l)):
         shape = "doublecircle" if i in l.success else "circle"
         lines.append('  s%d [shape=%s, label="%d"];' % (i, shape, i))
     lines.append("  init [shape=point];")
     lines.append("  init -> s%d;" % l.initial)
-    for src, lab, dst in l.transitions:
-        lines.append('  s%d -> s%d [label="%s"];' % (src, dst, _dot_escape(format_label(lab))))
+    for src, k, dst in l._edges():
+        lines.append('  s%d -> s%d [label="%s"];' % (src, dst, names[k]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
