@@ -12,7 +12,6 @@ class before the state is reached in reverse topological order, so one
 pass settles the classes (Dovier, Piazza & Policriti, TCS 2004): a state
 joins the class of a silent successor whose signature holds all its other
 moves and its termination, and otherwise its own moves are its signature.
-That pass reads labels as ints, numbered once per distinct label.
 When either system has a cycle, the classes of the two systems merged into
 one are refined from a single block until no signature splits one
 (Groote & Vaandrager, ICALP 1990).
@@ -21,7 +20,7 @@ one are refined from a single block until no signature splits one
 from __future__ import annotations
 
 from .semantics import Lts, UndecidedError, _topo_order
-from .terms import TAU_LABEL, Tau
+from .terms import Tau
 
 _DONE = ("<done>",)
 
@@ -75,21 +74,17 @@ def _branching_blocks(m: _Merged):
 
 
 def _one_pass(l1: Lts, l2: Lts) -> bool:
-    """`rb_bisim` on two acyclic systems, which share one class table.  The
-    label ids of both are mapped to one numbering, equal labels to one
-    number and the silent step to -1, so a signature holds pairs of ints."""
-    classes, sigs, roots, numbers, fresh = {}, [], [], {TAU_LABEL: -1}, 0
+    """`rb_bisim` on two acyclic systems, which share one class table."""
+    classes, sigs, roots = {}, [], []
     for l in (l1, l2):
         labels, outs, success = l.labels, l._outs(), l.success
-        num = list(map(numbers.setdefault, labels, range(fresh, fresh + len(labels))))
-        fresh += len(labels)
         cls = [0] * len(l)
         for s in _topo_order(l):
-            moves = {(num[k], cls[dst]) for k, dst in outs[s]}
+            moves = {(labels[k], cls[dst]) for k, dst in outs[s]}
             if s in success:
                 moves.add(_DONE)
             for m in moves:
-                if m[0] == -1 and all(x is m or x in sigs[m[1]] for x in moves):
+                if type(m[0]) is Tau and all(x is m or x in sigs[m[1]] for x in moves):
                     cls[s] = m[1]
                     break
             else:

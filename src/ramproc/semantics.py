@@ -321,7 +321,8 @@ class Lts:
 
     @property
     def transitions(self):
-        """The (source, label, target) triples: as set, or else in source order."""
+        """The (source, label, target) triples: in the order set, or else in
+        source order."""
         if self._given is not None:
             return self._given
         labels = self._labels
@@ -353,7 +354,11 @@ class Lts:
         return self._out
 
     def _edges(self):
-        """(source, label id, target) per transition, in source order."""
+        """(source, label id, target) per transition: in the order set, or
+        else in source order."""
+        if self._given is not None:
+            nexts = [iter(out) for out in self._outs()]
+            return [(src,) + next(nexts[src]) for src, _, _ in self._given]
         return [(src, k, dst) for src, out in enumerate(self._outs()) for k, dst in out]
 
     def __len__(self):
@@ -364,31 +369,21 @@ class _Labels:
     """An exploration's label table: `labels[id]` is the label that got the
     id when first added.  Assignment labels that mention different variables
     compare equal yet get ids of their own, for the per-component measures
-    count them apart; `crowded` maps each id whose label equals another
-    id's to the first of them."""
+    count them apart."""
 
-    __slots__ = ("labels", "crowded", "_ids", "_first", "_assigned")
+    __slots__ = ("labels", "_ids", "_assigned")
 
     def __init__(self):
-        self.labels, self.crowded = [], {}
-        self._ids, self._first, self._assigned = {}, {}, {}
+        self.labels, self._ids, self._assigned = [], {}, {}
 
     def intern(self, lab) -> int:
         """lab's id, keyed by the label and an assignment's mentions."""
-        labels, assigns = self.labels, type(lab) is Assignment
-        k = self._ids.setdefault((lab, lab.mentions) if assigns else lab, len(labels))
+        labels = self.labels
+        k = self._ids.setdefault((lab, lab.mentions) if type(lab) is Assignment else lab,
+                                 len(labels))
         if k == len(labels):
             labels.append(lab)
-            if assigns:
-                self._equal(lab, k)
         return k
-
-    def _equal(self, equal, k):
-        """Record id k under equal, the key its label shares with the labels
-        equal to it."""
-        first = self._first.setdefault(equal, k)
-        if first != k:
-            self.crowded[first] = self.crowded[k] = first
 
     def assignments(self, var, i, col, mentions):
         """The ids, by memory id, of the labels that assign memory col[mid]
@@ -399,7 +394,6 @@ class _Labels:
         def new(mid):
             k = ids[mid] = len(self.labels)
             self.labels.append(Assignment(var, col[mid], mentions))
-            self._equal((i, mid), k)
             return k
         return ids, new
 
@@ -456,31 +450,29 @@ def _build_terms(root, max_states, gamma) -> Lts:
     """`build_lts` on terms: breadth first over the step rules, each label
     interned as it comes."""
     table = _Labels()
-    return _explore(root, lambda t: _RULES[type(t)](t, EMPTY_VALUATION, gamma), max_states,
-                    table, table.intern)
+    intern = table.intern
+
+    def moves(t):
+        succ, ms = _RULES[type(t)](t, EMPTY_VALUATION, gamma)
+        return succ, [(intern(lab), u) for lab, u in ms]
+    return _explore(root, moves, max_states, table)
 
 
-def _explore(first, moves, max_states, table, intern=None) -> Lts:
+def _explore(first, moves, max_states, table) -> Lts:
     """The LTS reachable from state first, breadth first: moves(s) gives s's
     success and its (label id, successor) moves in rule order, the ids from
-    table, or its (label, successor) moves when intern gives a label's id.
-    The moves are deduplicated as they come, keeping the first of those
-    whose labels compare equal, as `step` does; only a move into a state
-    numbered before it can repeat one.  A new state past max_states marks
-    the LTS exploded and ends the walk.  When every transition leads to a
-    state numbered after its source, the numbering read backwards is a
-    reverse topological order, and it is kept for `_topo_order`."""
+    table.  The moves are deduplicated as they come, keeping the first of
+    those whose labels compare equal into one successor, as `step` does;
+    only a move into a state numbered before it can repeat one.  A new
+    state past max_states marks the LTS exploded and ends the walk."""
     l = Lts()
-    states, index, outs, out, back = l.states, {first: 0}, [], [], False
-    crowded = table.crowded
+    states, index, outs, out, labels = l.states, {first: 0}, [], [], table.labels
     states.append(first)
     for sid, s in enumerate(states):  # grows while it is walked
         succ, ms = moves(s)
         if succ:
             l.success.add(sid)
         for k, u in ms:
-            if intern is not None:
-                k = intern(k)
             dst = index.get(u)
             if dst is None:
                 if len(states) >= max_states:
@@ -488,20 +480,15 @@ def _explore(first, moves, max_states, table, intern=None) -> Lts:
                     break
                 dst = index[u] = len(states)
                 states.append(u)
-            elif (k, dst) in out or k in crowded and any(
-                    d == dst and crowded.get(j) == crowded[k] for j, d in out):
+            elif any(d == dst and (j == k or labels[j] == labels[k]) for j, d in out):
                 continue
-            elif dst <= sid:
-                back = True
             out.append((k, dst))
         outs.append(tuple(out))
         out.clear()
         if l.exploded:
             outs += [()] * (len(states) - len(outs))
             break
-    l._given, l._labels, l._out = None, table.labels, outs
-    if not back and not l.exploded:
-        l._order = range(len(states) - 1, -1, -1)
+    l._given, l._labels, l._out = None, labels, outs
     return l
 
 

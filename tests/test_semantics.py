@@ -303,6 +303,21 @@ def test_lts_export():
     assert "digraph" in d and "->" in d
 
 
+def test_lts_export_keeps_the_order_of_a_hand_built_graph():
+    """A graph built by hand exports its transitions in the order they were
+    set, not in source order, and so does `transitions`."""
+    l = semantics.Lts()
+    l.states = [EPS, EPS, EPS]
+    given = [(1, Plain("c"), 2), (0, Plain("a"), 1), (0, T.TAU_LABEL, 2), (1, Plain("a"), 0)]
+    l.transitions = list(given)
+    assert [(t["from"], t["label"], t["to"]) for t in lts_to_json(l)["transitions"]] == [
+        (1, "c", 2), (0, "a", 1), (0, "tau", 2), (1, "a", 0)]
+    assert [line for line in lts_to_dot(l).splitlines() if "[label=" in line] == [
+        '  s1 -> s2 [label="c"];', '  s0 -> s1 [label="a"];',
+        '  s0 -> s2 [label="tau"];', '  s1 -> s0 [label="a"];']
+    assert l.transitions == given and l.out(1) == [(Plain("c"), 2), (Plain("a"), 0)]
+
+
 # ---------------------------------------------------------------------------
 # Pinned transition systems: state numbering, state terms, success flags and
 # transitions in exploration order, exactly as `lts_to_json` exports them.
