@@ -77,7 +77,7 @@ def _one_pass(l1: Lts, l2: Lts) -> bool:
     """`rb_bisim` on two acyclic systems, which share one class table."""
     classes, sigs, roots = {}, [], []
     for l in (l1, l2):
-        labels, outs, success = l.labels, l._outs(), l.success
+        labels, outs, success = l.labels, l.outs, l.success
         cls = [0] * len(l)
         for s in _topo_order(l):
             moves = {(labels[k], cls[dst]) for k, dst in outs[s]}

@@ -303,11 +303,11 @@ class Lts:
     exploration on state vectors it rebuilds each one on demand
     (`_StateTerms`).  When exploration hits the state cap, `exploded` is
     set and the graph is partial; consumers must treat it as inconclusive.
-    The transitions are kept once, as out-lists of (label id, target) per
-    state in transition order, with `labels` the label of each id.
-    `transitions` and `out(sid)` give labels themselves, built when asked
-    for.  A graph built by hand sets `transitions`, and its label table
-    and out-lists are derived from them when first needed.
+    The transitions are kept once, as out-lists `outs` of (label id,
+    target) per state in transition order, with `labels` the label of each
+    id.  `transitions` and `out(sid)` give labels themselves, built when
+    asked for, in source order.  A graph built by hand sets `states`, then
+    `transitions`.
     """
 
     def __init__(self):
@@ -315,69 +315,39 @@ class Lts:
         self.success = set()
         self.initial = 0
         self.exploded = False
-        self._given = []  # the transitions as set, or None once explored
-        self._labels = self._out = None
+        self.labels, self.outs, self._ids, self._assigned = [], [], {}, {}
         self._order = _UNSET
 
     @property
     def transitions(self):
-        """The (source, label, target) triples: in the order set, or else in
-        source order."""
-        if self._given is not None:
-            return self._given
-        labels = self._labels
-        return [(src, labels[k], dst) for src, k, dst in self._edges()]
+        """The (source, label, target) triples in source order."""
+        labels = self.labels
+        return [(src, labels[k], dst) for src, out in enumerate(self.outs) for k, dst in out]
 
     @transitions.setter
     def transitions(self, triples):
-        self._given, self._labels, self._out, self._order = triples, None, None, _UNSET
-
-    @property
-    def labels(self):
-        self._outs()
-        return self._labels
+        """Replace the graph's transitions and labels by triples, between
+        the states set before."""
+        self.labels, self._ids, self._assigned, self._order = [], {}, {}, _UNSET
+        self.outs = [[] for _ in self.states]
+        for src, lab, dst in triples:
+            self.outs[src].append((self.intern(lab), dst))
 
     def out(self, sid: int):
         labels = self.labels
-        return [(labels[k], dst) for k, dst in self._outs()[sid]]
+        return [(labels[k], dst) for k, dst in self.outs[sid]]
 
     def transition_count(self) -> int:
-        return sum(map(len, self._outs()))
-
-    def _outs(self):
-        if self._out is None:
-            table = _Labels()
-            adj = [[] for _ in range(len(self))]
-            for src, lab, dst in self._given:
-                adj[src].append((table.intern(lab), dst))
-            self._labels, self._out = table.labels, adj
-        return self._out
-
-    def _edges(self):
-        """(source, label id, target) per transition: in the order set, or
-        else in source order."""
-        if self._given is not None:
-            nexts = [iter(out) for out in self._outs()]
-            return [(src,) + next(nexts[src]) for src, _, _ in self._given]
-        return [(src, k, dst) for src, out in enumerate(self._outs()) for k, dst in out]
+        return sum(map(len, self.outs))
 
     def __len__(self):
         return len(self.states)
 
-
-class _Labels:
-    """An exploration's label table: `labels[id]` is the label that got the
-    id when first added.  Assignment labels that mention different variables
-    compare equal yet get ids of their own, for the per-component measures
-    count them apart."""
-
-    __slots__ = ("labels", "_ids", "_assigned")
-
-    def __init__(self):
-        self.labels, self._ids, self._assigned = [], {}, {}
-
     def intern(self, lab) -> int:
-        """lab's id, keyed by the label and an assignment's mentions."""
+        """lab's id, keyed by the label and an assignment's mentions:
+        assignment labels that mention different variables compare equal
+        yet get ids of their own, for the per-component measures count them
+        apart."""
         labels = self.labels
         k = self._ids.setdefault((lab, lab.mentions) if type(lab) is Assignment else lab,
                                  len(labels))
@@ -388,7 +358,7 @@ class _Labels:
     def assignments(self, var, i, col, mentions):
         """The ids, by memory id, of the labels that assign memory col[mid]
         to var, vector position i, and mention mentions; and the function
-        that adds the label of a memory id to the table and to them."""
+        that adds the label of a memory id to `labels` and to them."""
         ids = self._assigned.setdefault((i, mentions), {})
 
         def new(mid):
@@ -449,24 +419,24 @@ def _height(t):
 def _build_terms(root, max_states, gamma) -> Lts:
     """`build_lts` on terms: breadth first over the step rules, each label
     interned as it comes."""
-    table = _Labels()
-    intern = table.intern
+    l = Lts()
+    intern = l.intern
 
     def moves(t):
         succ, ms = _RULES[type(t)](t, EMPTY_VALUATION, gamma)
         return succ, [(intern(lab), u) for lab, u in ms]
-    return _explore(root, moves, max_states, table)
+    return _explore(l, root, moves, max_states)
 
 
-def _explore(first, moves, max_states, table) -> Lts:
-    """The LTS reachable from state first, breadth first: moves(s) gives s's
-    success and its (label id, successor) moves in rule order, the ids from
-    table.  The moves are deduplicated as they come, keeping the first of
-    those whose labels compare equal into one successor, as `step` does;
-    only a move into a state numbered before it can repeat one.  A new
-    state past max_states marks the LTS exploded and ends the walk."""
-    l = Lts()
-    states, index, outs, out, labels = l.states, {first: 0}, [], [], table.labels
+def _explore(l, first, moves, max_states) -> Lts:
+    """Fill l, a new LTS, with the states reachable from first, breadth
+    first: moves(s) gives s's success and its (label id, successor) moves in
+    rule order, the ids from l.  The moves are deduplicated as they come,
+    keeping the first of those whose labels compare equal into one
+    successor, as `step` does; only a move into a state numbered before it
+    can repeat one.  A new state past max_states marks the LTS exploded and
+    ends the walk."""
+    states, index, outs, out, labels = l.states, {first: 0}, l.outs, [], l.labels
     states.append(first)
     for sid, s in enumerate(states):  # grows while it is walked
         succ, ms = moves(s)
@@ -488,7 +458,6 @@ def _explore(first, moves, max_states, table) -> Lts:
         if l.exploded:
             outs += [()] * (len(states) - len(outs))
             break
-    l._given, l._labels, l._out = None, labels, outs
     return l
 
 
@@ -555,7 +524,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     reads = {pos: itemgetter(pos, *[mem_at[x] for x in sorted(T.linear_form(u.spec)[1])])
              for pos, u in enumerate(leaves, len(names)) if not single}
     leaf_memo = {}
-    table = _Labels()
+    l = Lts()
 
     def intern(u):
         cid = comp_ids.get(u)
@@ -587,7 +556,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
         cid = v[node]
         ss = summands[cid]
         if ss is None:
-            ss = summands[cid] = _compile(comps[cid], mem_at, mems, intern, mem_id, table)
+            ss = summands[cid] = _compile(comps[cid], mem_at, mems, intern, mem_id, l)
         succ, out = False, []
         for hold, make, nxt in ss:
             if hold is None or hold(v):
@@ -607,8 +576,8 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
             hit = leaf_memo[key] = leaf(node, v)
         return hit
 
-    ops = (memo_leaf, table.labels, table.lifted(_SYNC_RENAME.apply_label),
-           table.lifted(partial(_communicate, gamma=gamma)))
+    ops = (memo_leaf, l.labels, l.lifted(_SYNC_RENAME.apply_label),
+           l.lifted(partial(_communicate, gamma=gamma)))
 
     def moves(v):
         """The moves of a composition, each with its successor vector."""
@@ -620,7 +589,7 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
 
     first = (0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs
     # a lone leaf meets each state once, so it steps without the memo or the tree walk
-    l = _explore(first, partial(leaf, tree) if single else moves, max_states, table)
+    _explore(l, first, partial(leaf, tree) if single else moves, max_states)
     l.states = _StateTerms(l.states, term, valuation)
     return l
 
@@ -661,12 +630,12 @@ def _tree_term(node, v, comps):
     return sync_merge_expand(l, r) if v[bit] else T.SyncMerge(l, r)
 
 
-def _compile(u, mem_at, mems, intern, mem_id, table):
+def _compile(u, mem_at, mems, intern, mem_id, l):
     """Component u's summands in `_RULES` order, u a recursion constant of
     a linear spec or `eps` before one, taken from the spec's `T.linear_form`
     kept by `_machine_tree`.  A summand is (condition, label maker, successor
     id): the condition is a test of the state vector (None when it is
-    True), the maker gives the label's id in table and the memory changes
+    True), the maker gives the label's id in l and the memory changes
     of the move, and both are None in a success summand.  A prefix into Y
     leads to `eps . Y` over the spec's constant for Y, the term the step
     rules reach.  Conditions and data are compiled as on terms, but read the
@@ -686,7 +655,7 @@ def _compile(u, mem_at, mems, intern, mem_id, table):
         keeps x's memory id without hashing the memory."""
         if type(a) is T.Assign:
             i = mem_at[a.var]
-            ids, new = table.assignments(a.var, i, mems[i], a._flexvars)
+            ids, new = l.assignments(a.var, i, mems[i], a._flexvars)
             if type(a.e) is T.FlexVar and a.e.name == a.var:
                 def keep(v):
                     mid = v[i]
@@ -702,8 +671,8 @@ def _compile(u, mem_at, mems, intern, mem_id, table):
             return assign
         if type(a) is T.DataAct:
             name, xs = a.name, [T.compile_data(e, read) for e in a.args]
-            return lambda v: (table.intern(DataAction(name, tuple([x(v) for x in xs]))), ())
-        const = table.intern(Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
+            return lambda v: (l.intern(DataAction(name, tuple([x(v) for x in xs]))), ())
+        const = l.intern(Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
         return lambda v: const
 
     consts = T._rec_constants(u.spec)
@@ -752,17 +721,17 @@ def eventually_halts(l: Lts) -> bool:
     if _topo_order(l) is None:
         return False
     success = l.success
-    return all(out or sid in success for sid, out in enumerate(l._outs()))
+    return all(out or sid in success for sid, out in enumerate(l.outs))
 
 
 def _topo_order(l: Lts):
     """States in reverse-topological order (successors first), or None when
     the graph has a cycle: Kahn's algorithm, run forwards and reversed.  It
-    is computed once per LTS and kept on it, like its out-lists."""
+    is computed once per LTS and kept on it."""
     if l._order is not _UNSET:
         return l._order
     indegree = [0] * len(l)
-    outs = l._outs()
+    outs = l.outs
     for out in outs:
         for _, dst in out:
             indegree[dst] += 1
@@ -796,7 +765,7 @@ def depth(l: Lts, count=None) -> int:
     labels compare equal."""
     if count is None:
         count = lambda lab: not isinstance(lab, Tau)
-    order, outs, labels = _dag_order(l), l._outs(), l.labels
+    order, outs, labels = _dag_order(l), l.outs, l.labels
     weights = [None] * len(labels)
     best = [0] * len(l)
     for sid in order:
@@ -821,7 +790,7 @@ def depths(l: Lts, counts) -> tuple:
 def count_maximal_paths(l: Lts) -> int:
     """Number of maximal runs (ending in a state with no outgoing step)."""
     total = [1] * len(l)
-    outs = l._outs()
+    outs = l.outs
     for sid in _dag_order(l):
         if outs[sid]:
             total[sid] = sum([total[d] for _, d in outs[sid]])
@@ -903,7 +872,7 @@ def lts_to_json(l: Lts) -> dict:
         ],
         "transitions": [
             {"from": src, "label": names[k], "to": dst}
-            for src, k, dst in l._edges()
+            for src, out in enumerate(l.outs) for k, dst in out
         ],
     }
 
@@ -918,8 +887,8 @@ def lts_to_dot(l: Lts) -> str:
         lines.append('  s%d [shape=%s, label="%d"];' % (i, shape, i))
     lines.append("  init [shape=point];")
     lines.append("  init -> s%d;" % l.initial)
-    for src, k, dst in l._edges():
-        lines.append('  s%d -> s%d [label="%s"];' % (src, dst, names[k]))
+    lines += ['  s%d -> s%d [label="%s"];' % (src, dst, names[k])
+              for src, out in enumerate(l.outs) for k, dst in out]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

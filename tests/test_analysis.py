@@ -66,8 +66,9 @@ def random_graph(rng, cyclic):
             edges.add((rng.randint(b, n - 1), rng.choice(LABELS), b))
     l = Lts()
     l.states = list(range(n))
-    l.transitions = sorted(edges, key=lambda e: (e[0], e[2], LABELS.index(e[1])))
-    rng.shuffle(l.transitions)
+    edges = sorted(edges, key=lambda e: (e[0], e[2], LABELS.index(e[1])))
+    rng.shuffle(edges)
+    l.transitions = edges
     l.success = {s for s in range(n) if rng.random() < 0.5}
     return l
 

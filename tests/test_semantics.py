@@ -303,19 +303,25 @@ def test_lts_export():
     assert "digraph" in d and "->" in d
 
 
-def test_lts_export_keeps_the_order_of_a_hand_built_graph():
-    """A graph built by hand exports its transitions in the order they were
-    set, not in source order, and so does `transitions`."""
+def test_lts_export_reads_a_hand_built_graph_in_source_order():
+    """A graph built by hand is stored as an explored one is: `transitions`,
+    `out` and both exports read it in source order, whatever the order set.
+    Setting `transitions` again replaces the graph and its labels."""
     l = semantics.Lts()
     l.states = [EPS, EPS, EPS]
-    given = [(1, Plain("c"), 2), (0, Plain("a"), 1), (0, T.TAU_LABEL, 2), (1, Plain("a"), 0)]
-    l.transitions = list(given)
+    l.transitions = [(1, Plain("c"), 2), (0, Plain("a"), 1), (0, T.TAU_LABEL, 2), (1, Plain("a"), 0)]
+    assert l.transitions == [
+        (0, Plain("a"), 1), (0, T.TAU_LABEL, 2), (1, Plain("c"), 2), (1, Plain("a"), 0)]
+    assert l.out(1) == [(Plain("c"), 2), (Plain("a"), 0)]
     assert [(t["from"], t["label"], t["to"]) for t in lts_to_json(l)["transitions"]] == [
-        (1, "c", 2), (0, "a", 1), (0, "tau", 2), (1, "a", 0)]
+        (0, "a", 1), (0, "tau", 2), (1, "c", 2), (1, "a", 0)]
     assert [line for line in lts_to_dot(l).splitlines() if "[label=" in line] == [
-        '  s1 -> s2 [label="c"];', '  s0 -> s1 [label="a"];',
-        '  s0 -> s2 [label="tau"];', '  s1 -> s0 [label="a"];']
-    assert l.transitions == given and l.out(1) == [(Plain("c"), 2), (Plain("a"), 0)]
+        '  s0 -> s1 [label="a"];', '  s0 -> s2 [label="tau"];',
+        '  s1 -> s2 [label="c"];', '  s1 -> s0 [label="a"];']
+    l.transitions = [(2, Plain("b"), 0)]
+    assert l.transitions == [(2, Plain("b"), 0)] and l.labels == [Plain("b")]
+    assert l.out(0) == l.out(1) == [] and l.out(2) == [(Plain("b"), 0)]
+    assert lts_to_json(l)["transitions"] == [{"from": 2, "label": "b", "to": 0}]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +520,46 @@ def test_lts_fingerprint_corpus_ignores_hash_seed():
         out = subprocess.run([sys.executable, "-c", code], env=env, cwd=here,
                              capture_output=True, text=True, check=True).stdout.split()
         assert (int(out[0]), out[1]) == CORPUS_DIGEST, seed
+
+
+def _hand_built(l):
+    """A copy of l built by hand: its states, then its transitions, then its
+    success set."""
+    copy = semantics.Lts()
+    copy.states = list(l.states)
+    copy.transitions = l.transitions
+    copy.success = set(l.success)
+    return copy
+
+
+def _answer(question, l):
+    """question(l), or the class of the SemanticsError it raises."""
+    try:
+        return question(l)
+    except SemanticsError as err:
+        return type(err)
+
+
+def test_both_construction_routes_give_one_store():
+    """Every unexploded LTS of the corpus and of 100 more law instances, and
+    its copy built by hand, read as one store: the same transitions (mentions
+    included) and out-lists, byte-identical exports, the same answers, and
+    rooted branching bisimilar.  Their label ids may differ: the vector
+    explorer interns constant and communication labels when it compiles or
+    lifts them."""
+    laws = [build_lts(t, None, 2000, gamma=GAMMA) for name in sorted(AXIOMS)[:50]
+            for t in AXIOMS[name](Gen(zlib.crc32(name.encode()) + 1))]
+    explored = [l for _, l in _fingerprint_corpus() if not l.exploded]
+    assert len(laws) == 100 and len(explored) > 300
+    for l in explored + [l for l in laws if not l.exploded]:
+        copy = _hand_built(l)
+        assert copy.transitions == l.transitions and _mentions(copy) == _mentions(l)
+        assert all(copy.out(sid) == l.out(sid) for sid in range(len(l)))
+        assert json.dumps(lts_to_json(copy)) == json.dumps(lts_to_json(l))
+        assert lts_to_dot(copy) == lts_to_dot(l)
+        for question in (eventually_halts, depth, count_maximal_paths):
+            assert _answer(question, copy) == _answer(question, l)
+        assert rb_bisim(l, copy)
 
 
 # ---------------------------------------------------------------------------
