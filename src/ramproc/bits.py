@@ -8,8 +8,6 @@ doubles as the "register never written" marker, which is distinct from
 
 from __future__ import annotations
 
-ARITH_OPS = ("add", "sub")
-
 
 def check_bits(w: str) -> str:
     # stripping 0s and 1s from both ends leaves nothing exactly when every
@@ -26,16 +24,13 @@ def ntob(n: int) -> str:
     return bin(n)[:1:-1]
 
 
-def bton(w: str) -> int:
-    """Bit string to natural number.  Tolerates leading (high-index) zeros."""
-    return num(check_bits(w))
-
-
-# The operations themselves, on strings already known to be bit strings:
-# `num` is `bton`, and the tables map each operation name to its function.
+# The operations, on strings already known to be bit strings: `num` reads
+# a bit string as a natural, and the tables map each operation name to its
+# function.  add/sub drop leading zeros (sub floors at zero), and/or keep
+# the longer operand's length, eq/gt compare values and beq raw strings.
 # They check nothing, so they are for the contents of a `MemState`, which
-# holds only checked strings (`ramops.compile_op` and its siblings); the
-# public functions below check their arguments, then call them.
+# holds only checked strings (`ramops.compile_op` and its siblings); a
+# caller with strings from outside runs `check_bits` first.
 
 def num(w: str) -> int:
     return int(w[::-1] or "0", 2)
@@ -66,53 +61,6 @@ COMPARE = {
 }
 
 
-def bin_arith(op: str, w1: str, w2: str) -> str:
-    """add / sub on the numeric values; sub is truncated at zero.
-
-    Results round-trip through the numeric interpretation, so they never
-    carry leading zeros ("0" is the only string for zero).
-    """
-    check_bits(w1)
-    check_bits(w2)
-    if op not in ARITH_OPS:
-        raise ValueError("unknown arithmetic op %r" % (op,))
-    return BINARY[op](w1, w2)
-
-
-def bin_logic(op: str, w1: str, w2: str) -> str:
-    """Bitwise and / or; the shorter operand is padded with zeros at the top.
-
-    Result length is max(len(w1), len(w2)); leading zeros are kept.
-    """
-    check_bits(w1)
-    check_bits(w2)
-    if op not in ("and", "or"):
-        raise ValueError("unknown logic op %r" % (op,))
-    return BINARY[op](w1, w2)
-
-
-def bnot(w: str) -> str:
-    return UNARY["not"](check_bits(w))
-
-
-def shift(op: str, w: str) -> str:
-    """shl prepends a 0 at the LSB end (doubles the value), shr drops the LSB
-    (halves, rounding down).  Both leave the empty string alone."""
-    check_bits(w)
-    if op not in ("shl", "shr"):
-        raise ValueError("unknown shift op %r" % (op,))
-    return UNARY[op](w)
-
-
-def compare(op: str, w1: str, w2: str) -> int:
-    """eq / gt compare numeric values; beq compares the raw sequences."""
-    check_bits(w1)
-    check_bits(w2)
-    if op not in COMPARE:
-        raise ValueError("unknown comparison %r" % (op,))
-    return COMPARE[op](w1, w2)
-
-
 def format_bits(w: str) -> str:
     """Textual form for files and labels: `e` for the empty string."""
     check_bits(w)
@@ -124,3 +72,13 @@ def parse_bits(text: str) -> str:
     if text == "e":
         return ""
     return check_bits(text)
+
+
+def parse_nat(text: str) -> int:
+    """A decimal natural as the input formats write it: ASCII digits, with
+    surrounding whitespace allowed.  `int` would also take a sign, `_`
+    separators and the digits of other scripts."""
+    digits = text.strip()
+    if not digits or digits.strip("0123456789"):
+        raise ValueError("expected a decimal natural, got %r" % (text,))
+    return int(digits)

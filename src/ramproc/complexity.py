@@ -289,7 +289,7 @@ def _check_one(l: Lts, args, expected, bound, m, n) -> CheckRow:
 # ---------------------------------------------------------------------------
 # Affine step bounds
 
-_AFFINE = re.compile(r"^\s*(?:(\d+)\s*\*\s*)?(n)?\s*(?:\+?\s*(\d+))?\s*$")
+_AFFINE = re.compile(r"^\s*(?:([0-9]+)\s*\*\s*)?(n)?\s*(?:\+?\s*([0-9]+))?\s*$")
 
 
 def parse_affine(text: str):

@@ -18,6 +18,7 @@ from itertools import zip_longest
 
 from . import ramops
 from . import terms as T
+from .bits import parse_nat
 from .memory import MemState
 from .nodes import node
 from .ramops import BinOp, CmpOp, Ini, Load, Store, UnOp, compile_op, compile_prop
@@ -102,7 +103,7 @@ def parse_instr(line: str):
         if len(parts) != 5:
             raise ValueError("jmp takes a two-operand comparison and a target")
         p = ramops.parse_op(":".join(parts[1:4]))
-        return Jmp(p, int(parts[4]))
+        return Jmp(p, parse_nat(parts[4]))
     o = ramops.parse_op(line)
     if isinstance(o, CmpOp):
         raise ValueError("comparison outside jmp")

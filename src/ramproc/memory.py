@@ -7,7 +7,7 @@ any state you can build satisfies it.
 
 from __future__ import annotations
 
-from .bits import check_bits, parse_bits
+from .bits import check_bits, parse_bits, parse_nat
 
 
 class MemState:
@@ -79,14 +79,6 @@ class MemState:
 EMPTY_MEM = MemState()
 
 
-def initial_mem(entries) -> MemState:
-    """Build a state from (register, bit string) pairs."""
-    m = MemState()
-    for i, w in entries:
-        m = m.set(i, w)
-    return m
-
-
 def merge_n(mems) -> MemState:
     """Interleave n memories into one: register i of memory k (1-based)
     lands at register n*i + k - 1 of the result."""
@@ -118,22 +110,6 @@ def format_mem(sigma: MemState) -> str:
     return "[" + ", ".join(["%d:%s" % iw for iw in sigma.items()]) + "]"
 
 
-def parse_mem(text: str) -> MemState:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError("memory literal must be bracketed: %r" % (text,))
-    body = text[1:-1].strip()
-    if not body:
-        return EMPTY_MEM
-    d = {}
-    for part in body.split(","):
-        reg, _, bits_text = part.partition(":")
-        if not _:
-            raise ValueError("bad memory entry %r" % (part,))
-        d[int(reg.strip())] = parse_bits(bits_text)
-    return MemState(d)
-
-
 def load_mem_file(path) -> MemState:
     """Memory file format: one `index=bitstring` per line; `e` is the empty
     string; blank lines and lines starting with # are skipped."""
@@ -147,11 +123,8 @@ def load_mem_file(path) -> MemState:
             if not sep:
                 raise ValueError("%s:%d: expected index=bitstring" % (path, lineno))
             try:
-                d[int(reg.strip())] = parse_bits(bits_text)
+                d[parse_nat(reg)] = parse_bits(bits_text)
             except ValueError as exc:
                 raise ValueError("%s:%d: %s" % (path, lineno, exc)) from None
     return MemState(d)
 
-
-def dump_mem_file(sigma: MemState) -> str:
-    return "".join(["%d=%s\n" % iw for iw in sigma.items()])

@@ -22,7 +22,7 @@ Canonical text forms: `add:#1:@2:5`, `mov:3:@0`, `gt:1:#0`, `ini:#2`,
 from __future__ import annotations
 
 from . import bits
-from .bits import ntob, num
+from .bits import ntob, num, parse_nat
 from .memory import EMPTY_MEM, MemState, merge_n, split_n
 from .nodes import node
 
@@ -147,38 +147,25 @@ SHARED_MEM = (Load, Store)
 def _source(s):
     """Source operand s, resolved once, as a function of a memory's register
     dict (pre-state): an immediate is its bit string, a direct operand a
-    register number, an indirect one a read of its address register."""
+    register number, an indirect one a read of its address register.  The
+    operator's constructor has checked that s is an operand."""
     if isinstance(s, Dir):
         i = s.i
         return lambda r: r.get(i, "")
     if isinstance(s, Imm):
         w = ntob(s.n)
         return lambda r: w
-    if isinstance(s, Ind):
-        addr = _dest(s)
-        return lambda r: r.get(addr(r), "")
-    raise ValueError("not a source operand: %r" % (s,))
+    addr = _dest(s)
+    return lambda r: r.get(addr(r), "")
 
 
 def _dest(d):
-    """Destination operand d as a function of a register dict (pre-state)."""
+    """Destination operand d, direct or indirect, as a function of a
+    register dict (pre-state)."""
+    i = d.i
     if isinstance(d, Dir):
-        i = d.i
         return lambda r: i
-    if isinstance(d, Ind):
-        i = d.i
-        return lambda r: num(r.get(i, ""))
-    raise ValueError("immediate destination")
-
-
-def src_val(sigma: MemState, s) -> str:
-    """Value of a source operand in sigma (pre-state)."""
-    return _source(s)(sigma._regs)
-
-
-def dst_reg(sigma: MemState, d) -> int:
-    """Register a destination operand picks out in sigma (pre-state)."""
-    return _dest(d)(sigma._regs)
+    return lambda r: num(r.get(i, ""))
 
 
 def compile_op(o):
@@ -363,10 +350,10 @@ def format_operand(s) -> str:
 def parse_operand(text: str):
     text = text.strip()
     if text.startswith("#"):
-        return Imm(int(text[1:]))
+        return Imm(parse_nat(text[1:]))
     if text.startswith("@"):
-        return Ind(int(text[1:]))
-    return Dir(int(text))
+        return Ind(parse_nat(text[1:]))
+    return Dir(parse_nat(text))
 
 
 def format_op(o) -> str:

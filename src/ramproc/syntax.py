@@ -83,9 +83,9 @@ def _lex(text):
             toks.append(("ident", text[i:j], i))
             i = j
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("num", text[i:j], i))
             i = j

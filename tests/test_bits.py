@@ -3,17 +3,31 @@ import random
 import pytest
 
 from ramproc.bits import (
-    bin_arith,
-    bin_logic,
-    bnot,
-    bton,
+    BINARY,
+    COMPARE,
+    UNARY,
     check_bits,
-    compare,
     format_bits,
     ntob,
+    num,
     parse_bits,
-    shift,
 )
+
+# The cores check nothing; a string from outside goes through `check_bits`
+# first, as `MemState` does with register contents.
+CORES = {**BINARY, **UNARY, **COMPARE}
+
+
+def _checked(name, *args):
+    return CORES[name](*map(check_bits, args))
+
+
+def bton(w):
+    return num(check_bits(w))
+
+
+def bnot(w):
+    return _checked("not", w)
 
 
 def test_bton_lsb_first():
@@ -51,38 +65,38 @@ def test_check_bits():
 
 
 def test_arith():
-    assert bin_arith("add", "11", "01") == "101"
-    assert bin_arith("add", "", "") == "0"
-    assert bin_arith("sub", "1101", "11") == "0001"
+    assert BINARY["add"]("11", "01") == "101"
+    assert BINARY["add"]("", "") == "0"
+    assert BINARY["sub"]("1101", "11") == "0001"
     # subtraction floors at zero
-    assert bin_arith("sub", "11", "1101") == "0"
-    assert bin_arith("sub", "101", "101") == "0"
+    assert BINARY["sub"]("11", "1101") == "0"
+    assert BINARY["sub"]("101", "101") == "0"
 
 
 def test_logic_keeps_length():
-    assert bin_logic("and", "110", "011") == "010"
-    assert bin_logic("or", "110", "011") == "111"
+    assert BINARY["and"]("110", "011") == "010"
+    assert BINARY["or"]("110", "011") == "111"
     # shorter operand is padded with zeros, leading zeros survive
-    assert bin_logic("and", "1", "111") == "100"
-    assert bin_logic("or", "00", "") == "00"
+    assert BINARY["and"]("1", "111") == "100"
+    assert BINARY["or"]("00", "") == "00"
 
 
 def test_not_and_shifts():
-    assert bnot("0110") == "1001"
-    assert bnot("") == ""
-    assert shift("shl", "11") == "011"
-    assert shift("shl", "") == ""
-    assert shift("shr", "011") == "11"
-    assert shift("shr", "") == ""
+    assert UNARY["not"]("0110") == "1001"
+    assert UNARY["not"]("") == ""
+    assert UNARY["shl"]("11") == "011"
+    assert UNARY["shl"]("") == ""
+    assert UNARY["shr"]("011") == "11"
+    assert UNARY["shr"]("") == ""
 
 
 def test_compare():
-    assert compare("eq", "11", "110") == 1  # numeric: 3 == 3
-    assert compare("eq", "11", "01") == 0
-    assert compare("gt", "01", "11") == 0  # 2 > 3 is false
-    assert compare("gt", "11", "01") == 1
-    assert compare("beq", "11", "110") == 0  # raw strings differ
-    assert compare("beq", "", "") == 1
+    assert COMPARE["eq"]("11", "110") == 1  # numeric: 3 == 3
+    assert COMPARE["eq"]("11", "01") == 0
+    assert COMPARE["gt"]("01", "11") == 0  # 2 > 3 is false
+    assert COMPARE["gt"]("11", "01") == 1
+    assert COMPARE["beq"]("11", "110") == 0  # raw strings differ
+    assert COMPARE["beq"]("", "") == 1
 
 
 def test_format_parse():
@@ -98,7 +112,7 @@ def test_wide_numbers_round_trip():
     n = 2 ** 5000
     assert ntob(n) == "0" * 5000 + "1"
     assert bton(ntob(n)) == n
-    assert bin_arith("add", ntob(n), ntob(n)) == ntob(2 * n)
+    assert BINARY["add"](ntob(n), ntob(n)) == ntob(2 * n)
 
 
 def _check_bits_by_characters(w):
@@ -131,14 +145,15 @@ def test_check_bits_matches_character_definition():
 
 @pytest.mark.parametrize("call", [
     bton, bnot, format_bits,
-    lambda w: bin_arith("add", "1", w), lambda w: bin_arith("sub", w, "1"),
-    lambda w: bin_logic("and", w, ""), lambda w: bin_logic("or", "1", w),
-    lambda w: shift("shl", w), lambda w: shift("shr", w),
-    lambda w: compare("eq", w, "1"), lambda w: compare("gt", "1", w), lambda w: compare("beq", w, w),
+    lambda w: _checked("add", "1", w), lambda w: _checked("sub", w, "1"),
+    lambda w: _checked("and", w, ""), lambda w: _checked("or", "1", w),
+    lambda w: _checked("shl", w), lambda w: _checked("shr", w),
+    lambda w: _checked("eq", w, "1"), lambda w: _checked("gt", "1", w), lambda w: _checked("beq", w, w),
 ], ids=lambda f: getattr(f, "__name__", "op"))
 @pytest.mark.parametrize("bad", ["12", "1_0", " 1", "0b1", None])
 def test_public_operations_check_their_arguments(call, bad):
-    # int(..., 2) alone would take the underscore, the space and the prefix
+    # int(..., 2) alone, and so `num`, would take the underscore, the space
+    # and the prefix
     with pytest.raises(ValueError, match="bit string must consist of 0/1 characters"):
         call(bad)
 
@@ -154,8 +169,9 @@ def _string(n):
     return out or "0"
 
 
-# The operations by their definitions, character by character; the register
-# kernels are checked against the public functions, and these against this.
+# The operations by their definitions, character by character; the cores are
+# checked against these, and the register kernels (test_ramops) against the
+# cores behind `check_bits`.
 DEFINITIONS = {
     "add": lambda a, b: _string(_number(a) + _number(b)),
     "sub": lambda a, b: _string(max(_number(a) - _number(b), 0)),
@@ -170,22 +186,16 @@ DEFINITIONS = {
     "gt": lambda a, b: int(_number(a) > _number(b)),
     "beq": lambda a, b: int(a == b),
 }
-PUBLIC = {
-    "add": lambda a, b: bin_arith("add", a, b), "sub": lambda a, b: bin_arith("sub", a, b),
-    "and": lambda a, b: bin_logic("and", a, b), "or": lambda a, b: bin_logic("or", a, b),
-    "not": bnot, "shl": lambda a: shift("shl", a), "shr": lambda a: shift("shr", a),
-    "eq": lambda a, b: compare("eq", a, b), "gt": lambda a, b: compare("gt", a, b),
-    "beq": lambda a, b: compare("beq", a, b),
-}
 
 
 def test_operations_match_their_definitions():
     rng = random.Random(1617)
     pool = ["", "0", "1", "01", "10", "000", "0100", "1" + "0" * 40]
     pool += ["".join(rng.choice("01") for _ in range(rng.choice([3, 8, 200]))) for _ in range(12)]
+    assert DEFINITIONS.keys() == CORES.keys()
     for name, define in DEFINITIONS.items():
         arity = define.__code__.co_argcount
         for _ in range(300):
             args = [rng.choice(pool) for _ in range(arity)]
-            assert PUBLIC[name](*args) == define(*args), (name, args)
+            assert CORES[name](*args) == define(*args), (name, args)
     assert bton("0" * 199 + "1") == 1 << 199 == _number("0" * 199 + "1")

@@ -248,6 +248,29 @@ def test_oracle_asks_each_input_once(tmp_path):
     assert log.read_text() == "x"
 
 
+# Numbers in every input format are ASCII decimal digits; `int` alone would
+# take a sign, `_` separators and the digits of other scripts.
+@pytest.mark.parametrize("files, argv, message", [
+    ({"p.rp": "add:#1_0:1:0\nhalt\n"}, ["compile", "p.rp"], "expected a decimal natural, got '1_0'"),
+    ({"p.rp": "add:#+1:1:0\nhalt\n"}, ["compile", "p.rp"], "expected a decimal natural, got '+1'"),
+    ({"p.rp": "jmp:eq:#0:#0:\u0661\nhalt\n"}, ["compile", "p.rp"], "got '\u0661'"),
+    ({"t.term": "rec X1 {X1 = True :-> RM := add:#\u0661:1:0(RM) . X2, X2 = True :-> eps}"},
+     ["compile", "--inverse", "t.term"], "unexpected character '\u0661' at offset 33"),
+    ({"p.rp": "halt\n", "m": "\u0661=1\n"}, ["run", "p.rp", "--mem", "RM=m"], "m:1: expected a decimal natural"),
+    ({"p.rp": "halt\n", "m": "-1=1\n"}, ["run", "p.rp", "--mem", "RM=m"], "m:1: expected a decimal natural"),
+    ({"p.rp": "halt\n"}, ["check", "p.rp", "--oracle", "echo e", "--arity", "0", "--bound", "\u0661"],
+     "expected an affine bound"),
+], ids=["underscore", "sign", "jump-target", "term-lexer", "mem-file-digit", "mem-file-sign", "bound"])
+def test_malformed_naturals_are_refused(tmp_path, capsys, monkeypatch, files, argv, message):
+    for name, text in files.items():
+        _write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "--oracle", "false", "--arity", "-1"], "--arity must be at least 0, got -1"),
     (["check", "--oracle", "false", "--max-len", "-2"], "--max-len must be at least 0, got -2"),

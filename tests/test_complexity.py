@@ -4,7 +4,7 @@ import pytest
 
 from ramproc import complexity
 from ramproc import terms as T
-from ramproc.bits import bton, ntob
+from ramproc.bits import ntob, num
 from ramproc.complexity import (
     MEASURES,
     CheckRow,
@@ -209,7 +209,7 @@ def test_input_valuation():
 
 
 def _add_oracle(args):
-    total = sum(bton(w) for w in args)
+    total = sum(num(w) for w in args)
     return ntob(total)
 
 

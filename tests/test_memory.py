@@ -3,14 +3,17 @@ import pytest
 from ramproc.memory import (
     EMPTY_MEM,
     MemState,
-    dump_mem_file,
     format_mem,
-    initial_mem,
     load_mem_file,
     merge_n,
-    parse_mem,
     split_n,
 )
+from ramproc.syntax import parse_term
+
+
+def _parse_mem(text):
+    """A memory literal, read by the term parser."""
+    return parse_term("v := " + text).e.mem
 
 
 def test_empty_registers_are_identified():
@@ -42,9 +45,9 @@ def test_hash_eq():
 
 
 def test_initial_mem():
-    assert initial_mem([(1, "11"), (3, "01")]) == MemState({1: "11", 3: "01"})
-    assert initial_mem([(2, "")]) == EMPTY_MEM
-    assert initial_mem([]) == EMPTY_MEM
+    assert MemState([(1, "11"), (3, "01")]) == MemState({1: "11", 3: "01"})
+    assert MemState([(2, "")]) == EMPTY_MEM
+    assert MemState([]) == EMPTY_MEM
 
 
 def test_merge_split_roundtrip():
@@ -62,16 +65,16 @@ def test_format_parse_mem():
     m = MemState({0: "11", 3: "101"})
     assert format_mem(m) == "[0:11, 3:101]"
     assert format_mem(EMPTY_MEM) == "[]"
-    assert parse_mem("[0:11, 3:101]") == m
-    assert parse_mem("[]") == EMPTY_MEM
+    assert _parse_mem(format_mem(m)) == m
+    assert _parse_mem(format_mem(EMPTY_MEM)) == EMPTY_MEM
     with pytest.raises(ValueError):
-        parse_mem("[0:2]")
+        _parse_mem("[0:2]")
 
 
 def test_mem_file_roundtrip(tmp_path):
     m = MemState({0: "1101", 5: "0"})
     p = tmp_path / "mem.txt"
-    p.write_text(dump_mem_file(m))
+    p.write_text("0=1101\n5=0\n")
     assert load_mem_file(p) == m
     p2 = tmp_path / "hand.txt"
     p2.write_text("# input\n0 = 11\n2=e\n\n7 = 01\n")
@@ -85,8 +88,8 @@ def test_mem_file_roundtrip(tmp_path):
     (lambda: MemState({0: 1}), "bit string must consist of 0/1 characters: 1"),
     (lambda: MemState({0: "1"}).set(-2, "1"), "register numbers are naturals: -2"),
     (lambda: MemState({0: "1"}).set(3, "e"), "bit string must consist of 0/1 characters: 'e'"),
-    (lambda: parse_mem("[0:1, 2:3]"), "bit string must consist of 0/1 characters: '3'"),
-    (lambda: parse_mem("0:1"), "memory literal must be bracketed: '0:1'"),
+    (lambda: _parse_mem("[0:1, 2:3]"), "expected a bit string, got '3' at offset 13"),
+    (lambda: _parse_mem("0:1"), "expected a data expression, got '0' at offset 5"),
 ])
 def test_validation_messages_pinned(build, message):
     with pytest.raises(ValueError) as err:

@@ -24,33 +24,43 @@ from ramproc.ramops import (
     compile_op,
     compile_prop,
     compile_shared,
-    dst_reg,
     format_op,
     merged_shared_op,
     parse_op,
     regions,
-    src_val,
 )
 
 IMS = MemState({0: "11", 1: "1101", 6: "011"})
 
 
+def _src_val(sigma, s):
+    """What a `mov` from s writes, read back from its destination."""
+    return compile_op(UnOp("mov", s, Dir(8)))(sigma).get(8)
+
+
+def _dst_reg(sigma, d):
+    """The register a `mov` to d writes: the one whose contents change."""
+    after = compile_op(UnOp("mov", Imm(1), d))(sigma)
+    (reg,) = [i for i, w in after.items() if sigma.get(i) != w]
+    return reg
+
+
 def test_src_val():
-    assert src_val(IMS, Imm(6)) == "011"
-    assert src_val(IMS, Dir(1)) == "1101"
-    assert src_val(IMS, Dir(9)) == ""
+    assert _src_val(IMS, Imm(6)) == "011"
+    assert _src_val(IMS, Dir(1)) == "1101"
+    assert _src_val(IMS, Dir(9)) == ""
     # register 0 holds 3, so @0 reads register 3 (empty)
-    assert src_val(IMS, Ind(0)) == ""
+    assert _src_val(IMS, Ind(0)) == ""
     # register 6 holds 6? no: "011" is 6, so @6 reads register 6
-    assert src_val(IMS, Ind(6)) == "011"
+    assert _src_val(IMS, Ind(6)) == "011"
 
 
 def test_dst_reg():
-    assert dst_reg(IMS, Dir(4)) == 4
-    assert dst_reg(IMS, Ind(7)) == 0  # empty register reads as 0
-    assert dst_reg(IMS, Ind(0)) == 3
+    assert _dst_reg(IMS, Dir(4)) == 4
+    assert _dst_reg(IMS, Ind(7)) == 0  # empty register reads as 0
+    assert _dst_reg(IMS, Ind(0)) == 3
     with pytest.raises(ValueError):
-        dst_reg(IMS, Imm(1))
+        UnOp("mov", Imm(1), Imm(1))
 
 
 def test_constructor_validation():
@@ -150,33 +160,41 @@ def test_format_parse_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Kernels against the checked `bits` functions
+# Kernels against the cores of `bits` behind `check_bits`
+
+def _num(w):
+    return bits.num(bits.check_bits(w))
+
 
 def _value(sigma, s):
     if isinstance(s, Imm):
         return bits.ntob(s.n)
     if isinstance(s, Dir):
         return sigma.get(s.i)
-    return sigma.get(bits.bton(sigma.get(s.i)))
+    return sigma.get(_num(sigma.get(s.i)))
 
 
 def _register(sigma, d):
-    return d.i if isinstance(d, Dir) else bits.bton(sigma.get(d.i))
+    return d.i if isinstance(d, Dir) else _num(sigma.get(d.i))
+
+
+_CORES = {**bits.BINARY, **bits.UNARY, **bits.COMPARE, "mov": lambda w: w}
+
+
+def _checked(name, *args):
+    return _CORES[name](*map(bits.check_bits, args))
 
 
 def _reference(o, sigma, shared):
-    """What o does, composed from the checked public functions of `bits`
+    """What o does, composed from the cores of `bits` on checked strings
     and the checked `MemState.set`."""
     if isinstance(o, BinOp):
-        combine = bits.bin_arith if o.name in bits.ARITH_OPS else bits.bin_logic
-        w = combine(o.name, _value(sigma, o.s1), _value(sigma, o.s2))
+        w = _checked(o.name, _value(sigma, o.s1), _value(sigma, o.s2))
         return sigma.set(_register(sigma, o.d), w)
     if isinstance(o, UnOp):
-        v = _value(sigma, o.s1)
-        w = v if o.name == "mov" else bits.bnot(v) if o.name == "not" else bits.shift(o.name, v)
-        return sigma.set(_register(sigma, o.d), w)
+        return sigma.set(_register(sigma, o.d), _checked(o.name, _value(sigma, o.s1)))
     if isinstance(o, CmpOp):
-        return bits.compare(o.name, _value(sigma, o.s1), _value(sigma, o.s2))
+        return _checked(o.name, _value(sigma, o.s1), _value(sigma, o.s2))
     if isinstance(o, Load):
         return sigma.set(_register(sigma, o.d), shared.get(_register(sigma, o.addr)))
     return shared.set(_register(sigma, o.addr), _value(sigma, o.s))
@@ -247,7 +265,7 @@ def test_kernels_on_chosen_memories():
     assert compile_op(UnOp("mov", Ind(0), Dir(3)))(wide_addr) == wide_addr.set(3, "")
     # and an indirect write lands on that register
     out = compile_op(UnOp("mov", Imm(1), Ind(0)))(wide_addr)
-    assert out.get(bits.bton(WIDE)) == "1"
+    assert out.get(bits.num(WIDE)) == "1"
     # leading zeros: numerically equal, but not the same sequence
     m = MemState({0: "1", 1: "10"})
     assert compile_prop(CmpOp("eq", Dir(0), Dir(1)))(m) == 1
