@@ -8,6 +8,8 @@ doubles as the "register never written" marker, which is distinct from
 
 from __future__ import annotations
 
+import sys
+
 
 def check_bits(w: str) -> str:
     # stripping 0s and 1s from both ends leaves nothing exactly when every
@@ -77,8 +79,14 @@ def parse_bits(text: str) -> str:
 def parse_nat(text: str) -> int:
     """A decimal natural as the input formats write it: ASCII digits, with
     surrounding whitespace allowed.  `int` would also take a sign, `_`
-    separators and the digits of other scripts."""
+    separators and the digits of other scripts.  A number longer than the
+    interpreter's limit on decimal conversions is refused: it could not be
+    printed either."""
     digits = text.strip()
     if not digits or digits.strip("0123456789"):
         raise ValueError("expected a decimal natural, got %r" % (text,))
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (no limit) before 3.10.7
+    if limit and len(digits) > limit:
+        raise ValueError("decimal natural of %d digits is over the limit of %d digits"
+                         % (len(digits), limit))
     return int(digits)

@@ -18,6 +18,7 @@ import sys
 
 from . import complexity, machines, semantics, syntax
 from . import terms as T
+from .bits import parse_nat
 from .memory import EMPTY_MEM, format_mem, load_mem_file
 
 
@@ -125,10 +126,16 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
+def _measure_applies(args) -> bool:
+    """Whether --measure is defined on --model; prints the error when not."""
     model = complexity.MEASURE_TABLE[args.measure].model
     if model != args.model:
         print("error: measure %s applies to the %s model" % (args.measure, model), file=sys.stderr)
+    return model == args.model
+
+
+def cmd_measure(args) -> int:
+    if not _measure_applies(args):
         return 2
     _at_least(args, "max_states", 1)
     term, _ = _build_term(args)
@@ -227,6 +234,8 @@ def _external_oracle(command):
 
 
 def cmd_check(args) -> int:
+    if args.measure and not _measure_applies(args):
+        return 2
     _at_least(args, "max_states", 1)
     _at_least(args, "arity", 0)
     _at_least(args, "max_len", 0)
@@ -235,7 +244,10 @@ def cmd_check(args) -> int:
     inputs = complexity.all_inputs(args.arity, args.max_len)
     bound = complexity.parse_affine(args.bound) if args.bound else None
     f = complexity.FunctionSpec(args.arity, oracle, inputs)
-    verdict = complexity.check_computes(term, f, bound, max_states=args.max_states)
+    if args.measure:
+        verdict = complexity.is_of_complexity(term, f, bound, args.measure, args.max_states)
+    else:
+        verdict = complexity.check_computes(term, f, bound, max_states=args.max_states)
     print(complexity.format_check_table(verdict))
     n_fail = len(verdict.failures)
     n_und = len(verdict.undecided)
@@ -244,6 +256,22 @@ def cmd_check(args) -> int:
         % (len(verdict.rows), len(verdict.rows) - n_fail - n_und, n_fail, n_und)
     )
     return 1 if n_fail else 0
+
+
+def _integer(text):
+    """An integer option's value: ASCII decimal digits as `parse_nat` reads
+    them, with no spaces, after a minus sign for a negative value, which
+    `_at_least` then refuses.  `int` would also take `_` separators, a plus
+    sign, spaces and the digits of other scripts."""
+    negative = text.startswith("-")
+    digits = text[negative:]
+    if digits == digits.strip():
+        try:
+            n = parse_nat(digits)
+            return -n if negative else n
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
 
 
 @functools.cache
@@ -264,7 +292,7 @@ def _parser():
         if mems:
             p.add_argument("--mem", action="append", metavar="NAME=FILE",
                            help="initial memory for a flexible variable (repeatable)")
-            p.add_argument("--max-states", type=int, default=100000)
+            p.add_argument("--max-states", type=_integer, default=100000)
 
     p = sub.add_parser("compile", help="print the compiled process term")
     common(p, mems=False)
@@ -274,7 +302,7 @@ def _parser():
 
     p = sub.add_parser("run", help="run via the operational semantics")
     common(p)
-    p.add_argument("--fuel", type=int, default=0,
+    p.add_argument("--fuel", type=_integer, default=0,
                    help="also run the direct interpreter this many steps (sequential model)")
     p.add_argument("--lts", metavar="PATH", help="export the explored transition system")
     p.add_argument("--format", choices=("json", "dot"), default="json")
@@ -290,9 +318,11 @@ def _parser():
     p.add_argument("--oracle", required=True, metavar="CMD",
                    help="command reading space-separated bit strings ('e' for empty) on stdin, "
                         "printing the result or 'undef'")
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=3)
+    p.add_argument("--arity", type=_integer, default=2)
+    p.add_argument("--max-len", type=_integer, default=3)
     p.add_argument("--bound", metavar="A*n+B", help="affine step bound on total input length")
+    p.add_argument("--measure", choices=sorted(complexity.MEASURES),
+                   help="bound this measure instead of the non-silent steps")
     p.set_defaults(func=cmd_check)
 
     return ap

@@ -367,20 +367,6 @@ class Lts:
             return k
         return ids, new
 
-    def lifted(self, f):
-        """f, from labels to a label or None, on ids: once per tuple of ids,
-        and a label that f gives back keeps its id."""
-        labels, memo = self.labels, {}
-
-        def g(*ks):
-            r = memo.get(ks, _UNSET)
-            if r is _UNSET:
-                lab = f(*[labels[k] for k in ks])
-                r = memo[ks] = (lab if lab is None else ks[0] if lab is labels[ks[0]]
-                                else self.intern(lab))
-            return r
-        return g
-
 
 def build_lts(t, rho: Valuation | None = None, max_states: int = 10000,
               gamma: CommFunction = DEFAULT_GAMMA) -> Lts:
@@ -576,8 +562,26 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
             hit = leaf_memo[key] = leaf(node, v)
         return hit
 
-    ops = (memo_leaf, l.labels, l.lifted(_SYNC_RENAME.apply_label),
-           l.lifted(partial(_communicate, gamma=gamma)))
+    labels = l.labels
+
+    def communicate(ab):
+        lab = _communicate(labels[ab[0]], labels[ab[1]], gamma)
+        return None if lab is None else l.intern(lab)
+
+    def rename(k):
+        lab = _SYNC_RENAME.apply_label(labels[k])
+        return k if lab is labels[k] else l.intern(lab)
+
+    def close(c):
+        """A merge's communication result: dropped when a lone sync, else renamed."""
+        return None if c is None or _SYNC_SET.contains_label(labels[c]) else renamed[c]
+
+    # by label id or id pair, each entry made on first use: Par's communication, the id
+    # after synced -> sync, and a SyncMerge's passing move (None: blocked) and communication
+    pairs, renamed = _Table(communicate), _Table(rename)
+    passing = _Table(lambda k: close(renamed[k]))
+    joint = _Table(lambda ab: close(pairs[renamed[ab[0]], renamed[ab[1]]]))
+    ops = (memo_leaf, labels, passing, pairs, joint)
 
     def moves(v):
         """The moves of a composition, each with its successor vector."""
@@ -597,26 +601,37 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
 def _tree_moves(ops, node, v):
     """(success, moves) of a merge node in state v, each move a label id and
     the (position, value) changes it makes to v.  ops are `leaf`, which
-    steps the leaves, the labels by id, and the sync renaming and
-    `_communicate` on ids."""
-    leaf, labels, rename, communicate = ops
+    steps the leaves, the labels by id, and `_build_vectors`'s tables by
+    label id.  A SyncMerge steps as its `sync_merge_expand` form in one
+    pass: its operands' moves renamed and filtered, then their renamed
+    communications filtered and renamed once; its first move sets its bit."""
+    leaf, labels, passing, pairs, joint = ops
     l, r, bit = node
     sl, ml = leaf(l, v) if type(l) is int else _tree_moves(ops, l, v)
     sr, mr = leaf(r, v) if type(r) is int else _tree_moves(ops, r, v)
-    if bit is not None:
-        ml = [(rename(a), ch) for a, ch in ml]
-        mr = [(rename(b), ch) for b, ch in mr]
-    out = ml + mr
+    if bit is None:
+        out, pair, tail = ml + mr, pairs, ()
+    else:
+        pair, tail = joint, () if v[bit] else ((bit, 1),)
+        out = [(p, ch + tail) for a, ch in ml + mr if (p := passing[a]) is not None]
     for a, cl in ml:
         if type(labels[a]) in _COMMUNICATING:
             for b, cr in mr:
-                c = communicate(a, b)
+                c = pair[a, b]
                 if c is not None:
-                    out.append((c, cl + cr))
-    if bit is not None:
-        out = [(rename(a), ch + ((bit, 1),)) for a, ch in out
-               if not _SYNC_SET.contains_label(labels[a])]
+                    out.append((c, cl + cr + tail))
     return sl and sr, out
+
+
+class _Table(dict):
+    """A dict that fills a missing key k with fill(k)."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, k):
+        x = self[k] = self.fill(k)
+        return x
 
 
 def _tree_term(node, v, comps):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from ramproc.bits import (
     ntob,
     num,
     parse_bits,
+    parse_nat,
 )
 
 # The cores check nothing; a string from outside goes through `check_bits`
@@ -113,6 +115,20 @@ def test_wide_numbers_round_trip():
     assert ntob(n) == "0" * 5000 + "1"
     assert bton(ntob(n)) == n
     assert BINARY["add"](ntob(n), ntob(n)) == ntob(2 * n)
+
+
+def test_parse_nat_refuses_more_digits_than_int_converts():
+    # the interpreter's limit stays as it is; parse_nat names it instead of
+    # passing on int's advice to raise it
+    limit = sys.get_int_max_str_digits()
+    assert limit, "this check needs the conversion limit on"
+    assert parse_nat(" %s\n" % ("0" * (limit - 1) + "7")) == 7
+    for digits in ("1" * (limit + 1), "0" * limit + "1"):
+        with pytest.raises(ValueError) as info:
+            parse_nat(digits)
+        assert str(info.value) == ("decimal natural of %d digits is over the limit of %d digits"
+                                   % (limit + 1, limit))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def _check_bits_by_characters(w):

@@ -271,6 +271,52 @@ def test_malformed_naturals_are_refused(tmp_path, capsys, monkeypatch, files, ar
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def _over_the_limit():
+    """A decimal natural one digit longer than `int` converts."""
+    return "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("files", [
+    {"p.rp": "add:#%s:1:0\nhalt\n"},
+    {"p.rp": "jmp:eq:#0:#0:%s\nhalt\n"},
+    {"p.rp": "halt\n", "m": "%s=1\n"},
+], ids=["immediate", "jump-target", "mem-file-index"])
+def test_naturals_over_the_conversion_limit_are_refused(tmp_path, capsys, monkeypatch, files):
+    for name, text in files.items():
+        _write(tmp_path, name, text.replace("%s", _over_the_limit()))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "p.rp", "--mem", "RM=m"] if "m" in files else ["run", "p.rp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err.startswith("error: ") and captured.err.endswith(
+        "decimal natural of %d digits is over the limit of %d digits\n" % (limit + 1, limit))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--max-states", "1_0"],
+    ["run", "--max-states", "+5"],
+    ["run", "--fuel", "\u0661"],
+    ["run", "--fuel", "-\u0661"],
+    ["run", "--fuel", "- 1"],
+    ["run", "--fuel", " 1"],
+    ["measure", "--measure", "sutm", "--max-states", "1e3"],
+    ["check", "--oracle", "false", "--arity", "0x1"],
+    ["check", "--oracle", "false", "--max-len", ""],
+    ["check", "--oracle", "false", "--max-states", None],
+], ids=["underscore", "plus", "other-digit", "negative-other-digit", "space-after-minus",
+        "space-before", "exponent",
+        "hex", "empty", "over-the-limit"])
+def test_numeric_options_are_ascii_decimals(tmp_path, capsys, argv):
+    value = argv[-1] if argv[-1] is not None else _over_the_limit()
+    prog = _write(tmp_path, "p.rp", "halt\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv[:1] + [prog] + argv[1:-1] + [value])
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out) == (2, "")
+    assert captured.err.endswith("error: argument %s: invalid int value: %r\n" % (argv[-2], value))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", "--oracle", "false", "--arity", "-1"], "--arity must be at least 0, got -1"),
     (["check", "--oracle", "false", "--max-len", "-2"], "--max-len must be at least 0, got -2"),
@@ -352,6 +398,34 @@ def test_check_output_pinned(tmp_path, capsys, oracle, rc, table):
     captured = capsys.readouterr()
     assert captured.out == table
     assert captured.err == ""
+
+
+# Two lockstep components that read no input, so sputm is one value S on
+# every input.
+_LOCKSTEP = ("add:1:#1:1\nnot:1:2\nhalt\n", "mov:#1:1\nsto:1:@1\nhalt\n")
+
+
+def test_check_bounds_a_measure(tmp_path, capsys):
+    files = [_write(tmp_path, "p%d.rp" % k, text) for k, text in enumerate(_LOCKSTEP, start=1)]
+    assert main(["measure", *files, "--model", "spramp", "--measure", "sputm"]) == 0
+    s = json.loads(capsys.readouterr().out)["value"]
+    argv = ["check", *files, "--model", "spramp", "--oracle", "echo e", "--arity", "1",
+            "--max-len", "1", "--measure", "sputm", "--bound"]
+    for bound, rc, status in ((s, 0, "pass"), (s - 1, 1, "fail (measure over the bound)")):
+        assert main(argv + [str(bound)]) == rc
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and lines[-1].startswith("checked 3 inputs")
+        for row in lines[1:-1]:
+            assert row.split()[3:5] == [str(s), str(bound)] and row.endswith("  " + status)
+    # without the flag the bound counts every non-silent step, handshakes and all
+    assert main(argv[:-3] + ["--bound", str(s)]) == 1
+    assert "over the step bound" in capsys.readouterr().out
+
+
+def test_check_measure_model_mismatch(tmp_path, capsys):
+    prog = _write(tmp_path, "p.rp", "halt\n")
+    assert main(["check", prog, "--oracle", "false", "--measure", "sputm", "--bound", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: measure sputm applies to the spramp model\n")
 
 
 def test_check_computes_repeated_input_pinned(tmp_path):
@@ -571,6 +645,7 @@ usage: ramproc compile [-h] [--model {ramp,apramp,spramp}] [--inverse]
 usage: ramproc check [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
                      [--max-states MAX_STATES] --oracle CMD [--arity ARITY]
                      [--max-len MAX_LEN] [--bound A*n+B]
+                     [--measure {aputm,apwm,sputm,spwm,sutm,swm}]
                      FILE [FILE ...]
 """ + _FILES_HELP + _MEMS_HELP + """\
   --oracle CMD          command reading space-separated bit strings ('e' for
@@ -578,6 +653,8 @@ usage: ramproc check [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
   --arity ARITY
   --max-len MAX_LEN
   --bound A*n+B         affine step bound on total input length
+  --measure {aputm,apwm,sputm,spwm,sutm,swm}
+                        bound this measure instead of the non-silent steps
 """,
 }
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -787,6 +788,24 @@ def test_vector_path_matches_terms_on_benchmark_shapes(build, states, halts):
         assert fast.exploded and len(fast) == cap
 
 
+def test_exploring_compositions_leaves_no_reference_cycles():
+    # an exploration's tables and closures are freed by reference counting
+    # alone once its LTS is dropped, so a query leaves the collector nothing
+    rng = random.Random(34)
+    builds = [_apramp([_straight_line(rng, 4) for _ in range(3)]),
+              _spramp([_straight_line(rng, 4) for _ in range(3)])]
+    gc.collect()
+    gc.disable()
+    try:
+        for term, rho in builds:
+            l = build_lts(term, rho)
+            assert len(l) > 40 and l.states[len(l) - 1] is not None
+            del l
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _rec(*equations):
     return Rec(equations[0][0], RecSpec(equations))
 
@@ -803,6 +822,13 @@ _A_THEN_B = _rec(("A", _then(Act("a"), "B")), ("B", Alt(_then(Act("b"), "A"), _D
 _B_OR_D = _rec(("C", Alt(_then(Act("b"), "C"), _then(Act("d"), "E"))), ("E", _DONE))
 _SENDS = _rec(("S", _then(T.DataAct("s", (FlexVar("x"),)), "T")), ("T", _then(_FLIP_X, "S")))
 _RECEIVES = _rec(("R", Alt(_then(_RECEIVED, "R"), _then(Act("sync"), "R"))))
+# leaves that offer sync, synced and a data action named sync, which a
+# SyncMerge blocks alone, renames, or pairs into its handshake
+_SYNCS = _rec(("P", Alt(_then(Act("sync"), "Q"), _then(Act("synced"), "P"))),
+              ("Q", Alt(_then(T.DataAct("sync", (FlexVar("x"),)), "P"),
+                        Alt(_then(_FLIP_X, "P"), _DONE))))
+_SYNCED = _rec(("U", Alt(_then(Act("synced"), "U"), _then(Act("a"), "V"))),
+               ("V", Alt(_then(Act("sync"), "U"), _then(_RECEIVED, "V"))))
 # guards and assignments of the shapes that the vector path once evaluated
 # by decoding a valuation: connectives, equality, upd, literals, nested operators
 _X_IS_ONE = T.PropAtom(CmpOp("eq", Dir(0), Imm(1)), FlexVar("x"), 1)
@@ -817,6 +843,10 @@ _MIXED = _rec(
                     Seq(Assign("x", MemLiteral(MemState({0: "0"}))), Var("M"))))))
 
 
+_OTHER_GAMMA = CommFunction.make({("a", "b"): "c", ("b", "d"): "e", ("s", "r"): "t",
+                                  ("sync", "sync"): "synced", ("a", "sync"): "synced"})
+
+
 @pytest.mark.parametrize("term", [
     Par(_A_THEN_B, _B_OR_D),
     Par(Par(_A_THEN_B, _SENDS), _RECEIVES),
@@ -825,15 +855,48 @@ _MIXED = _rec(
     # a | sync communicates to synced below the merge, which renames it
     SyncMerge(Par(_A_THEN_B, _RECEIVES), Par(_RECEIVES, _A_THEN_B)),
     Par(_MIXED, _B_OR_D),
+    SyncMerge(SyncMerge(_SYNCS, _SYNCED), _A_THEN_B),
+    SyncMerge(_SYNCED, SyncMerge(_SYNCS, SyncMerge(_B_OR_D, _RECEIVES))),
+    SyncMerge(SyncMerge(SyncMerge(_A_THEN_B, _SYNCS), _SYNCS),
+              SyncMerge(_SENDS, SyncMerge(_SYNCED, _RECEIVES))),
+    SyncMerge(Par(_SYNCS, _A_THEN_B), SyncMerge(Par(_SYNCED, _RECEIVES), _SENDS)),
+    Par(SyncMerge(Par(_SYNCS, _SYNCS), _B_OR_D), SyncMerge(_SYNCED, Par(_A_THEN_B, _SYNCED))),
 ], ids=["par", "nested-par", "sync-over-par", "par-over-syncs", "synced-below-sync",
-        "other-expression-shapes"])
+        "other-expression-shapes", "sync-nest-3", "sync-nest-4", "sync-nest-6",
+        "par-under-syncs", "syncs-under-par"])
 def test_vector_path_matches_terms_under_other_communications(term):
     rho = Valuation.make({"x": MemState({0: "1"})})  # flips between 1 and 0
-    gamma = CommFunction.make({("a", "b"): "c", ("b", "d"): "e", ("s", "r"): "t",
-                               ("sync", "sync"): "synced", ("a", "sync"): "synced"})
-    fast, _ = _explore_both(term, rho, 2000, gamma)
+    fast, _ = _explore_both(term, rho, 2000, _OTHER_GAMMA)
     _explore_both(term, rho, 2000)
     assert {getattr(lab, "name", None) for _, lab, _ in fast.transitions} & {"c", "e", "t"}
+
+
+def _merge_tree(rng, n):
+    """A seeded tree of n leaves from the leaves above, each inner node a
+    SyncMerge or, one time in four, a Par."""
+    if n == 1:
+        return rng.choice((_A_THEN_B, _B_OR_D, _SENDS, _RECEIVES, _SYNCS, _SYNCED))
+    k = rng.randint(1, n - 1)
+    merge = Par if rng.random() < 0.25 else SyncMerge
+    return merge(_merge_tree(rng, k), _merge_tree(rng, n - k))
+
+
+def test_vector_path_matches_terms_on_seeded_merge_trees():
+    rng = random.Random(3206)
+    rho = Valuation.make({"x": MemState({0: "1"})})
+    for _ in range(24):
+        term = _merge_tree(rng, rng.randint(3, 6))
+        for gamma in (DEFAULT_GAMMA, _OTHER_GAMMA):
+            _explore_both(term, rho, 300, gamma)
+
+
+def test_vector_path_matches_terms_on_seeded_spramp():
+    rng = random.Random(3232)
+    for _ in range(30):
+        progs = [_random_shared_program(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 6))]
+        term = compose_sync([proc_of_smbram_sync(i, p) for i, p in enumerate(progs, start=1)])
+        rho = Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(term)})
+        _explore_both(term, rho.set("RM", _random_mem(rng)), 400)
 
 
 _LOOP = _rec(("X", Var("X")))

@@ -13,7 +13,6 @@ KEPT = {
     "merged_shared_op": "load/store as single-memory operations on merged memories (criterion 6)",
     "count_maximal_paths": "the number of interleavings of parallel runs (criterion 8)",
     "normalize_basic": "the basic forms of the paper's worked examples (criteria 1 and 2)",
-    "is_of_complexity": "the paper's complexity classes over a named measure",
     "parse_cond": "reads a condition on its own, the inverse of format_cond",
     "eval_data": "the denotation of a data expression, which the law instances lower through",
     "eval_cond": "the truth of a condition, which the law instances lower through",
