@@ -249,6 +249,8 @@ def cmd_check(args) -> int:
     else:
         verdict = complexity.check_computes(term, f, bound, max_states=args.max_states)
     print(complexity.format_check_table(verdict))
+    if args.by_length:
+        print(complexity.format_by_length(verdict))
     n_fail = len(verdict.failures)
     n_und = len(verdict.undecided)
     print(
@@ -323,6 +325,8 @@ def _parser():
     p.add_argument("--bound", metavar="A*n+B", help="affine step bound on total input length")
     p.add_argument("--measure", choices=sorted(complexity.MEASURES),
                    help="bound this measure instead of the non-silent steps")
+    p.add_argument("--by-length", action="store_true",
+                   help="after the table, print the worst case at each total input length")
     p.set_defaults(func=cmd_check)
 
     return ap

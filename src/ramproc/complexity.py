@@ -15,6 +15,7 @@ import itertools
 import re
 
 from . import terms as T
+from .bits import parse_nat
 from .machines import (APRAMP, RAMP, SPRAMP, memory_name, validate_apramp, validate_ramp,
                        validate_spramp)
 from .memory import EMPTY_MEM
@@ -274,12 +275,12 @@ def _check_one(l: Lts, args, expected, bound, m, n) -> CheckRow:
         return CheckRow(args, expected, None, None, bound, "fail", "does not halt")
     results = {rho.get("RM").get(0) for rho in terminal_valuations(l)}
     got = "|".join(sorted(results))
+    steps = depth(l) if m is None else _measure_value(m, l, n)[0]
     if expected is None:
-        return CheckRow(args, None, got or None, depth(l), bound, "fail",
+        return CheckRow(args, None, got or None, steps, bound, "fail",
                         "halts where the function is undefined")
     if results != {expected}:
-        return CheckRow(args, expected, got, depth(l), bound, "fail", "wrong result")
-    steps = depth(l) if m is None else _measure_value(m, l, n)[0]
+        return CheckRow(args, expected, got, steps, bound, "fail", "wrong result")
     if bound is not None and steps > bound:
         return CheckRow(args, expected, expected, steps, bound, "fail",
                         "over the step bound" if m is None else "measure over the bound")
@@ -300,8 +301,8 @@ def parse_affine(text: str):
     a_txt, n_txt, b_txt = m.groups()
     if a_txt is not None and n_txt is None:
         raise ValueError("coefficient without n in %r" % (text,))
-    a = int(a_txt) if a_txt is not None else (1 if n_txt else 0)
-    b = int(b_txt) if b_txt is not None else 0
+    a = parse_nat(a_txt) if a_txt is not None else (1 if n_txt else 0)
+    b = parse_nat(b_txt) if b_txt is not None else 0
     return lambda n: a * n + b
 
 
@@ -309,16 +310,40 @@ def format_check_table(verdict: Verdict) -> str:
     """Human-readable per-input table for the checkers."""
     lines = ["%-24s %-12s %-12s %8s %8s  %s" % ("input", "expected", "got", "steps", "bound", "status")]
     for r in verdict.rows:
-        args = "(" + ", ".join(w or "e" for w in r.args) + ")"
         lines.append(
             "%-24s %-12s %-12s %8s %8s  %s%s"
             % (
-                args,
+                _input(r.args),
                 _cell(r.expected), _cell(r.got), _cell(r.steps), _cell(r.bound),
                 r.status, " (%s)" % r.note if r.note else "",
             )
         )
     return "\n".join(lines)
+
+
+def worst_by_length(verdict: Verdict) -> dict:
+    """Total input length -> the first row, in table order, whose steps are
+    the largest among the rows of that length that carry steps (None when
+    none does), by increasing length."""
+    worst = {}
+    for r in verdict.rows:
+        n = sum(map(len, r.args))
+        w = worst.setdefault(n, None)
+        if r.steps is not None and (w is None or r.steps > w.steps):
+            worst[n] = r
+    return dict(sorted(worst.items()))
+
+
+def format_by_length(verdict: Verdict) -> str:
+    """One line per total input length: its worst case and the first input
+    that attains it, or `-`."""
+    return "\n".join("length %d: %s" % (n, "-" if r is None else
+                                        "worst %d at %s" % (r.steps, _input(r.args)))
+                     for n, r in worst_by_length(verdict).items())
+
+
+def _input(args):
+    return "(" + ", ".join(w or "e" for w in args) + ")"
 
 
 def _cell(v):

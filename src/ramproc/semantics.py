@@ -421,9 +421,12 @@ def _explore(l, first, moves, max_states) -> Lts:
     keeping the first of those whose labels compare equal into one
     successor, as `step` does; only a move into a state numbered before it
     can repeat one.  A new state past max_states marks the LTS exploded and
-    ends the walk."""
+    ends the walk.  When no kept move goes to a state numbered at or before
+    its source, the numbering read backwards is a reverse topological order,
+    and l keeps it for `_topo_order`."""
     states, index, outs, out, labels = l.states, {first: 0}, l.outs, [], l.labels
     states.append(first)
+    back = False
     for sid, s in enumerate(states):  # grows while it is walked
         succ, ms = moves(s)
         if succ:
@@ -438,12 +441,16 @@ def _explore(l, first, moves, max_states) -> Lts:
                 states.append(u)
             elif any(d == dst and (j == k or labels[j] == labels[k]) for j, d in out):
                 continue
+            elif dst <= sid:
+                back = True
             out.append((k, dst))
         outs.append(tuple(out))
         out.clear()
         if l.exploded:
             outs += [()] * (len(states) - len(outs))
             break
+    if not (back or l.exploded):
+        l._order = range(len(l) - 1, -1, -1)
     return l
 
 
@@ -652,10 +659,11 @@ def _compile(u, mem_at, mems, intern, mem_id, l):
     id): the condition is a test of the state vector (None when it is
     True), the maker gives the label's id in l and the memory changes
     of the move, and both are None in a success summand.  A prefix into Y
-    leads to `eps . Y` over the spec's constant for Y, the term the step
-    rules reach.  Conditions and data are compiled as on terms, but read the
-    vector through mem_at and mems; memories are interned with mem_id,
-    successors with intern.  Every variable u reads is bound
+    leads to `eps . Rec(Y, spec)`, equal to the term the step rules reach;
+    it is built here, for `T._rec_constants` would keep it in the spec and
+    so leave the spec in a reference cycle.  Conditions and data are
+    compiled as on terms, but read the vector through mem_at and mems;
+    memories are interned with mem_id, successors with intern.  Every variable u reads is bound
     (`_machine_tree`), so no summand raises an unbound-variable error."""
     if type(u) is T.Seq:
         u = u.r
@@ -690,9 +698,8 @@ def _compile(u, mem_at, mems, intern, mem_id, l):
         const = l.intern(Plain(a.name) if type(a) is T.Act else TAU_LABEL), ()
         return lambda v: const
 
-    consts = T._rec_constants(u.spec)
     return [(None if type(c) is T.TrueC else T.compile_cond(c, read),
-             a and label(a), a and intern(T.Seq(T.EPS, consts[y])))
+             a and label(a), a and intern(T.Seq(T.EPS, T.Rec(y, u.spec))))
             for c, a, y in T.linear_form(u.spec)[0][u.var]]
 
 
@@ -741,8 +748,9 @@ def eventually_halts(l: Lts) -> bool:
 
 def _topo_order(l: Lts):
     """States in reverse-topological order (successors first), or None when
-    the graph has a cycle: Kahn's algorithm, run forwards and reversed.  It
-    is computed once per LTS and kept on it."""
+    the graph has a cycle: the order `_explore` handed over, else Kahn's
+    algorithm, run forwards and reversed.  It is computed once per LTS and
+    kept on it."""
     if l._order is not _UNSET:
         return l._order
     indegree = [0] * len(l)

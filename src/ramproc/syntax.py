@@ -23,7 +23,7 @@ followed by a comma starts a list of labels, so neither reads as the keyword.
 
 from __future__ import annotations
 
-from .bits import format_bits
+from .bits import format_bits, parse_nat
 from .memory import MemState, format_mem
 from . import ramops
 from . import terms as T
@@ -257,7 +257,7 @@ class _Parser:
 
     def index(self):
         self.expect("[")
-        n = int(self.expect("num")[1])
+        n = parse_nat(self.expect("num")[1])
         self.expect("]")
         return n
 
@@ -266,7 +266,7 @@ class _Parser:
         return MemState(dict(self.listing(self.cell, "]")))
 
     def cell(self):
-        idx = int(self.expect("num")[1])
+        idx = parse_nat(self.expect("num")[1])
         self.expect(":")
         return idx, self.bit_string()
 
@@ -291,7 +291,7 @@ class _Parser:
             self.expect("(")
             base = self.expr()
             self.expect(",")
-            idx = int(self.expect("num")[1])
+            idx = parse_nat(self.expect("num")[1])
             self.expect(",")
             val = self.bit_string()
             self.expect(")")
@@ -365,7 +365,7 @@ class _Parser:
             bit = self.expect("num")[1]
             if bit not in ("0", "1"):
                 raise ParseError("expected a bit after '='")
-            return T.PropAtom(op, e, int(bit))
+            return T.PropAtom(op, e, parse_nat(bit))
         e1 = self.expr()
         self.expect("==")
         return T.DataEq(e1, self.expr())

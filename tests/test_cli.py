@@ -646,6 +646,7 @@ usage: ramproc check [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
                      [--max-states MAX_STATES] --oracle CMD [--arity ARITY]
                      [--max-len MAX_LEN] [--bound A*n+B]
                      [--measure {aputm,apwm,sputm,spwm,sutm,swm}]
+                     [--by-length]
                      FILE [FILE ...]
 """ + _FILES_HELP + _MEMS_HELP + """\
   --oracle CMD          command reading space-separated bit strings ('e' for
@@ -655,6 +656,8 @@ usage: ramproc check [-h] [--model {ramp,apramp,spramp}] [--mem NAME=FILE]
   --bound A*n+B         affine step bound on total input length
   --measure {aputm,apwm,sputm,spwm,sutm,swm}
                         bound this measure instead of the non-silent steps
+  --by-length           after the table, print the worst case at each total
+                        input length
 """,
 }
 
@@ -716,3 +719,68 @@ def test_parser_built_once_and_not_at_import(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[0, 5, 5]\n"
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"t": "x := upd(RM, %s, 1)\n"}, ["compile", "--inverse", "t"]),
+    ({"t": "x := [%s: 1]\n"}, ["compile", "--inverse", "t"]),
+    ({"t": "proj[%s](a)\n"}, ["compile", "--inverse", "t"]),
+    ({"p.rp": "halt\n"}, ["check", "p.rp", "--oracle", "echo e", "--arity", "0", "--bound", "%s"]),
+    ({"p.rp": "halt\n"}, ["check", "p.rp", "--oracle", "echo e", "--arity", "0",
+                          "--bound", "%s*n"]),
+], ids=["upd-index", "cell-index", "projection", "bound-constant", "bound-coefficient"])
+def test_term_and_bound_naturals_over_the_conversion_limit_are_refused(
+        tmp_path, capsys, monkeypatch, popens, files, argv):
+    big = _over_the_limit()
+    for name, text in files.items():
+        _write(tmp_path, name, text.replace("%s", big))
+    monkeypatch.chdir(tmp_path)
+    assert main([a.replace("%s", big) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and popens == []
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == "error: decimal natural of %d digits is over the limit of %d digits\n" % (
+        limit + 1, limit)
+
+
+# Two interleaved components of three steps each, halting included, that
+# leave RM's register 0 empty: aputm 3, apwm 6.
+_TWO_STEP_PAIR = ("add:1:#1:1\nnot:1:2\nhalt\n", "add:1:#1:1\nnot:1:2\nhalt\n")
+
+
+@pytest.mark.parametrize("measure", ["aputm", "apwm", None])
+def test_check_measure_on_a_wrong_result_row(tmp_path, capsys, measure):
+    files = [_write(tmp_path, "p%d.rp" % k, text) for k, text in enumerate(_TWO_STEP_PAIR, 1)]
+    flag = ["--measure", measure] if measure else []
+    assert main(["measure", *files, "--model", "apramp", "--measure", measure or "apwm"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == {"aputm": 3}.get(measure, 6)
+    assert main(["check", *files, "--model", "apramp", "--oracle", "echo 1", "--arity", "0",
+                 *flag, "--bound", "9"]) == 1
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split()[1:] == ["1", "e", str(value), "9", "fail", "(wrong", "result)"]
+
+
+# Division by an empty or zero divisor never halts, so those rows carry no
+# steps; length 3's worst case is first met at (11, 1).
+_DIVISION_BY_LENGTH = """\
+length 0: -
+length 1: worst 2 at (e, 1)
+length 2: worst 6 at (1, 1)
+length 3: worst 14 at (11, 1)
+length 4: worst 14 at (11, 10)
+"""
+
+
+def test_check_by_length_pinned(tmp_path, capsys):
+    prog = _write(tmp_path, "div.rp", sample_terms.DIVISION_PROGRAM)
+    argv = ["check", prog, "--oracle", "echo 1", "--arity", "2", "--max-len", "2",
+            "--max-states", "200"]
+    assert main(argv) == 1
+    table = capsys.readouterr().out.splitlines(keepends=True)
+    assert main(argv + ["--by-length"]) == 1
+    assert capsys.readouterr().out == "".join(table[:-1]) + _DIVISION_BY_LENGTH + table[-1]
+    loop = _write(tmp_path, "loop.rp", "jmp:eq:#0:#0:1\nhalt\n")
+    assert main(["check", loop, "--oracle", "echo 1", "--arity", "1", "--max-len", "1",
+                 "--by-length"]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:-1] == ["length 0: -", "length 1: -"]

@@ -25,6 +25,7 @@ from ramproc.complexity import (
     swm,
 )
 from ramproc.machines import (
+    BBRAM,
     SMBRAM,
     compose_async,
     compose_sync,
@@ -35,7 +36,7 @@ from ramproc.machines import (
     run_bbram,
 )
 from ramproc.memory import EMPTY_MEM, MemState
-from ramproc.semantics import build_lts, depth
+from ramproc.semantics import SemanticsError, build_lts, depth, eventually_halts
 from ramproc.syntax import parse_term
 
 import sample_terms
@@ -399,3 +400,64 @@ def test_check_steps_are_sequential_time():
             assert m == r
     assert seen >= {"pass", "over the step bound", "wrong result", "does not halt",
                     "halts where the function is undefined"}
+
+
+def _halving_loop(rng, load):
+    """A program that halves register 1 until it is zero, with up to two
+    more operators a round; with load set it first loads register 1 from
+    RM[1], a component's input.  Its steps grow with the input."""
+    pad = [rng.choice(["add:2:#1:2", "not:3:3", "mov:2:3"]) for _ in range(rng.randint(0, 2))]
+    head = ["mov:#1:0", "loa:@0:1"] if load else []
+    h = len(head)
+    ops = head + ["jmp:eq:1:#0:%d" % (h + 4 + len(pad)), "shr:1:1", *pad,
+                  "jmp:eq:#0:#0:%d" % (h + 1), "halt"]
+    return parse_program("\n".join(ops) + "\n", SMBRAM if load else BBRAM)
+
+
+@pytest.mark.parametrize("model, measures", [
+    ("ramp", ("sutm", "swm")), ("apramp", ("aputm", "apwm")), ("spramp", ("sputm", "spwm")),
+])
+def test_worst_by_length_is_the_worst_per_input_measure(model, measures):
+    # every row that halts carries its value, whether it passes or not, so
+    # each length's worst case is the largest value a per-input call gives
+    from test_machines import _compile_machine
+
+    rng = random.Random(33)
+    f = FunctionSpec(1, lambda args: "1", all_inputs(1, 2))
+    valued = 0
+    for _ in range(4):
+        n = 1 if model == "ramp" else rng.randint(1, 3)
+        t = _compile_machine(model, [_halving_loop(rng, model != "ramp") for _ in range(n)])
+        extra = sorted(T.flexvars_term(t))
+        for name in (None, *measures):
+            if name is None:
+                verdict = check_computes(t, f, max_states=3000)
+            else:
+                verdict = is_of_complexity(t, f, None, name, max_states=3000)
+            values = {args: _value_or_none(name, t, input_valuation(args, extra))
+                      for args in f.inputs}
+            worst = complexity.worst_by_length(verdict)
+            assert list(worst) == [0, 1, 2]
+            for length, row in worst.items():
+                mine = [args for args in f.inputs if sum(map(len, args)) == length
+                        and values[args] is not None]
+                if not mine:
+                    assert row is None
+                    continue
+                top = max(values[args] for args in mine)
+                assert row.steps == top and row.args == next(
+                    args for args in mine if values[args] == top)
+                valued += 1
+    assert valued >= 18
+
+
+def _value_or_none(name, t, rho):
+    """measure `name` of t under rho, or its step count when name is None;
+    None where it is undefined or undecided."""
+    try:
+        if name is not None:
+            return MEASURES[name](t, rho, 3000).value
+        l = build_lts(t, rho, 3000)
+        return depth(l) if eventually_halts(l) else None
+    except SemanticsError:
+        return None

@@ -39,6 +39,7 @@ from ramproc.semantics import (
     eventually_halts,
     lts_to_dot,
     lts_to_json,
+    _topo_order,
     normalize_basic,
     step,
     sync_merge_expand,
@@ -789,18 +790,21 @@ def test_vector_path_matches_terms_on_benchmark_shapes(build, states, halts):
 
 
 def test_exploring_compositions_leaves_no_reference_cycles():
-    # an exploration's tables and closures are freed by reference counting
-    # alone once its LTS is dropped, so a query leaves the collector nothing
+    # a query's terms, spec, program, exploration tables and closures are
+    # freed by reference counting alone once they are dropped, so a query
+    # leaves the collector nothing
     rng = random.Random(34)
-    builds = [_apramp([_straight_line(rng, 4) for _ in range(3)]),
-              _spramp([_straight_line(rng, 4) for _ in range(3)])]
     gc.collect()
     gc.disable()
     try:
+        builds = [_apramp([_straight_line(rng, 4) for _ in range(3)]),
+                  _spramp([_straight_line(rng, 4) for _ in range(3)]),
+                  _ramp(sample_terms.DIVISION_PROGRAM, {1: "1101", 2: "11"})]
         for term, rho in builds:
             l = build_lts(term, rho)
-            assert len(l) > 40 and l.states[len(l) - 1] is not None
+            assert len(l) > 10 and l.states[len(l) - 1] is not None
             del l
+        del builds, term, rho
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -1304,3 +1308,93 @@ def test_rule_table_covers_every_process_term_class():
     process_classes = T._LEAF | T._BINARY | T._UNARY_BODY | {T.Rec}
     assert set(_RULES) == process_classes
     assert len(set(_RULES.values())) == len(_RULES)
+
+
+# ---------------------------------------------------------------------------
+# The explorer's breadth-first numbering, handed over as the topological order
+# when no kept move goes back to a state numbered at or before its source.
+
+def _handed_over(l):
+    """The order `_explore` handed l, or None; read before any analysis."""
+    return l._order if type(l._order) is range else None
+
+
+def _is_reverse_topological(order, l):
+    at = {sid: i for i, sid in enumerate(order)}
+    return sorted(at) == list(range(len(l))) and all(
+        at[dst] < at[src] for src, out in enumerate(l.outs) for _, dst in out)
+
+
+_COUNTS = (lambda lab: not isinstance(lab, T.Tau), lambda lab: isinstance(lab, Assignment),
+           lambda lab: True)
+
+
+def _analyses(ltss, pairs):
+    """The answers of every analysis that reads the topological order, then
+    rb_bisim on the pairs of positions."""
+    answers = [(eventually_halts(l), depth(l), semantics.depths(l, _COUNTS),
+                count_maximal_paths(l)) for l in ltss]
+    return answers, [rb_bisim(ltss[i], ltss[j]) for i, j in pairs]
+
+
+def _handover_corpus():
+    """(label, Lts) of the fingerprint corpus, both sides of each law on one
+    seeded pass, and seeded halting compositions."""
+    yield from _fingerprint_corpus()
+    for name in sorted(AXIOMS):
+        for side, t in zip(("lhs", "rhs"), AXIOMS[name](Gen(zlib.crc32(name.encode()) + 33))):
+            yield "%s-%s" % (name, side), build_lts(t, None, 2000, gamma=GAMMA)
+    rng = random.Random(33)
+    for k in range(6):
+        n = rng.randint(2, 3)
+        yield "apramp-%d" % k, build_lts(*_apramp([_straight_line(rng, 3) for _ in range(n)]))
+        yield "spramp-%d" % k, build_lts(*_spramp([_straight_line(rng, 3) for _ in range(n)]))
+
+
+def test_handed_over_orders_are_reverse_topological_and_change_no_answer():
+    corpus = list(_handover_corpus())
+    given = [(label, l) for label, l in corpus if _handed_over(l) is not None]
+    for label, l in given:
+        assert not l.exploded and _is_reverse_topological(_handed_over(l), l), label
+    ltss = [l for _, l in given]
+    # a sequential machine's run is a chain: the order is handed over exactly
+    # when it is acyclic, and on every seeded composition, which halts
+    handed = {label for label, _ in given}
+    for label, l in corpus:
+        if label.startswith("ramp-"):
+            assert (label in handed) == (not l.exploded and _topo_order(l) is not None), label
+    assert {"apramp-%d" % k for k in range(6)} | {"spramp-%d" % k for k in range(6)} <= handed
+    laws = [label for label, _ in corpus if label.endswith(("-lhs", "-rhs"))]
+    assert len(handed.intersection(laws)) > 0.9 * len(laws)
+    pairs = [(i, i) for i in range(len(ltss))] + [(i, i + 1) for i in range(len(ltss) - 1)]
+    before = _analyses(ltss, pairs)
+    for l in ltss:
+        l._order = semantics._UNSET
+    assert _analyses(ltss, pairs) == before
+    assert not any(_handed_over(l) for l in ltss)  # each order came from Kahn's
+
+
+def test_a_backward_edge_without_a_cycle_takes_kahns_order():
+    # breadth first, d . c reaches c, numbered 1, from state 2
+    l = build_lts(parse_term("a . c + b . (d . c)"))
+    assert any(dst <= 2 for _, dst in l.outs[2])
+    assert l._order is semantics._UNSET
+    assert depth(l) == 3 and _is_reverse_topological(l._order, l)
+    assert type(l._order) is list
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_lts(*_ramp("jmp:eq:#0:#0:1\nhalt\n", {})),
+    lambda: build_lts(parse_term("rec X {X = a . X}")),
+    lambda: build_lts(*_ramp(sample_terms.DIVISION_PROGRAM, {1: "1101", 2: "1"}), max_states=5),
+    lambda: _hand_built(build_lts(parse_term("a . b + c"))),
+], ids=["looping-program", "looping-term", "exploded", "hand-built"])
+def test_no_order_is_handed_over(build):
+    assert build()._order is semantics._UNSET
+
+
+def test_setting_transitions_drops_the_handed_over_order():
+    l = build_lts(parse_term("a . b"))
+    assert type(l._order) is range
+    l.transitions = [(1, Plain("b"), 0)] + l.transitions
+    assert _topo_order(l) is None
