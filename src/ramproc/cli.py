@@ -62,12 +62,49 @@ def _valuation(args):
 
 
 def _export_lts(l, path, fmt):
-    if fmt == "dot":
-        payload = semantics.lts_to_dot(l)
-    else:
-        payload = json.dumps(semantics.lts_to_json(l), indent=2) + "\n"
+    dot = fmt == "dot"
+    payload = semantics.lts_to_dot(l) if dot else semantics.lts_to_json(l)
     with open(path, "w") as fh:
-        fh.write(payload)
+        if dot:
+            fh.write(payload)
+        else:
+            _write_json(payload, fh)
+
+
+_STATE = '    {\n      "id": %d,\n      "term": %s,\n      "success": %s\n    }'
+_MOVE = '    {\n      "from": %d,\n      "label": %s,\n      "to": %d\n    }'
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _write_json(d, fh):
+    """Write d, a `semantics.lts_to_json` dict, to fh as `json.dumps(d,
+    indent=2)` and a newline print it, without its pure-Python encoder:
+    the layout is fixed, and strings go through the escaper it calls."""
+    quote = json.encoder.encode_basestring_ascii
+    fh.write('{\n  "initial": %d,\n  "exploded": %s,\n  "states": '
+             % (d["initial"], _JSON_BOOL[d["exploded"]]))
+    _write_items(fh, (_STATE % (s["id"], quote(s["term"]), _JSON_BOOL[s["success"]])
+                      for s in d["states"]))
+    fh.write(',\n  "transitions": ')
+    _write_items(fh, (_MOVE % (t["from"], quote(t["label"]), t["to"])
+                      for t in d["transitions"]))
+    fh.write("\n}\n")
+
+
+def _write_items(fh, items):
+    """Write the texts items as a JSON list, indented as a value of the top object."""
+    sep = "[\n"
+    for item in items:
+        fh.write(sep + item)
+        sep = ",\n"
+    fh.write("[]" if sep == "[\n" else "\n  ]")
+
+
+_INVERSES = {  # by model: a machine term's programs, in component order
+    "ramp": lambda t: (machines.program_of_ramp(t),),
+    "apramp": machines.program_of_apramp,
+    "spramp": machines.program_of_spramp,
+}
 
 
 def cmd_compile(args) -> int:
@@ -76,8 +113,9 @@ def cmd_compile(args) -> int:
             raise ValueError("--inverse takes exactly one term file")
         with open(args.programs[0]) as fh:
             term = syntax.parse_term(fh.read())
-        prog = machines.program_of_ramp(term)
-        sys.stdout.write(machines.format_program(prog))
+        progs = _INVERSES[args.model](term)
+        # a line no instruction reads as parts the components
+        sys.stdout.write("---\n".join(map(machines.format_program, progs)))
         return 0
     term, _ = _build_term(args)
     print(syntax.format_term(term))
@@ -299,7 +337,8 @@ def _parser():
     p = sub.add_parser("compile", help="print the compiled process term")
     common(p, mems=False)
     p.add_argument("--inverse", action="store_true",
-                   help="read a sequential-machine term and print its program")
+                   help="read a machine term of --model and print its programs, "
+                        "separated by --- lines")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="run via the operational semantics")

@@ -7,7 +7,11 @@ any state you can build satisfies it.
 
 from __future__ import annotations
 
+import sys
+
 from .bits import check_bits, parse_bits, parse_nat
+
+_MODULUS = sys.hash_info.modulus  # keeps a memory's hash, a sum, a machine-sized int
 
 
 class MemState:
@@ -25,7 +29,7 @@ class MemState:
                 if w:
                     d[i] = w
         self._regs = d
-        self._hash = hash(frozenset(d.items()))
+        self._hash = sum(map(hash, d.items())) % _MODULUS
 
     def get(self, i: int) -> str:
         return self._regs.get(i, "")
@@ -45,15 +49,22 @@ class MemState:
         A state holds only checked bit strings (`__init__` and `set` check
         them), and the kernels rely on it: they read registers without
         checking and hand `_put` only strings computed from such contents
-        or from immediates, and register numbers that are naturals."""
+        or from immediates, and register numbers that are naturals.  The
+        hash, a sum over the (register, string) pairs, changes by the
+        written pair alone."""
         d = self._regs.copy()
+        h = self._hash
+        old = d.get(i)
+        if old is not None:
+            h -= hash((i, old))
         if w:
             d[i] = w
-        else:
-            d.pop(i, None)
+            h += hash((i, w))
+        elif old is not None:
+            del d[i]
         m = object.__new__(MemState)
         m._regs = d
-        m._hash = hash(frozenset(d.items()))
+        m._hash = h % _MODULUS
         return m
 
     def registers(self):

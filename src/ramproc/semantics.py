@@ -20,6 +20,7 @@ from .terms import (
     Assignment, DataAction, Plain, Tau, TAU_LABEL,
     EMPTY_VALUATION, Valuation, read_valuation, unfold,
 )
+from .memory import format_mem
 from .nodes import node
 
 
@@ -598,10 +599,26 @@ def _build_vectors(root, tree, leaves, syncs, max_states, gamma) -> Lts:
     def term(v):
         return T.Eval(valuation(v), _tree_term(tree, v, comps))
 
+    def texts(mem):
+        """The function from a vector to its state's `format_term` text, made of
+        a `NAME = [..]` text per memory id, mem(m) for memory m, and a body
+        text per control part: the component ids and merge bits."""
+        from .syntax import format_term
+
+        entries = [["%s = %s" % (x, mem(m)) for m in col] for x, col in zip(names, mems)]
+        bodies, n = {}, len(names)
+
+        def text(v):
+            body = bodies.get(v[n:])
+            if body is None:
+                body = bodies[v[n:]] = "}(%s)" % format_term(_tree_term(tree, v, comps))
+            return "eval{" + ", ".join(map(list.__getitem__, entries, v)) + body
+        return text
+
     first = (0,) * len(names) + tuple(map(intern, leaves)) + (0,) * syncs
     # a lone leaf meets each state once, so it steps without the memo or the tree walk
     _explore(l, first, partial(leaf, tree) if single else moves, max_states)
-    l.states = _StateTerms(l.states, term, valuation)
+    l.states = _StateTerms(l.states, term, valuation, texts)
     return l
 
 
@@ -705,11 +722,12 @@ def _compile(u, mem_at, mems, intern, mem_id, l):
 
 class _StateTerms(Sequence):
     """The state terms of an LTS explored on vectors, each rebuilt from its
-    vector when asked for; `valuation(sid)` decodes only the valuation.
+    vector when asked for; `valuation(sid)` decodes only the valuation, and
+    `texts(mem)` gives the terms' texts without building them.
     It compares equal to the list of the same terms."""
 
-    def __init__(self, vectors, term, valuation):
-        self._vectors, self._term, self._valuation = vectors, term, valuation
+    def __init__(self, vectors, term, valuation, texts):
+        self._vectors, self._term, self._valuation, self._texts = vectors, term, valuation, texts
 
     def __len__(self):
         return len(self._vectors)
@@ -724,6 +742,10 @@ class _StateTerms(Sequence):
 
     def valuation(self, sid):
         return self._valuation(self._vectors[sid])
+
+    def texts(self, mem):
+        """`format_term` of each state in order, with mem(m) the text of memory m."""
+        return map(self._texts(mem), self._vectors)
 
     def __eq__(self, other):
         ok = isinstance(other, (list, _StateTerms))
@@ -883,16 +905,15 @@ def normalize_basic(t, rho: Valuation | None = None, bound: int = 10000,
 
 def lts_to_json(l: Lts) -> dict:
     from .syntax import format_term
-    from .terms import format_label
 
-    names = list(map(format_label, l.labels))
+    mem = _Table(format_mem).__getitem__  # memories print once per export
+    names = _label_texts(l, mem)
+    states, success = l.states, l.success
+    texts = states.texts(mem) if type(states) is _StateTerms else map(format_term, states)
     return {
         "initial": l.initial,
         "exploded": l.exploded,
-        "states": [
-            {"id": i, "term": format_term(s), "success": i in l.success}
-            for i, s in enumerate(l.states)
-        ],
+        "states": [{"id": i, "term": s, "success": i in success} for i, s in enumerate(texts)],
         "transitions": [
             {"from": src, "label": names[k], "to": dst}
             for src, out in enumerate(l.outs) for k, dst in out
@@ -901,9 +922,7 @@ def lts_to_json(l: Lts) -> dict:
 
 
 def lts_to_dot(l: Lts) -> str:
-    from .terms import format_label
-
-    names = [_dot_escape(format_label(lab)) for lab in l.labels]
+    names = [_dot_escape(s) for s in _label_texts(l, _Table(format_mem).__getitem__)]
     lines = ["digraph lts {"]
     for i in range(len(l)):
         shape = "doublecircle" if i in l.success else "circle"
@@ -914,6 +933,11 @@ def lts_to_dot(l: Lts) -> str:
               for src, out in enumerate(l.outs) for k, dst in out]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _label_texts(l: Lts, mem):
+    """The text of each label by id, with mem(m) the text of memory m."""
+    return [T.format_label(lab, mem) for lab in l.labels]
 
 
 def _dot_escape(s: str) -> str:

@@ -310,15 +310,16 @@ class Assignment:
 TAU_LABEL = Tau()
 
 
-def format_label(l) -> str:
+def format_label(l, mem=format_mem) -> str:
+    """l as text, with mem(m) the text of memory m."""
     if isinstance(l, Tau):
         return "tau"
     if isinstance(l, Plain):
         return l.name
     if isinstance(l, DataAction):
-        return "%s(%s)" % (l.name, ", ".join(format_mem(a) for a in l.args))
+        return "%s(%s)" % (l.name, ", ".join(map(mem, l.args)))
     if isinstance(l, Assignment):
-        return "%s := %s" % (l.var, format_mem(l.value))
+        return "%s := %s" % (l.var, mem(l.value))
     raise ValueError("not a label: %r" % (l,))
 
 

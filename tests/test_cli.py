@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -12,10 +14,15 @@ from ramproc.cli import _external_oracle, main
 from ramproc.complexity import (
     FunctionSpec, all_inputs, check_computes, format_check_table, parse_affine,
 )
-from ramproc.machines import format_program, parse_program, proc_of_bbram
+from ramproc.machines import format_program, parse_instr, parse_program, proc_of_bbram
 from ramproc.memory import EMPTY_MEM
+from ramproc.syntax import format_term, parse_term
 
 import sample_terms
+from test_machines import (
+    _compile_machine, _components, _random_mem, _random_program, _random_programs,
+)
+from test_semantics import _fingerprint_corpus
 
 ADD_ORACLE = r"""#!/usr/bin/env python3
 import sys
@@ -44,6 +51,34 @@ def test_compile_inverse_round_trip(tmp_path, capsys):
     term_file = _write(tmp_path, "div.term", capsys.readouterr().out)
     assert main(["compile", "--inverse", term_file]) == 0
     assert capsys.readouterr().out == sample_terms.DIVISION_PROGRAM
+
+
+@pytest.mark.parametrize("model", ["apramp", "spramp"])
+def test_compile_inverse_of_a_composition(tmp_path, capsys, model):
+    """`compile --inverse --model M` prints each component's program, with a
+    `---` line, which no instruction reads as, between two; compiled again,
+    the parts give the term back up to equation names."""
+    with pytest.raises(ValueError):
+        parse_instr("---")
+    rng = random.Random(model)
+    for _ in range(40):
+        t = _compile_machine(model, _random_programs(rng, model))
+        names = sorted({n for c in _components(model, t) for n in c.spec.vars()})
+        fresh = ["Q%d" % k for k in range(len(names))]
+        rng.shuffle(fresh)
+        renamed = T.rename_rec_vars(t, dict(zip(names, fresh)))
+        term = _write(tmp_path, "t.term", format_term(renamed))
+        assert main(["compile", "--inverse", "--model", model, term]) == 0
+        parts = capsys.readouterr().out.split("---\n")
+        assert len(parts) == len(_components(model, t))
+        files = [_write(tmp_path, "c%d.rp" % i, part) for i, part in enumerate(parts)]
+        assert main(["compile", "--model", model, *files]) == 0
+        back = parse_term(capsys.readouterr().out)
+        assert T.canonical_rename(back) == T.canonical_rename(renamed)
+    other = "spramp" if model == "apramp" else "apramp"
+    assert main(["compile", "--inverse", "--model", other, term]) == 1
+    assert main(["compile", "--inverse", term]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_compile_inverse_too_deep_term(tmp_path, capsys):
@@ -125,6 +160,76 @@ def test_run_lts_export(tmp_path, capsys):
     data = json.loads(jpath.read_text())
     assert data["initial"] == 0 and len(data["states"]) == 2
     assert dpath.read_text().startswith("digraph")
+
+
+def _export_corpus():
+    """(label, Lts) of the fingerprint corpus, then of seeded sequential
+    machines and of apramp and spramp compositions of one to three
+    components, each explored under a cap drawn from 3, 40 and 400, so that
+    some explode."""
+    yield from _fingerprint_corpus()
+    rng = random.Random(3434)
+    for k in range(300):
+        prog = _random_program(rng, rng.randint(0, 8))
+        rho = T.Valuation.make({"RM": _random_mem(rng)})
+        yield "ramp-%d" % k, semantics.build_lts(proc_of_bbram(prog), rho,
+                                                 rng.choice((3, 40, 400)))
+    for model in ("apramp", "spramp"):
+        for k in range(60):
+            t = _compile_machine(model, _random_programs(rng, model))
+            rho = T.Valuation.make({v: EMPTY_MEM for v in T.flexvars_term(t)})
+            yield "%s-%d" % (model, k), semantics.build_lts(t, rho.set("RM", _random_mem(rng)),
+                                                             rng.choice((3, 40, 400)))
+
+
+# sha256 over each label and the `--format dot` file of its LTS in `_export_corpus`,
+# pinned so that the dot files stay as they are
+DOT_DIGEST = "78588afdbdaf1fc610247aa0efb69964716c17172e44b0039c4eec1d52995721"
+
+
+def test_lts_export_is_json_dumps_byte_for_byte(tmp_path):
+    """The `--lts` file is `json.dumps(lts_to_json(l), indent=2)` and a newline,
+    byte for byte, and each state's text is `format_term` of its term, on
+    vector, term-path and exploded LTSs alike; `--format dot` files are
+    as they were."""
+    path = tmp_path / "l.export"
+    dot = hashlib.sha256()
+    vectors = exploded = 0
+    for label, l in _export_corpus():
+        cli._export_lts(l, path, "json")
+        d = semantics.lts_to_json(l)
+        assert path.read_text() == json.dumps(d, indent=2) + "\n", label
+        assert [s["term"] for s in d["states"]] == list(map(format_term, l.states)), label
+        cli._export_lts(l, path, "dot")
+        dot.update(label.encode())
+        dot.update(path.read_bytes())
+        vectors += type(l.states) is semantics._StateTerms
+        exploded += l.exploded
+    assert vectors == 540 and exploded > 100
+    assert dot.hexdigest() == DOT_DIGEST
+
+
+def test_lts_export_of_a_halt_program(tmp_path, capsys):
+    """A program that halts at once exports an empty transition list."""
+    prog = _write(tmp_path, "halt.rp", "halt\n")
+    path = tmp_path / "halt.json"
+    assert main(["run", prog, "--lts", str(path)]) == 0
+    l = semantics.build_lts(proc_of_bbram(parse_program("halt\n")),
+                            T.Valuation.make({"RM": EMPTY_MEM}))
+    assert path.read_text() == json.dumps(semantics.lts_to_json(l), indent=2) + "\n" == """\
+{
+  "initial": 0,
+  "exploded": false,
+  "states": [
+    {
+      "id": 0,
+      "term": "eval{RM = []}(rec X1 {X1 = True :-> eps})",
+      "success": true
+    }
+  ],
+  "transitions": []
+}
+"""
 
 
 def test_measure_sutm(tmp_path, capsys):
@@ -630,7 +735,8 @@ options:
 usage: ramproc compile [-h] [--model {ramp,apramp,spramp}] [--inverse]
                        FILE [FILE ...]
 """ + _FILES_HELP + """\
-  --inverse             read a sequential-machine term and print its program
+  --inverse             read a machine term of --model and print its programs,
+                        separated by --- lines
 """,
     "run": _RUN_USAGE + _FILES_HELP + _MEMS_HELP + """\
   --fuel FUEL           also run the direct interpreter this many steps

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ramproc.memory import (
@@ -31,6 +33,24 @@ def test_get_and_set():
     assert m2(1) == "0"
     assert m(1) == ""  # original untouched
     assert m.set(0, "") == MemState({2: "101"})
+
+
+def test_hash_follows_writes():
+    """The hash that `_put` updates from the written pair alone is the one
+    the constructor gives the same registers, writes of the empty string
+    and rewrites of a held register included."""
+    rng = random.Random(18)
+    m, regs = EMPTY_MEM, {}
+    for _ in range(2000):
+        i, w = rng.randrange(12), rng.choice(["", "", "0", "1", "01", "110"])
+        m = m._put(i, w)
+        if w:
+            regs[i] = w
+        else:
+            regs.pop(i, None)
+        fresh = MemState(regs)
+        assert m == fresh and hash(m) == hash(fresh)
+    assert hash(MemState({0: "1", 1: "0"})) == hash(MemState({1: "0", 0: "1"}))
 
 
 def test_registers_sorted():
